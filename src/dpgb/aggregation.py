@@ -5,38 +5,19 @@ for the cryptographic private aggregation service), dense Laplace noise over
 the whole cell domain, descaling back to original units, and the
 threshold-and-clamp post-process that discards cells dominated by noise.
 
-Raw per-user data and the pre-noise aggregate exist only inside a run; the
-simulator drops the pre-noise sum after evaluation unless a run is explicitly
-flagged for evaluation-mode visibility.
+Raw per-user data and the pre-noise aggregate exist only inside a run; a
+release carries only the noised, descaled and thresholded vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .client import ClientContribution
 from .dp_core import ConfigError, PrivacyLedger, dense_laplace_noise
-from .schema import Dimensions, ScaleMatrix, SparseHistogram
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    """Outcome of one server pass.
-
-    ``raw_sum`` is the pre-noise clipped aggregate (scaled domain) and is
-    populated only for evaluation runs.  ``noisy`` keeps signed values in the
-    scaled domain so evaluation can separate clamping bias from noise;
-    ``released`` is descaled, thresholded, and clamped.
-    """
-
-    raw_sum: SparseHistogram | None
-    noisy: SparseHistogram
-    released: SparseHistogram
-    suppressed_cells: int
-    ledger_snapshot: PrivacyLedger
+from .schema import Dimensions, SparseHistogram
 
 
 def secure_sum(contributions, dims: Dimensions | None = None) -> SparseHistogram:
@@ -64,80 +45,56 @@ def secure_sum(contributions, dims: Dimensions | None = None) -> SparseHistogram
     return SparseHistogram(first_dims, total)
 
 
+# cells per block of slices the noise pass holds at once
+_NOISE_BLOCK_CELLS = 1 << 20
+
+
 def noise_descale_threshold(
     pre_noise_dense: np.ndarray,
-    scale_flat: np.ndarray,
-    noise_scale_b,
+    slice_scales: np.ndarray,
+    slice_noise_b: np.ndarray,
     tau: float,
     seed: int,
-    dims: Dimensions,
     *,
     test_mode: bool = False,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Shared server tail: dense noise, descale, threshold, clamp.
+) -> tuple[np.ndarray, int]:
+    """Server tail: dense noise, descale, threshold, clamp.
 
-    Noise is one seeded stream over the full domain in flat cell order;
-    ``noise_scale_b`` may be a scalar or a per-cell vector.  A cell is
-    suppressed when its descaled value falls below tau * b * S for that
-    cell's noise scale b and descale factor S.  Surviving negatives are
-    clamped to zero (a no-op whenever tau >= 0, kept for safety).
+    ``slice_scales`` and ``slice_noise_b`` hold one descale factor S and one
+    Laplace scale b per (activity, metric) slice, shape (A, 3).  The flat
+    vector is viewed as (A * 3, R * 3), one row per slice, and noised in
+    blocks of whole rows so that only the output is domain-sized.  Noise is
+    one seeded stream over the full domain in flat cell order, whatever the
+    block size.  A cell is suppressed when its descaled value falls below
+    tau * b * S; surviving negatives are clamped to zero (a no-op whenever
+    tau >= 0, kept for safety).
 
-    Returns (noisy_dense, released_dense, suppressed_count) where suppressed
-    counts cells with a nonzero descaled value that failed the threshold.
+    Returns (released_dense, suppressed_count) where suppressed counts cells
+    with a nonzero descaled value that failed the threshold.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ConfigError(f"threshold_tau must be finite and >= 0, got {tau}")
-    if test_mode:
-        noisy_dense = pre_noise_dense + 0.0
-    else:
-        noisy_dense = pre_noise_dense + dense_laplace_noise(noise_scale_b, seed, dims.total_cells)
-    descaled = noisy_dense * scale_flat
-    threshold = tau * np.asarray(noise_scale_b, dtype=float) * scale_flat
-    keep = descaled >= threshold
-    suppressed = int(np.count_nonzero(~keep & (descaled != 0.0)))
-    released_dense = np.where(keep, np.maximum(descaled, 0.0), 0.0)
-    return noisy_dense, released_dense, suppressed
-
-
-def server_work(
-    contributions,
-    scales: ScaleMatrix,
-    clip: float,
-    epsilon: float,
-    tau: float,
-    seed: int,
-    dims: Dimensions,
-    *,
-    ledger: PrivacyLedger | None = None,
-    test_mode: bool = False,
-    keep_raw: bool = True,
-) -> AggregateReport:
-    """Secure-sum the fleet, noise every cell, descale, and threshold.
-
-    Every cell of the dense domain receives independent Laplace(clip/epsilon)
-    noise (true-zero cells included, which the guarantee requires), then each
-    cell is multiplied by its S(a, m) factor, a single multiplication with no
-    re-accumulation.  Cells whose descaled value is below
-    tau * (clip/epsilon) * S(a, m) are removed.
-    """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
-    if math.isnan(clip) or clip <= 0:
-        raise ConfigError(f"clip bound must be > 0, got {clip}")
-    if ledger is None:
-        ledger = PrivacyLedger(budget=math.inf if test_mode else epsilon)
-    raw = secure_sum(contributions, dims=dims)
-    ledger.charge("laplace_noise", math.inf if test_mode else epsilon)
-    noisy_dense, released_dense, suppressed = noise_descale_threshold(
-        raw.to_dense(), scales.per_cell(dims), clip / epsilon, tau, seed, dims,
-        test_mode=test_mode)
-    return AggregateReport(
-        raw_sum=raw if keep_raw else None,
-        noisy=SparseHistogram.from_dense(dims, noisy_dense),
-        released=SparseHistogram.from_dense(dims, released_dense),
-        suppressed_cells=suppressed,
-        ledger_snapshot=ledger.snapshot(),
-    )
+    per_slice = pre_noise_dense.reshape(slice_scales.size, -1)
+    b = slice_noise_b.reshape(-1, 1)
+    scales = slice_scales.reshape(-1, 1)
+    threshold = tau * b * scales
+    released = np.empty_like(per_slice)
+    rng = np.random.default_rng(seed)
+    rows = max(1, _NOISE_BLOCK_CELLS // per_slice.shape[1])
+    suppressed = 0
+    for start in range(0, per_slice.shape[0], rows):
+        block = slice(start, start + rows)
+        if test_mode:
+            descaled = per_slice[block] + 0.0
+        else:
+            descaled = dense_laplace_noise(b[block], rng, per_slice[block].shape)
+            descaled += per_slice[block]
+        descaled *= scales[block]
+        keep = descaled >= threshold[block]
+        suppressed += int(np.count_nonzero(~keep & (descaled != 0.0)))
+        np.maximum(descaled, 0.0, out=released[block])
+        released[block][~keep] = 0.0
+    return released.reshape(-1), suppressed
 
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:

@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .aggregation import write_ledger
 from .datagen import generate, ground_truth, read_generator_spec
@@ -25,6 +27,7 @@ from .evaluation import (
     DEFAULT_MECHANISMS,
     DEFAULT_MIN_DEVICES,
     METRIC_NAMES,
+    ScoringPlan,
     SweepResult,
     read_sweep_csv,
     render_metric_table,
@@ -112,7 +115,7 @@ def cmd_release(args, argv) -> int:
         [data], num_activities=config.scales.num_activities, num_regions=args.num_regions)
     # the release path never runs with noise disabled; there is no flag to do so
     result = run_release(config, data, dims, test_mode=False)
-    write_histogram_csv(args.out, result.released)
+    write_histogram_csv(args.out, result.released, dims)
     ledger_path = str(args.out) + ".ledger"
     write_ledger(ledger_path, result.ledger)
     _write_manifest(
@@ -120,7 +123,7 @@ def cmd_release(args, argv) -> int:
         {"data": args.data, "config": args.config}, [args.out, ledger_path],
         {"seed": result.seed, "run": manifest_line(result),
          "ledger_total": repr(result.total_epsilon)})
-    print(f"released {len(result.released)} cells to {args.out} "
+    print(f"released {np.count_nonzero(result.released)} cells to {args.out} "
           f"(epsilon = {result.total_epsilon!r}, suppressed = {result.suppressed_cells})")
     return EXIT_OK
 
@@ -129,9 +132,8 @@ def cmd_eval(args, argv) -> int:
     data = read_records_csv(args.data)
     dims = infer_dimensions(
         [data], num_activities=args.num_activities, num_regions=args.num_regions)
-    released = read_histogram_csv(args.released, dims)
-    truth, devices = ground_truth(data, dims)
-    report = weighted_relative_error(truth, devices, released, args.min_devices)
+    plan = ScoringPlan.build(*ground_truth(data, dims), args.min_devices)
+    report = weighted_relative_error(plan, read_histogram_csv(args.released, dims))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

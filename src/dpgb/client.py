@@ -8,7 +8,6 @@ after aggregation.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,6 @@ from .schema import (
     WeekDataset,
 )
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class ClientContribution:
@@ -42,8 +39,6 @@ def client_work(
     scales: ScaleMatrix,
     clip: float,
     dims: Dimensions,
-    *,
-    on_invalid: str = "raise",
 ) -> ClientContribution:
     """Build the scaled per-user vector and clip it to ``clip``.
 
@@ -51,26 +46,17 @@ def client_work(
     duration/S(a, duration) accumulate into the record's cells; the joint
     vector is then clipped once across the user's entire contribution.
     ``clip`` may be math.inf as an explicit no-clip sentinel for tests.
-    ``on_invalid`` is "raise" (default) or "skip"; skipped records are
-    counted and logged, matching bulk fleet simulation.
+    A record outside ``dims`` raises ValueError, so every mechanism fails
+    the same way on out-of-domain input.
     """
     if math.isnan(clip) or clip <= 0:
         raise ConfigError(f"clip bound must be > 0, got {clip}")
-    if on_invalid not in ("raise", "skip"):
-        raise ConfigError(f"on_invalid must be 'raise' or 'skip', got {on_invalid!r}")
     if scales.num_activities != dims.num_activities:
         raise ConfigError("scale matrix does not match dimensions")
 
     cells: dict[Cell, float] = {}
-    skipped = 0
     for rec in records:
-        try:
-            rec.validate(dims)
-        except ValueError:
-            if on_invalid == "raise":
-                raise
-            skipped += 1
-            continue
+        rec.validate(dims)
         a, r, d = rec.activity, rec.region, rec.direction
         for metric, value in (
             (NUM_TRIPS, 1.0),
@@ -79,8 +65,6 @@ def client_work(
         ):
             key = (a, metric, r, d)
             cells[key] = cells.get(key, 0.0) + value / scales.factor(a, metric)
-    if skipped:
-        logger.warning("user %s: skipped %d invalid records", user_id, skipped)
 
     vector = SparseHistogram(dims, {c: v for c, v in cells.items() if v != 0.0})
     if math.isfinite(clip):
@@ -93,11 +77,6 @@ def fleet_contributions(
     scales: ScaleMatrix,
     clip: float,
     dims: Dimensions,
-    *,
-    on_invalid: str = "skip",
 ) -> list[ClientContribution]:
     """Run client_work for every user, in dataset (user-id) order."""
-    return [
-        client_work(uid, records, scales, clip, dims, on_invalid=on_invalid)
-        for uid, records in data.users
-    ]
+    return [client_work(uid, records, scales, clip, dims) for uid, records in data.users]

@@ -36,6 +36,8 @@ from .schema import (
 _NORMAL = NormalDist()
 _U_FLOOR = 2.0 ** -54
 _HOME_REGION_SHARE = 0.9  # remaining trips resample the region popularity table
+# exp(-lam) is subnormal above about 708 and zero above about 745.1
+_POISSON_LOG_SPACE = 745.0
 
 PROFILE_CSV_HEADER = [
     "activity", "name", "weight",
@@ -150,8 +152,26 @@ def _pick(cdf: np.ndarray, u: float) -> int:
 
 
 def _poisson_inverse(u: float, lam: float) -> int:
+    """Smallest k with P(X <= k) >= u for X ~ Poisson(lam), by sequential search.
+
+    Below _POISSON_LOG_SPACE the pmf runs by the recurrence p *= lam / k from
+    exp(-lam), which is what every existing dataset was drawn with.  From
+    there on exp(-lam) is zero or subnormal, so each term is computed in log
+    space instead, and the search stops past the mode once a term no longer
+    changes the running sum.
+    """
     if lam <= 0:
         return 0
+    if lam >= _POISSON_LOG_SPACE:
+        log_lam = math.log(lam)
+        k, cdf = 0, math.exp(-lam)
+        while u > cdf and k < 100_000:
+            k += 1
+            p = math.exp(k * log_lam - lam - math.lgamma(k + 1))
+            if k > lam and cdf + p == cdf:
+                break
+            cdf += p
+        return k
     k, p = 0, math.exp(-lam)
     cdf = p
     while u > cdf and k < 100_000:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schema import Cell, ConfigError, Dimensions, SparseHistogram
+from .schema import ConfigError, SparseHistogram
 
 ADJACENCY = "(user, week) add/remove"
 
@@ -106,8 +106,8 @@ def laplace_inverse_cdf(u, scale_b):
     return -scale_b * np.sign(d) * np.log1p(-2.0 * np.abs(d))
 
 
-def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.maximum(rng.random(n), _U_FLOOR)
+def _open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
+    return np.maximum(rng.random(shape), _U_FLOOR)
 
 
 def laplace_sample(spec: LaplaceNoiseSpec, n: int) -> np.ndarray:
@@ -132,64 +132,18 @@ def clip_l1(v: SparseHistogram, clip: float) -> SparseHistogram:
     return v.scale(clip / norm)
 
 
-def dense_laplace_noise(scale_b, seed: int, n: int) -> np.ndarray:
-    """One seeded noise stream of length n; scale_b may be scalar or per-cell."""
-    rng = np.random.default_rng(seed)
-    return laplace_inverse_cdf(_open_uniforms(rng, n), scale_b)
+def dense_laplace_noise(scale_b, seed, shape) -> np.ndarray:
+    """One seeded noise stream filling ``shape`` in C order.
 
-
-def laplace_mechanism(
-    contributions,
-    clip: float,
-    epsilon: float,
-    seed: int,
-    dims: Dimensions,
-    *,
-    ledger: PrivacyLedger | None = None,
-    test_mode: bool = False,
-    domain: np.ndarray | None = None,
-) -> SparseHistogram:
-    """Clip each contribution to ``clip``, sum, and noise every domain cell.
-
-    Noise is Laplace(clip / epsilon) added independently to the full dense
-    domain (true-zero cells included), in flat cell order.  ``domain``
-    restricts the noised cells to a sub-domain (used when a mechanism owns
-    only a slice of the cell space).  One charge of ``epsilon`` goes to the
-    ledger; in test mode sampling is replaced by zeros and the charge is
-    recorded as infinite, because a noiseless output has no finite guarantee.
-
-    Args:
-        contributions: per-user SparseHistograms over ``dims``.
-        clip: L1 bound applied to every contribution.
-        epsilon: privacy budget for this invocation.
-        seed: noise stream seed.
-        dims: cell domain.
-        ledger: ledger to charge; a private one is created when omitted.
-        test_mode: replace noise with zeros (never reachable from the
-            release CLI path).
-        domain: optional sorted flat indices to noise instead of all cells.
-
-    Returns:
-        The noisy aggregate as a SparseHistogram.
+    ``scale_b`` may be a scalar or any array that broadcasts against
+    ``shape``; the uniforms do not depend on it, so a stream reshaped to
+    (slices, cells per slice) draws the same values as a flat one.  ``seed``
+    may also be a Generator, whose stream then continues where the last
+    call left it, so a domain noised block by block draws the same values
+    as one noised at once.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
-    if math.isnan(clip) or clip <= 0:
-        raise ConfigError(f"clip bound must be > 0, got {clip}")
-    if ledger is None:
-        ledger = PrivacyLedger(budget=math.inf if test_mode else epsilon)
-    dense = np.zeros(dims.total_cells)
-    for contribution in contributions:
-        if contribution.dims != dims:
-            raise ValueError("contribution dimensions do not match the mechanism domain")
-        clipped = clip_l1(contribution, clip)
-        for (a, m, r, d), value in clipped.cells.items():
-            dense[dims.cell_index(a, m, r, d)] += value
-    ledger.charge("laplace_mechanism", math.inf if test_mode else epsilon)
-    idx = np.arange(dims.total_cells) if domain is None else np.asarray(domain)
-    if not test_mode:
-        dense[idx] += dense_laplace_noise(clip / epsilon, seed, len(idx))
-    return SparseHistogram.from_dense(dims, dense)
+    rng = np.random.default_rng(seed)
+    return laplace_inverse_cdf(_open_uniforms(rng, shape), scale_b)
 
 
 def exact_quantile(values, q: float) -> float:
@@ -265,8 +219,3 @@ def slice_histogram(hist: SparseHistogram, activity: int, metric: int) -> Sparse
     """Restrict to the cells of one (activity, metric) pair."""
     cells = {c: v for c, v in hist.cells.items() if c[0] == activity and c[1] == metric}
     return SparseHistogram(hist.dims, cells)
-
-
-def slice_l1_norm(hist: SparseHistogram, activity: int, metric: int) -> float:
-    return math.fsum(
-        abs(v) for c, v in hist.cells.items() if c[0] == activity and c[1] == metric)

@@ -61,18 +61,33 @@ SWEEP_CSV_HEADER = ["mechanism", "epsilon", "repeat", "metric", "wre"]
 SWEEP_AGG_CSV_HEADER = ["mechanism", "epsilon", "wre_mean", "wre_std"]
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Per-(region, direction, activity) weights n_{r,d,a} / n_r.
+@dataclass(frozen=True, eq=False)
+class ScoringPlan:
+    """The eligible cells of one ground truth, per metric, in truth order.
 
-    Built from the true trip counts and shared by all three metrics; within
-    one region the weights sum to 1 before eligibility filtering.
+    Built once per (truth, devices, min_devices) and shared by every release
+    scored against that truth.  For metric m, ``flat[m]`` holds the eligible
+    flat cell indices, ``truth[m]`` their true values, ``weights[m]`` their
+    weights n_{r,d,a} / n_r and ``devices[m]`` their device counts.
     """
 
-    weights: dict[tuple[int, int, int], float]
+    dims: Dimensions
+    min_devices: int
+    flat: tuple[np.ndarray, ...]
+    truth: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
+    devices: tuple[np.ndarray, ...]
 
     @classmethod
-    def from_truth(cls, truth: SparseHistogram) -> "WeightTable":
+    def build(cls, truth: SparseHistogram, devices: dict[Cell, int],
+              min_devices: int) -> "ScoringPlan":
+        """Eligible cells have at least ``min_devices`` contributing devices and
+        a strictly positive true value; true-zero cells are excluded since
+        their relative error is undefined.
+
+        The weights come from the true trip counts and are shared by all three
+        metrics; within one region they sum to 1 before eligibility filtering.
+        """
         counts: dict[tuple[int, int, int], float] = {}
         region_totals: dict[int, float] = {}
         for (a, m, r, d), value in truth.cells.items():
@@ -84,10 +99,24 @@ class WeightTable:
             key: value / region_totals[key[0]]
             for key, value in counts.items() if region_totals[key[0]] > 0
         }
-        return cls(weights)
-
-    def get(self, region: int, direction: int, activity: int) -> float:
-        return self.weights.get((region, direction, activity), 0.0)
+        columns = tuple(([], [], [], []) for _ in METRIC_NAMES)
+        for (a, m, r, d), true_value in truth.cells.items():
+            count = devices.get((a, m, r, d), 0)
+            if true_value <= 0 or count < min_devices:
+                continue
+            flat, values, cell_weights, cell_devices = columns[m]
+            flat.append(truth.dims.cell_index(a, m, r, d))
+            values.append(true_value)
+            cell_weights.append(weights.get((r, d, a), 0.0))
+            cell_devices.append(count)
+        return cls(
+            dims=truth.dims,
+            min_devices=min_devices,
+            flat=tuple(np.array(col[0], dtype=np.int64) for col in columns),
+            truth=tuple(np.array(col[1], dtype=float) for col in columns),
+            weights=tuple(np.array(col[2], dtype=float) for col in columns),
+            devices=tuple(np.array(col[3], dtype=np.int64) for col in columns),
+        )
 
 
 @dataclass(frozen=True)
@@ -103,15 +132,16 @@ class CellScore:
     devices: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     """Per-metric weighted relative error plus per-cell diagnostics."""
 
     wre: dict[str, float]
     eligible: dict[str, int]
     suppressed_eligible: dict[str, int]
-    min_devices: int
-    cells: tuple[CellScore, ...]
+    plan: ScoringPlan
+    estimates: tuple[np.ndarray, ...]
+    errors: tuple[np.ndarray, ...]
 
     @property
     def overall(self) -> float:
@@ -121,48 +151,52 @@ class EvalReport:
     def has_eligible_cells(self) -> bool:
         return any(self.eligible[name] > 0 for name in METRIC_NAMES)
 
+    @property
+    def cells(self) -> tuple[CellScore, ...]:
+        """One score per eligible cell, metric by metric, in truth order."""
+        plan = self.plan
+        scores = []
+        for m, name in enumerate(METRIC_NAMES):
+            for flat, true_value, estimate, error, weight, count in zip(
+                    plan.flat[m].tolist(), plan.truth[m].tolist(),
+                    self.estimates[m].tolist(), self.errors[m].tolist(),
+                    plan.weights[m].tolist(), plan.devices[m].tolist()):
+                a, _, r, d = plan.dims.cell_tuple(flat)
+                scores.append(CellScore(name, a, r, d, true_value, estimate, error,
+                                        weight, count))
+        return tuple(scores)
 
-def weighted_relative_error(
-    truth: SparseHistogram,
-    devices: dict[Cell, int],
-    released: SparseHistogram,
-    min_devices: int,
-) -> EvalReport:
-    """Score a release against the exact totals.
 
-    Eligible cells have at least ``min_devices`` contributing devices and a
-    strictly positive true value; true-zero cells are excluded since their
-    relative error is undefined.  A metric with no eligible cells scores NaN
-    and is flagged by ``has_eligible_cells``.
+def _running_total(values: np.ndarray) -> float:
+    # left-to-right like a loop's running sum; np.sum adds pairwise, which
+    # can change the last digit
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def weighted_relative_error(plan: ScoringPlan, released: np.ndarray) -> EvalReport:
+    """Score a dense release against the exact totals behind ``plan``.
+
+    A cell the release left at 0 (suppressed, clamped or missing) counts as
+    estimate 0.  A metric with no eligible cells scores NaN and is flagged by
+    ``has_eligible_cells``.
     """
-    if truth.dims != released.dims:
-        raise ValueError("truth and released histograms must share dimensions")
-    table = WeightTable.from_truth(truth)
+    if released.shape != (plan.dims.total_cells,):
+        raise ValueError(f"released vector shape {released.shape} does not match {plan.dims}")
     wre: dict[str, float] = {}
     eligible: dict[str, int] = {}
     suppressed: dict[str, int] = {}
-    scores: list[CellScore] = []
+    estimates, errors = [], []
     for m, name in enumerate(METRIC_NAMES):
-        weighted_sum, weight_sum, count, missing = 0.0, 0.0, 0, 0
-        for (a, mm, r, d), true_value in truth.cells.items():
-            if mm != m or true_value <= 0:
-                continue
-            if devices.get((a, mm, r, d), 0) < min_devices:
-                continue
-            estimate = released.get((a, mm, r, d))
-            if estimate == 0.0 and (a, mm, r, d) not in released.cells:
-                missing += 1
-            error = abs(estimate - true_value) / true_value
-            weight = table.get(r, d, a)
-            weighted_sum += weight * error
-            weight_sum += weight
-            count += 1
-            scores.append(CellScore(name, a, r, d, true_value, estimate, error,
-                                    weight, devices.get((a, mm, r, d), 0)))
+        estimate = released[plan.flat[m]]
+        error = np.abs(estimate - plan.truth[m]) / plan.truth[m]
+        weight_sum = _running_total(plan.weights[m])
+        weighted_sum = _running_total(plan.weights[m] * error)
         wre[name] = weighted_sum / weight_sum if weight_sum > 0 else math.nan
-        eligible[name] = count
-        suppressed[name] = missing
-    return EvalReport(wre, eligible, suppressed, min_devices, tuple(scores))
+        eligible[name] = int(estimate.size)
+        suppressed[name] = int(np.count_nonzero(estimate == 0.0))
+        estimates.append(estimate)
+        errors.append(error)
+    return EvalReport(wre, eligible, suppressed, plan, tuple(estimates), tuple(errors))
 
 
 # --- hyperparameter fitting ---------------------------------------------------
@@ -289,14 +323,14 @@ def sweep(
     epsilons = tuple(float(e) for e in epsilons)
     mechanisms = tuple(mechanisms)
     fitted = fit_hyperparameters(proxy, dims, fit_q)
-    truth, devices = ground_truth(data, dims)
+    plan = ScoringPlan.build(*ground_truth(data, dims), min_devices)
     prepared = {kind: prepare_for(kind, data, fitted, dims) for kind in mechanisms}
 
     def one_cell(task: tuple[str, float, int]) -> SweepRow:
         kind, epsilon, repeat = task
         cell_seed = run_seed(seed, kind, epsilon, repeat)
         result = finish_release(prepared[kind], epsilon, tau, cell_seed, test_mode=test_mode)
-        report = weighted_relative_error(truth, devices, result.released, min_devices)
+        report = weighted_relative_error(plan, result.released)
         return SweepRow(kind, epsilon, repeat, cell_seed, dict(report.wre), report.overall)
 
     tasks = [(kind, epsilon, repeat)
@@ -329,7 +363,7 @@ def clip_grid_search(
     candidates = sorted(float(c) for c in grid)
     if not candidates:
         raise ConfigError("clip_grid_search needs a non-empty grid")
-    truth, devices = ground_truth(proxy, dims)
+    plan = ScoringPlan.build(*ground_truth(proxy, dims), min_devices)
     best_clip, best_score = None, math.inf
     for clip in candidates:
         prepared = prepare_activity_metric_scaling(proxy, scales, clip, dims)
@@ -337,8 +371,7 @@ def clip_grid_search(
         for repeat in range(repeats):
             cell_seed = derive_seed(seed, "clip_grid", repr(clip), repeat)
             result = finish_release(prepared, epsilon, tau, cell_seed)
-            scores.append(
-                weighted_relative_error(truth, devices, result.released, min_devices).overall)
+            scores.append(weighted_relative_error(plan, result.released).overall)
         score = float(np.mean(scores))
         if score < best_score:
             best_clip, best_score = clip, score

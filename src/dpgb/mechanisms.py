@@ -24,7 +24,7 @@ import numpy as np
 
 from .aggregation import noise_descale_threshold, secure_sum
 from .client import client_work, fleet_contributions
-from .dp_core import PrivacyLedger, clip_l1, exact_quantile, slice_l1_norm
+from .dp_core import PrivacyLedger, clip_l1, exact_quantile
 from .schema import (
     ConfigError,
     Dimensions,
@@ -39,10 +39,14 @@ from .schema import (
 
 @dataclass(frozen=True)
 class ReleaseResult:
-    """One private release plus its accounting."""
+    """One private release plus its accounting.
+
+    ``released`` is the dense vector in cell_index order; suppressed and
+    clamped cells hold 0.
+    """
 
     mechanism_kind: str
-    released: SparseHistogram
+    released: np.ndarray
     total_epsilon: float
     config_echo: MechanismConfig
     seed: int
@@ -54,39 +58,39 @@ class ReleaseResult:
 class PreparedRelease:
     """Clipped pre-noise aggregate, ready to be noised at any budget.
 
-    ``noise_units_flat`` holds, per cell, the Laplace scale times epsilon
-    (the clip bound for single-release mechanisms, clip * num_slices for
-    budget_split), so the per-cell noise scale at budget eps is
-    noise_units_flat / eps.  ``charge_fractions`` lists the ledger charges
-    as fractions of the total budget.
+    ``slice_scales`` and ``noise_units`` have shape (A, 3), one entry per
+    (activity, metric) slice.  ``slice_scales`` holds the descale factors S;
+    ``noise_units`` holds the Laplace scale times epsilon (the clip bound for
+    single-release mechanisms, clip * num_slices for budget_split), so the
+    slice's noise scale at budget eps is noise_units / eps.
+    ``charge_fractions`` lists the ledger charges as fractions of the total
+    budget.
     """
 
     mechanism_kind: str
     dims: Dimensions
     pre_noise_dense: np.ndarray
-    scale_flat: np.ndarray
-    noise_units_flat: np.ndarray
+    slice_scales: np.ndarray
+    noise_units: np.ndarray
     charge_fractions: tuple[tuple[str, float], ...]
     clip_echo: float | np.ndarray
     scales_echo: ScaleMatrix
-
-    @property
-    def pre_noise_sum(self) -> SparseHistogram:
-        return SparseHistogram.from_dense(self.dims, self.pre_noise_dense)
 
 
 def prepare_activity_metric_scaling(
     data: WeekDataset, scales: ScaleMatrix, clip: float, dims: Dimensions,
     *, kind: str = "activity_metric_scaling",
 ) -> PreparedRelease:
+    if scales.num_activities != dims.num_activities:
+        raise ConfigError("scale matrix does not match dimensions")
     contributions = fleet_contributions(data, scales, clip, dims)
     raw = secure_sum(contributions, dims=dims)
     return PreparedRelease(
         mechanism_kind=kind,
         dims=dims,
         pre_noise_dense=raw.to_dense(),
-        scale_flat=scales.per_cell(dims),
-        noise_units_flat=np.full(dims.total_cells, float(clip)),
+        slice_scales=scales.entries,
+        noise_units=np.full(scales.entries.shape, float(clip)),
         charge_fractions=(("laplace_noise", 1.0),),
         clip_echo=float(clip),
         scales_echo=scales,
@@ -129,14 +133,12 @@ def prepare_budget_split(data: WeekDataset, clips, dims: Dimensions) -> Prepared
         (f"slice_a{a}_{METRIC_NAMES[m]}", 1.0 / split_count)
         for a in range(dims.num_activities) for m in range(3)
     )
-    ones = ScaleMatrix.ones(dims.num_activities)
-    noise_units = np.repeat((clips * split_count).reshape(-1), dims.num_regions * 3)
     return PreparedRelease(
         mechanism_kind="budget_split",
         dims=dims,
         pre_noise_dense=dense,
-        scale_flat=ones.per_cell(dims),
-        noise_units_flat=noise_units,
+        slice_scales=ones.entries,
+        noise_units=clips * split_count,
         charge_fractions=charges,
         clip_echo=clips,
         scales_echo=ones,
@@ -157,13 +159,12 @@ def finish_release(
     ledger = PrivacyLedger(budget=math.inf if test_mode else epsilon)
     for label, fraction in prepared.charge_fractions:
         ledger.charge(label, math.inf if test_mode else fraction * epsilon)
-    _, released_dense, suppressed = noise_descale_threshold(
+    released, suppressed = noise_descale_threshold(
         prepared.pre_noise_dense,
-        prepared.scale_flat,
-        prepared.noise_units_flat / epsilon,
+        prepared.slice_scales,
+        prepared.noise_units / epsilon,
         tau,
         seed,
-        prepared.dims,
         test_mode=test_mode,
     )
     config = MechanismConfig(
@@ -176,7 +177,7 @@ def finish_release(
     )
     return ReleaseResult(
         mechanism_kind=prepared.mechanism_kind,
-        released=SparseHistogram.from_dense(prepared.dims, released_dense),
+        released=released,
         total_epsilon=ledger.total(),
         config_echo=config,
         seed=seed,
@@ -270,6 +271,6 @@ def manifest_line(result: ReleaseResult) -> str:
         repr(result.config_echo.epsilon),
         clip_repr,
         str(result.seed),
-        str(result.released.dims.total_cells),
+        str(result.released.size),
         str(result.suppressed_cells),
     ])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -455,17 +456,39 @@ def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
     return WeekDataset.build(label, users.items())
 
 
-def write_histogram_csv(path, hist: SparseHistogram) -> None:
-    """Zero cells are omitted; metric written by name."""
+# cells per block of the dense vector the histogram writer converts at once
+_WRITE_BLOCK_CELLS = 1 << 16
+
+
+def write_histogram_csv(path, dense: np.ndarray, dims: Dimensions) -> None:
+    """One row per nonzero cell, in flat cell order; metric written by name.
+
+    The dense vector is converted in fixed-size blocks, so the writer never
+    holds more than one block of rows as Python objects.
+    """
+    if dense.shape != (dims.total_cells,):
+        raise ValueError(f"dense array shape {dense.shape} does not match {dims}")
+    names = np.array(METRIC_NAMES, dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTOGRAM_CSV_HEADER)
-        for (a, m, r, d), value in hist.cells.items():
-            writer.writerow([a, METRIC_NAMES[m], r, d, value])
+        for start in range(0, dims.total_cells, _WRITE_BLOCK_CELLS):
+            block = dense[start:start + _WRITE_BLOCK_CELLS]
+            flat = np.flatnonzero(block)
+            values = block[flat].tolist()
+            rest, d = np.divmod(flat + start, 3)
+            rest, r = np.divmod(rest, dims.num_regions)
+            a, m = np.divmod(rest, 3)
+            writer.writerows(zip(a.tolist(), names[m].tolist(), r.tolist(), d.tolist(), values))
 
 
-def read_histogram_csv(path, dims: Dimensions) -> SparseHistogram:
-    cells: dict[Cell, float] = {}
+def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
+    """Dense vector in flat cell order; absent and zero-valued cells read 0.
+
+    A second row for a cell is an error, also when the first one held 0.
+    """
+    dense = array("d", bytes(8 * dims.total_cells))
+    seen = bytearray(dims.total_cells)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -482,18 +505,24 @@ def read_histogram_csv(path, dims: Dimensions) -> SparseHistogram:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
             try:
-                dims.check_cell(cell)
+                flat = dims.cell_index(*cell)
             except IndexError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if cell in cells:
+            if seen[flat]:
                 raise ConfigError(f"{path}:{lineno}: duplicate cell {cell}")
+            seen[flat] = 1
             if value != 0.0:
-                cells[cell] = value
-    return SparseHistogram(dims, cells)
+                dense[flat] = value
+    return np.frombuffer(dense, dtype=float)
 
 
 def infer_dimensions(datasets, *, num_activities: int = 0, num_regions: int = 0) -> Dimensions:
-    """Smallest Dimensions covering every index seen, with optional overrides."""
+    """Smallest Dimensions covering every index seen, with optional overrides.
+
+    When both overrides are given the records are not read at all.
+    """
+    if num_activities > 0 and num_regions > 0:
+        return Dimensions(num_activities=num_activities, num_regions=num_regions)
     max_a, max_r = 0, 0
     for data in datasets:
         for _, records in data.users:

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from dpgb.aggregation import AggregateReport, secure_sum, server_work, write_ledger
-from dpgb.client import ClientContribution, fleet_contributions
-from dpgb.dp_core import BudgetExceededError, PrivacyLedger, clip_l1
-from dpgb.schema import Dimensions, ScaleMatrix, SparseHistogram, user_histogram
+from dpgb.aggregation import secure_sum, write_ledger
+from dpgb.client import ClientContribution
+from dpgb.dp_core import BudgetExceededError, PrivacyLedger, clip_l1, dense_laplace_noise
+from dpgb.mechanisms import finish_release, prepare_activity_metric_scaling, prepare_joint_clipping
+from dpgb.schema import Dimensions, ScaleMatrix, SparseHistogram, WeekDataset, user_histogram
 from conftest import random_dataset, random_histogram
 
 
@@ -49,61 +51,70 @@ class TestSecureSum:
 
 
 class TestServerWork:
+    """The server tail, finish_release on a prepared aggregate: noise every
+    cell, descale by one multiplication, threshold and clamp."""
+
     def test_test_mode_identity_pipeline(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 12)
-        ones = ScaleMatrix.ones(small_dims.num_activities)
         clip = 6.0
-        fleet = fleet_contributions(data, ones, clip, small_dims)
-        report = server_work(fleet, ones, clip, 1.0, 0.0, 5, small_dims, test_mode=True)
-        assert report.released.cells == report.raw_sum.cells  # bit-exact
+        prepared = prepare_joint_clipping(data, clip, small_dims)
+        result = finish_release(prepared, 1.0, 0.0, 5, test_mode=True)
+        assert np.array_equal(result.released, prepared.pre_noise_dense)  # bit-exact
         expected = reduce(
             lambda x, y: x.add(y),
             [clip_l1(user_histogram(recs, small_dims), clip) for _, recs in data.users],
             SparseHistogram.empty(small_dims))
-        assert report.released.cells == expected.cells
-        assert report.suppressed_cells == 0
+        assert np.array_equal(result.released, expected.to_dense())
+        assert result.suppressed_cells == 0
 
     def test_descale_roundtrip(self, small_dims, rng):
         # contributions pre-scaled by 1/k, descaling by k restores the raw sums
         k = 4.0
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), k))
         data = random_dataset(rng, small_dims, 10)
-        fleet = fleet_contributions(data, scales, math.inf, small_dims)
-        report = server_work(fleet, scales, 1e9, 1.0, 0.0, 5, small_dims, test_mode=True)
+        prepared = prepare_activity_metric_scaling(data, scales, 1e9, small_dims)
+        result = finish_release(prepared, 1.0, 0.0, 5, test_mode=True)
         raw = reduce(lambda x, y: x.add(y),
                      [user_histogram(recs, small_dims) for _, recs in data.users],
                      SparseHistogram.empty(small_dims))
-        assert report.released.allclose(raw, rel_tol=1e-12)
+        assert np.allclose(result.released, raw.to_dense(), rtol=1e-12, atol=0.0)
 
     def test_descaling_is_single_multiplication(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 8)
         scales = ScaleMatrix(np.exp(rng.normal(0, 1, size=(small_dims.num_activities, 3))))
-        fleet = fleet_contributions(data, scales, 5.0, small_dims)
-        report = server_work(fleet, scales, 5.0, 2.0, 0.0, 17, small_dims)
-        for cell, value in report.released.cells.items():
-            assert value == report.noisy.get(cell) * scales.factor(cell[0], cell[1])
+        prepared = prepare_activity_metric_scaling(data, scales, 5.0, small_dims)
+        result = finish_release(prepared, 2.0, 0.0, 17)
+        noisy = prepared.pre_noise_dense + dense_laplace_noise(
+            5.0 / 2.0, 17, small_dims.total_cells)
+        descaled = noisy * scales.per_cell(small_dims)
+        kept = result.released != 0.0
+        assert kept.any()
+        assert np.array_equal(result.released[kept], descaled[kept])
+        assert np.all(descaled[~kept] <= 0.0)
 
     def test_threshold_suppresses_small_cells(self, small_dims):
-        ones = ScaleMatrix.ones(small_dims.num_activities)
-        report = server_work([], ones, 10.0, 2.0, 3.0, 23, small_dims)
+        prepared = prepare_joint_clipping(WeekDataset("w", ()), 10.0, small_dims)
+        result = finish_release(prepared, 2.0, 3.0, 23)
         threshold = 3.0 * (10.0 / 2.0)
-        assert all(v >= threshold for v in report.released.cells.items() for v in [v[1]])
-        assert report.suppressed_cells == small_dims.total_cells - len(report.released)
+        released = result.released[result.released != 0.0]
+        assert np.all(released >= threshold)
+        assert result.suppressed_cells == small_dims.total_cells - released.size
 
     def test_tau_zero_clamps_negatives_out(self, small_dims):
-        ones = ScaleMatrix.ones(small_dims.num_activities)
-        report = server_work([], ones, 10.0, 2.0, 0.0, 23, small_dims)
-        assert all(v >= 0 for v in report.released.cells.values())
-        assert any(v < 0 for v in report.noisy.cells.values())  # noisy keeps signs
+        prepared = prepare_joint_clipping(WeekDataset("w", ()), 10.0, small_dims)
+        result = finish_release(prepared, 2.0, 0.0, 23)
+        noise = dense_laplace_noise(10.0 / 2.0, 23, small_dims.total_cells)
+        assert np.any(noise < 0)
+        assert np.all(result.released >= 0)
+        assert np.array_equal(result.released, np.maximum(noise, 0.0))
 
     def test_suppression_monotone_in_tau(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
-        ones = ScaleMatrix.ones(small_dims.num_activities)
-        fleet = fleet_contributions(data, ones, 8.0, small_dims)
+        prepared = prepare_joint_clipping(data, 8.0, small_dims)
         kept_cells = None
         for tau in (0.0, 1.0, 2.0, 4.0):
-            report = server_work(fleet, ones, 8.0, 2.0, tau, 99, small_dims)
-            cells = set(report.released.cells)
+            result = finish_release(prepared, 2.0, tau, 99)
+            cells = set(np.flatnonzero(result.released).tolist())
             if kept_cells is not None:
                 assert cells <= kept_cells  # raising tau never resurrects a cell
             kept_cells = cells
@@ -112,45 +123,40 @@ class TestServerWork:
         data = random_dataset(rng, small_dims, 6, max_records=4)
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), 2.0))
         clip, epsilon = 5.0, 2.0
-        fleet = fleet_contributions(data, scales, clip, small_dims)
-        clipped_sum = secure_sum(fleet, dims=small_dims)
+        prepared = prepare_activity_metric_scaling(data, scales, clip, small_dims)
+        # lift every cell 40 noise scales clear of zero, so no draw is clamped
+        offset = 40.0 * clip / epsilon
+        lifted = replace(prepared, pre_noise_dense=prepared.pre_noise_dense + offset)
         n_seeds = 1500
         acc = np.zeros(small_dims.total_cells)
         for seed in range(n_seeds):
-            report = server_work(fleet, scales, clip, epsilon, 0.0, seed, small_dims,
-                                 keep_raw=False)
-            acc += report.noisy.to_dense() * scales.per_cell(small_dims)
+            acc += finish_release(lifted, epsilon, 0.0, seed).released
         mean = acc / n_seeds
-        expected = clipped_sum.to_dense() * scales.per_cell(small_dims)
+        expected = (prepared.pre_noise_dense + offset) * scales.per_cell(small_dims)
         # per-cell standard error of the mean of descaled Laplace noise
         se = math.sqrt(2.0) * (clip / epsilon) * 2.0 / math.sqrt(n_seeds)
         assert np.all(np.abs(mean - expected) <= 4.0 * se)
 
     def test_budget_abort(self, small_dims):
-        ledger = PrivacyLedger(budget=0.5)
-        ones = ScaleMatrix.ones(small_dims.num_activities)
+        prepared = prepare_joint_clipping(WeekDataset("w", ()), 1.0, small_dims)
+        overspent = replace(prepared, charge_fractions=(("a", 0.75), ("b", 0.5)))
         with pytest.raises(BudgetExceededError):
-            server_work([], ones, 1.0, 1.0, 0.0, 1, small_dims, ledger=ledger)
+            finish_release(overspent, 1.0, 0.0, 1)
 
     def test_deterministic(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 5)
-        ones = ScaleMatrix.ones(small_dims.num_activities)
-        fleet = fleet_contributions(data, ones, 4.0, small_dims)
-        a = server_work(fleet, ones, 4.0, 1.0, 2.0, 31, small_dims)
-        b = server_work(fleet, ones, 4.0, 1.0, 2.0, 31, small_dims)
-        assert a.released.cells == b.released.cells
-        assert a.noisy.cells == b.noisy.cells
-
-    def test_keep_raw_flag(self, small_dims):
-        ones = ScaleMatrix.ones(small_dims.num_activities)
-        report = server_work([], ones, 1.0, 1.0, 0.0, 1, small_dims, keep_raw=False)
-        assert report.raw_sum is None
+        prepared = prepare_joint_clipping(data, 4.0, small_dims)
+        a = finish_release(prepared, 1.0, 2.0, 31)
+        b = finish_release(prepared, 1.0, 2.0, 31)
+        assert np.array_equal(a.released, b.released)
+        assert a.suppressed_cells == b.suppressed_cells
 
     def test_ledger_snapshot_isolated(self, small_dims):
-        ones = ScaleMatrix.ones(small_dims.num_activities)
-        report = server_work([], ones, 1.0, 1.0, 0.0, 1, small_dims)
-        assert isinstance(report, AggregateReport)
-        assert report.ledger_snapshot.total() == 1.0
+        prepared = prepare_joint_clipping(WeekDataset("w", ()), 1.0, small_dims)
+        a = finish_release(prepared, 1.0, 0.0, 1)
+        b = finish_release(prepared, 1.0, 0.0, 2)
+        assert a.ledger is not b.ledger  # every release owns its ledger
+        assert a.ledger.total() == b.ledger.total() == 1.0
 
 
 def test_write_ledger(tmp_path):

@@ -91,7 +91,7 @@ class TestRelease:
                      "--out", str(out)]) == EXIT_OK
         dims = Dimensions(num_activities=9, num_regions=6)
         hist = read_histogram_csv(out, dims)
-        assert len(hist) > 0
+        assert np.count_nonzero(hist) > 0
         ledger = (tmp_path / "released.csv.ledger").read_text()
         assert "total,2.0" in ledger
         manifest = (tmp_path / "released.csv.manifest").read_text()
@@ -144,6 +144,21 @@ class TestRelease:
                      "--out", str(tmp_path / "o.csv")]) == EXIT_BUDGET
 
 
+    @pytest.mark.parametrize("kind", ["activity_metric_scaling", "joint_clipping",
+                                      "budget_split"])
+    def test_out_of_domain_records_exit_config(self, workspace, kind, capsys):
+        tmp_path, _, data_path, _ = workspace
+        cfg_path = make_config(tmp_path, data_path, kind=kind)
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
+                     "--out", str(out), "--num-regions", "3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "out of bounds" in err
+        assert "skipped" not in err
+        assert not out.exists()
+
+
 class TestEval:
     def test_recomputed_truth_scores_zero(self, workspace):
         tmp_path, _, data_path, _ = workspace
@@ -153,7 +168,7 @@ class TestEval:
         dims = Dimensions(num_activities=9, num_regions=6)
         truth, _ = ground_truth(data, dims)
         released_path = tmp_path / "truth.csv"
-        write_histogram_csv(released_path, truth)
+        write_histogram_csv(released_path, truth.to_dense(), dims)
         out_dir = tmp_path / "eval"
         assert main(["eval", "--data", str(data_path), "--released", str(released_path),
                      "--out", str(out_dir), "--min-devices", "1",
@@ -170,7 +185,7 @@ class TestEval:
         dims = Dimensions(num_activities=9, num_regions=6)
         truth, _ = ground_truth(data, dims)
         released_path = tmp_path / "truth.csv"
-        write_histogram_csv(released_path, truth)
+        write_histogram_csv(released_path, truth.to_dense(), dims)
         out_dir = tmp_path / "eval"
         assert main(["eval", "--data", str(data_path), "--released", str(released_path),
                      "--out", str(out_dir), "--min-devices", "100000"]) == EXIT_OK
@@ -184,7 +199,7 @@ class TestEval:
         dims = Dimensions(num_activities=9, num_regions=6)
         truth, _ = ground_truth(data, dims)
         released_path = tmp_path / "truth.csv"
-        write_histogram_csv(released_path, truth)
+        write_histogram_csv(released_path, truth.to_dense(), dims)
         out_s = tmp_path / "eval_s"
         out_m = tmp_path / "eval_m"
         main(["eval", "--data", str(data_path), "--released", str(released_path),
@@ -217,7 +232,7 @@ class TestSweep:
 
         # the single sweep cell must equal release + eval composed by hand
         from dpgb.datagen import ground_truth
-        from dpgb.evaluation import weighted_relative_error
+        from dpgb.evaluation import ScoringPlan, weighted_relative_error
         from dpgb.mechanisms import run_release
         from dpgb.schema import read_mechanism_config
         import csv
@@ -228,7 +243,7 @@ class TestSweep:
         from dataclasses import replace
         result = run_release(replace(cfg, rng_seed=seed), data, dims)
         truth, devices = ground_truth(data, dims)
-        report = weighted_relative_error(truth, devices, result.released, 5)
+        report = weighted_relative_error(ScoringPlan.build(truth, devices, 5), result.released)
         with open(out_dir / "sweep.csv", newline="") as fh:
             rows = {row["metric"]: float(row["wre"]) for row in csv.DictReader(fh)}
         for name, value in rows.items():
@@ -302,3 +317,22 @@ def test_dpgb_threads_env(workspace, monkeypatch):
                  "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "2",
                  "--mechanisms", "joint_clipping", "--min-devices", "5"]) == EXIT_OK
     assert "threads = 2" in (out_dir / "manifest").read_text()
+
+
+def test_release_eval_sweep_build_no_sparse_release(workspace, monkeypatch):
+    """The dense release vector goes to and from the CSV files unconverted."""
+    tmp_path, _, data_path, proxy_path = workspace
+    from dpgb.schema import SparseHistogram
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SparseHistogram.from_dense called on the release path")
+    monkeypatch.setattr(SparseHistogram, "from_dense", classmethod(refuse))
+    sweep_dir = tmp_path / "s"
+    assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
+                 "--out", str(sweep_dir), "--epsilons", "2.0", "--repeats", "2",
+                 "--min-devices", "5", "--threads", "1"]) == EXIT_OK
+    released = tmp_path / "released.csv"
+    assert main(["release", "--data", str(data_path), "--config",
+                 str(sweep_dir / "fitted_budget_split.cfg"), "--out", str(released)]) == EXIT_OK
+    assert main(["eval", "--data", str(data_path), "--released", str(released),
+                 "--out", str(tmp_path / "eval"), "--min-devices", "5"]) == EXIT_OK

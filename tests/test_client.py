@@ -64,23 +64,29 @@ def test_no_cells_outside_observed_combinations(small_dims, rng):
 
 
 def test_invalid_record_abort_then_skip(small_dims):
+    # one policy for out-of-domain records, per user and fleet-wide: raise;
+    # skipping them is left to the caller, which then gets the clean histogram
     bad = TripRecord(region=small_dims.num_regions, activity=0, direction=0,
                      distance_km=1.0, duration_s=1.0)
     good = TripRecord(region=0, activity=0, direction=0, distance_km=2.0, duration_s=3.0)
     ones = ScaleMatrix.ones(small_dims.num_activities)
+    for clip in (math.inf, 1.0):
+        with pytest.raises(ValueError):
+            client_work("u", [good, bad], ones, clip, small_dims)
     with pytest.raises(ValueError):
-        client_work("u", [good, bad], ones, math.inf, small_dims)
-    vector = client_work("u", [good, bad], ones, math.inf, small_dims,
-                         on_invalid="skip").vector
+        fleet_contributions(WeekDataset("w", (("u", (good, bad)),)), ones, 1.0, small_dims)
+    kept = [rec for rec in (good, bad) if rec.region < small_dims.num_regions]
+    vector = client_work("u", kept, ones, math.inf, small_dims).vector
     assert vector.cells == user_histogram([good], small_dims).cells
 
 
 def test_invalid_clip_and_policy(small_dims):
     ones = ScaleMatrix.ones(small_dims.num_activities)
+    for clip in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError):
+            client_work("u", [], ones, clip, small_dims)
     with pytest.raises(ConfigError):
-        client_work("u", [], ones, 0.0, small_dims)
-    with pytest.raises(ConfigError):
-        client_work("u", [], ones, 1.0, small_dims, on_invalid="maybe")
+        client_work("u", [], ScaleMatrix.ones(small_dims.num_activities + 1), 1.0, small_dims)
 
 
 def test_fleet_preserves_user_order(small_dims, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from dpgb.datagen import (
     load_profiles,
     proxy_pair,
     read_generator_spec,
+    _poisson_inverse,
 )
 from dpgb.schema import (
     ConfigError,
@@ -136,6 +138,34 @@ class TestGenerate:
             na, nb = norms(data), norms(proxy)
             assert min(len(na), len(nb)) > 100
             assert ks_distance(na, nb) < 0.05
+
+
+class TestPoissonInverse:
+    """Trip counts are drawn by inverting the Poisson CDF at one uniform."""
+
+    def test_desk_dataset_bytes_unchanged(self, tmp_path):
+        # rates below 745 keep the original recurrence draw for draw
+        spec = GeneratorSpec.default(num_users=10_000, num_regions=100, seed=7)
+        path = tmp_path / "desk.csv"
+        write_records_csv(path, generate(spec))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "132a5272d0ec0be205bb2809c93070670d57cf7204f106297fc6e6b4ec2a0149")
+
+    @pytest.mark.parametrize("lam", [745.0, 746.0, 1000.0, 5000.0])
+    def test_large_rates(self, lam):
+        rng = np.random.default_rng(int(lam))
+        us = np.concatenate([[2.0 ** -54, 1e-12], np.sort(rng.random(199)),
+                             [1.0 - 2.0 ** -53]])
+        draws = [_poisson_inverse(float(u), lam) for u in us]
+        assert all(lo <= hi for lo, hi in zip(draws, draws[1:]))  # monotone in u
+        assert abs(float(np.median(draws)) - lam) <= 5.0 * math.sqrt(lam)
+        assert abs(_poisson_inverse(0.5, lam) - lam) <= 5.0 * math.sqrt(lam)
+        assert draws[-1] < lam + 20.0 * math.sqrt(lam)
+
+    def test_large_trips_per_user_spec(self):
+        data = generate(small_spec(num_users=2, trips_per_user=20_000.0))
+        for _, records in data.users:
+            assert abs(len(records) - 20_000) <= 5.0 * math.sqrt(20_000)
 
 
 class TestGroundTruth:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from dpgb.dp_core import (
     derive_seed,
     exact_quantile,
     laplace_inverse_cdf,
-    laplace_mechanism,
     laplace_sample,
     private_quantile,
     slice_histogram,
 )
-from dpgb.schema import Dimensions, SparseHistogram
-from conftest import random_histogram
+from dpgb.mechanisms import finish_release, prepare_joint_clipping
+from dpgb.schema import SparseHistogram, WeekDataset, user_histogram
+from conftest import random_dataset, random_histogram
 
 
 class TestDeriveSeed:
@@ -102,50 +103,55 @@ class TestLaplaceSampling:
 
 
 class TestLaplaceMechanism:
+    """The Laplace mechanism as the release path runs it: prepare, then
+    finish_release."""
+
     def test_zero_noise_limit_exact_sum(self, small_dims, rng):
-        vs = [random_histogram(rng, small_dims, magnitude=3.0) for _ in range(5)]
-        big_clip = max(v.l1_norm() for v in vs) + 1.0
-        noisy = laplace_mechanism(vs, big_clip, 1.0, 1, small_dims, test_mode=True)
+        data = random_dataset(rng, small_dims, 5)
+        big_clip = max(user_histogram(recs, small_dims).l1_norm() for _, recs in data.users) + 1
+        result = finish_release(prepare_joint_clipping(data, big_clip, small_dims),
+                                1.0, 0.0, 1, test_mode=True)
         expected = SparseHistogram.empty(small_dims)
-        for v in vs:
-            expected = expected.add(v)
-        assert noisy.cells == expected.cells
+        for _, recs in data.users:
+            expected = expected.add(user_histogram(recs, small_dims))
+        assert np.array_equal(result.released, expected.to_dense())
 
     def test_adjacent_prenoise_sums_differ_at_most_clip(self, small_dims, rng):
         clip = 4.0
-        vs = [random_histogram(rng, small_dims, magnitude=8.0) for _ in range(6)]
-        with_user = laplace_mechanism(vs, clip, 1.0, 1, small_dims, test_mode=True)
-        without = laplace_mechanism(vs[:-1], clip, 1.0, 1, small_dims, test_mode=True)
-        distance = with_user.add(without.scale(-1.0)).l1_norm()
+        data = random_dataset(rng, small_dims, 6)
+        without = WeekDataset("w", data.users[:-1])
+        distance = np.abs(prepare_joint_clipping(data, clip, small_dims).pre_noise_dense
+                          - prepare_joint_clipping(without, clip, small_dims).pre_noise_dense).sum()
         assert distance <= clip * (1 + 1e-9) + 1e-12
 
     def test_noise_scale_is_clip_over_epsilon(self, small_dims):
-        # eps=2, C=10 must consume exactly the Lap(5) stream, bit for bit
-        noisy = laplace_mechanism([], 10.0, 2.0, 1234, small_dims)
+        # eps=2, C=10 must consume exactly the Lap(5) stream, bit for bit;
+        # tau = 0 then releases its positive half
+        prepared = prepare_joint_clipping(WeekDataset("w", ()), 10.0, small_dims)
+        result = finish_release(prepared, 2.0, 0.0, 1234)
         stream = laplace_sample(LaplaceNoiseSpec(5.0, 1234), small_dims.total_cells)
-        assert np.array_equal(noisy.to_dense(), stream)
+        assert np.array_equal(result.released, np.maximum(stream, 0.0))
 
     def test_every_cell_gets_noise(self, small_dims):
-        noisy = laplace_mechanism([], 1.0, 1.0, 9, small_dims)
-        assert len(noisy) == small_dims.total_cells  # true zeros noised too
-
-    def test_domain_restriction(self, small_dims):
-        domain = np.array([0, 1, 2])
-        noisy = laplace_mechanism([], 1.0, 1.0, 9, small_dims, domain=domain)
-        assert set(noisy.cells) == {small_dims.cell_tuple(i) for i in domain}
+        # lift every cell far above the noise so that none is clamped
+        prepared = prepare_joint_clipping(WeekDataset("w", ()), 1.0, small_dims)
+        lifted = replace(prepared, pre_noise_dense=np.full(small_dims.total_cells, 100.0))
+        result = finish_release(lifted, 1.0, 0.0, 9)
+        assert np.count_nonzero(result.released != 100.0) == small_dims.total_cells
 
     def test_ledger_charged_and_abort(self, small_dims):
-        ledger = PrivacyLedger(budget=1.0)
-        laplace_mechanism([], 1.0, 1.0, 1, small_dims, ledger=ledger)
-        assert ledger.total() == 1.0
+        prepared = prepare_joint_clipping(WeekDataset("w", ()), 1.0, small_dims)
+        assert finish_release(prepared, 1.0, 0.0, 1).ledger.total() == 1.0
+        overspent = replace(prepared, charge_fractions=(("a", 1.0), ("b", 0.5)))
         with pytest.raises(BudgetExceededError):
-            laplace_mechanism([], 1.0, 0.5, 1, small_dims, ledger=ledger)
+            finish_release(overspent, 1.0, 0.0, 1)
 
-    def test_invalid_params(self, small_dims):
+    def test_invalid_params(self, small_dims, rng):
+        data = random_dataset(rng, small_dims, 3)
         with pytest.raises(ConfigError):
-            laplace_mechanism([], 1.0, 0.0, 1, small_dims)
+            finish_release(prepare_joint_clipping(data, 1.0, small_dims), 0.0, 0.0, 1)
         with pytest.raises(ConfigError):
-            laplace_mechanism([], -1.0, 1.0, 1, small_dims)
+            prepare_joint_clipping(data, -1.0, small_dims)
 
 
 class TestPrivacyLedger:

@@ -8,7 +8,7 @@ from dpgb.evaluation import (
     DEFAULT_CLIP_GRID_FACTORS,
     REFERENCE_WRE_EPS2,
     TARGET_WRE,
-    WeightTable,
+    ScoringPlan,
     clip_grid_search,
     default_clip_grid,
     fit_hyperparameters,
@@ -29,6 +29,12 @@ from conftest import random_histogram
 from wre_oracle import brute_force_wre
 
 METRICS = ("num_trips", "distance", "duration")
+
+
+def score(truth, devices, released, min_devices):
+    """One-shot WRE of a sparse release, through a freshly built plan."""
+    return weighted_relative_error(ScoringPlan.build(truth, devices, min_devices),
+                                   released.to_dense())
 
 
 def desk_pair(num_users=400, num_regions=8, seed=17):
@@ -55,7 +61,7 @@ class TestWeightedRelativeError:
     def test_exact_release_scores_zero(self, small_dims, rng):
         truth = random_histogram(rng, small_dims, max_cells=20)
         devices = {cell: 10 for cell in truth.cells}
-        report = weighted_relative_error(truth, devices, truth, min_devices=1)
+        report = score(truth, devices, truth, min_devices=1)
         for name in METRICS:
             assert report.wre[name] in (0.0, ) or math.isnan(report.wre[name])
         assert report.overall == 0.0 or math.isnan(report.overall)
@@ -64,15 +70,14 @@ class TestWeightedRelativeError:
         truth = SparseHistogram(small_dims, {(0, 0, 0, 0): 100.0, (1, 0, 0, 0): 300.0})
         released = SparseHistogram(small_dims, {(0, 0, 0, 0): 110.0, (1, 0, 0, 0): 270.0})
         devices = {(0, 0, 0, 0): 50, (1, 0, 0, 0): 50}
-        report = weighted_relative_error(truth, devices, released, min_devices=1)
+        report = score(truth, devices, released, min_devices=1)
         # weights 0.25 / 0.75, both errors 0.10
         assert report.wre["num_trips"] == pytest.approx(0.10, abs=1e-12)
 
     def test_empty_release_scores_one(self, small_dims, rng):
         truth = random_histogram(rng, small_dims, max_cells=30)
         devices = {cell: 10 for cell in truth.cells}
-        report = weighted_relative_error(
-            truth, devices, SparseHistogram.empty(small_dims), min_devices=1)
+        report = score(truth, devices, SparseHistogram.empty(small_dims), min_devices=1)
         for name in METRICS:
             if report.eligible[name]:
                 assert report.wre[name] == 1.0
@@ -81,15 +86,14 @@ class TestWeightedRelativeError:
     def test_device_floor_filters_cells(self, small_dims):
         truth = SparseHistogram(small_dims, {(0, 0, 0, 0): 10.0, (1, 0, 1, 0): 20.0})
         devices = {(0, 0, 0, 0): 5, (1, 0, 1, 0): 50}
-        report = weighted_relative_error(
-            truth, devices, SparseHistogram.empty(small_dims), min_devices=10)
+        report = score(truth, devices, SparseHistogram.empty(small_dims), min_devices=10)
         assert report.eligible["num_trips"] == 1
         cells = [c for c in report.cells if c.metric == "num_trips"]
         assert len(cells) == 1 and cells[0].devices == 50
 
     def test_no_eligible_cells_flagged(self, small_dims):
         truth = SparseHistogram(small_dims, {(0, 0, 0, 0): 10.0})
-        report = weighted_relative_error(truth, {}, truth, min_devices=5)
+        report = score(truth, {}, truth, min_devices=5)
         assert not report.has_eligible_cells
         assert math.isnan(report.wre["num_trips"])
 
@@ -97,7 +101,7 @@ class TestWeightedRelativeError:
         for _ in range(30):
             truth, devices, released = random_instance(rng, small_dims)
             min_devices = int(rng.integers(0, 25))
-            report = weighted_relative_error(truth, devices, released, min_devices)
+            report = score(truth, devices, released, min_devices)
             expected = brute_force_wre(
                 small_dims, truth.cells, devices, released.cells, min_devices)
             for m, name in enumerate(METRICS):
@@ -113,9 +117,8 @@ class TestWeightedRelativeError:
             return SparseHistogram(
                 small_dims, {(a, m, perm[r], d): v for (a, m, r, d), v in h.cells.items()})
         relabeled_devices = {(a, m, perm[r], d): n for (a, m, r, d), n in devices.items()}
-        base = weighted_relative_error(truth, devices, released, 5)
-        moved = weighted_relative_error(
-            relabel_hist(truth), relabeled_devices, relabel_hist(released), 5)
+        base = score(truth, devices, released, 5)
+        moved = score(relabel_hist(truth), relabeled_devices, relabel_hist(released), 5)
         for name in METRICS:
             if math.isnan(base.wre[name]):
                 assert math.isnan(moved.wre[name])
@@ -124,18 +127,21 @@ class TestWeightedRelativeError:
 
     def test_dims_mismatch_rejected(self, small_dims):
         other = Dimensions(num_activities=3, num_regions=4)
+        plan = ScoringPlan.build(SparseHistogram.empty(small_dims), {}, 1)
         with pytest.raises(ValueError):
-            weighted_relative_error(
-                SparseHistogram.empty(small_dims), {}, SparseHistogram.empty(other), 1)
+            weighted_relative_error(plan, SparseHistogram.empty(other).to_dense())
 
 
 def test_weight_table_sums_to_one_per_region(rng):
     dims = Dimensions(num_activities=3, num_regions=5)
     truth = random_histogram(rng, dims, max_cells=60)
-    table = WeightTable.from_truth(truth)
+    # with no device floor every trip-count cell is eligible and keeps its weight
+    plan = ScoringPlan.build(truth, {}, 0)
     per_region = {}
-    for (r, d, a), w in table.weights.items():
+    for flat, w in zip(plan.flat[0].tolist(), plan.weights[0].tolist()):
+        r = dims.cell_tuple(flat)[2]
         per_region[r] = per_region.get(r, 0.0) + w
+    assert len(per_region) == len({r for (_, m, r, _) in truth.cells if m == 0})
     for total in per_region.values():
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -153,7 +159,7 @@ class TestSweep:
         seed = run_seed(7, "joint_clipping", 2.0, 0)
         release = finish_release(prepared, 2.0, 0.0, seed)
         truth, devices = ground_truth(data, dims)
-        direct = weighted_relative_error(truth, devices, release.released, 5)
+        direct = weighted_relative_error(ScoringPlan.build(truth, devices, 5), release.released)
         assert row.seed == seed
         assert row.overall == pytest.approx(direct.overall, rel=1e-12)
 
@@ -264,7 +270,7 @@ class TestClipGridSearch:
                 seed = derive_seed(1, "clip_grid", repr(float(clip)), repeat)
                 release = finish_release(prepared, 2.0, 0.0, seed)
                 scores.append(weighted_relative_error(
-                    truth, devices, release.released, 5).overall)
+                    ScoringPlan.build(truth, devices, 5), release.released).overall)
             return float(np.mean(scores))
 
         assert score(best) <= score(fitted.ams_clip) + 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpgb.client import fleet_contributions
-from dpgb.dp_core import clip_l1, dense_laplace_noise, exact_quantile, slice_l1_norm
+from dpgb.dp_core import clip_l1, dense_laplace_noise, exact_quantile
 from dpgb.mechanisms import (
     finish_release,
     fit_clip,
@@ -67,9 +67,9 @@ class TestBudgetSplit:
         unit = dense_laplace_noise(1.0, seed, dims.total_cells)
         b_flat = np.repeat((clips * split_count).reshape(-1), dims.num_regions * 3) / epsilon
         expected = unit * b_flat
-        for cell, value in result.released.cells.items():
-            assert value == expected[dims.cell_index(*cell)]
-            assert value >= 0
+        kept = result.released != 0.0
+        assert np.array_equal(result.released[kept], expected[kept])
+        assert np.all(result.released >= 0)
 
     def test_test_mode_is_union_of_clipped_slices(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
@@ -84,7 +84,7 @@ class TestBudgetSplit:
                     if cells:
                         expected = expected.add(
                             clip_l1(SparseHistogram(small_dims, cells), 3.0))
-        assert result.released.allclose(expected, rel_tol=1e-12)
+        assert np.allclose(result.released, expected.to_dense(), rtol=1e-12, atol=0.0)
 
     def test_grid_shape_validated(self, small_dims):
         with pytest.raises(ConfigError):
@@ -96,14 +96,15 @@ class TestJointClipping:
         data = random_dataset(rng, small_dims, 10)
         big = max(user_histogram(r, small_dims).l1_norm() for _, r in data.users) + 1
         result = run_joint_clipping(data, big, 1.0, 1, small_dims, test_mode=True)
-        assert result.released.cells == merged_user_histograms(data, small_dims).cells
+        assert np.array_equal(result.released,
+                              merged_user_histograms(data, small_dims).to_dense())
 
     def test_is_all_ones_special_case_bit_identical(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 15)
         ones = ScaleMatrix.ones(small_dims.num_activities)
         joint = run_joint_clipping(data, 7.0, 2.0, 99, small_dims)
         ams = run_activity_metric_scaling(data, ones, 7.0, 2.0, 0.0, 99, small_dims)
-        assert joint.released.cells == ams.released.cells
+        assert np.array_equal(joint.released, ams.released)
 
     def test_uniform_noise_hurts_small_magnitude_metric(self, small_dims):
         # same absolute noise on count cells (~1 per trip) and duration cells
@@ -111,16 +112,18 @@ class TestJointClipping:
         records = tuple(TripRecord(0, 0, 0, 5.0, 600.0) for _ in range(1))
         data = WeekDataset("w", tuple((f"u{i}", records) for i in range(30)))
         count_cell, duration_cell = (0, 0, 0, 0), (0, 2, 0, 0)
+        count_flat, duration_flat = (small_dims.cell_index(*count_cell),
+                                     small_dims.cell_index(*duration_cell))
         truth = merged_user_histograms(data, small_dims)
         magnitude_ratio = truth.get(duration_cell) / truth.get(count_cell)
         count_errors, duration_errors = [], []
         for seed in range(300):
             result = run_joint_clipping(data, 1e6, 1.0, seed, small_dims)
             count_errors.append(
-                abs(result.released.get(count_cell) - truth.get(count_cell))
+                abs(result.released[count_flat] - truth.get(count_cell))
                 / truth.get(count_cell))
             duration_errors.append(
-                abs(result.released.get(duration_cell) - truth.get(duration_cell))
+                abs(result.released[duration_flat] - truth.get(duration_cell))
                 / truth.get(duration_cell))
         error_ratio = np.mean(count_errors) / np.mean(duration_errors)
         assert error_ratio == pytest.approx(magnitude_ratio, rel=0.5)
@@ -136,9 +139,8 @@ class TestActivityMetricScaling:
         fleet = fleet_contributions(data, scales, clip, small_dims)
         scaled_sum = reduce(lambda x, y: x.add(y), [c.vector for c in fleet],
                             SparseHistogram.empty(small_dims))
-        expected = {cell: value * scales.factor(cell[0], cell[1])
-                    for cell, value in scaled_sum.cells.items()}
-        assert result.released.cells == pytest.approx(expected, rel=1e-12)
+        expected = scaled_sum.to_dense() * scales.per_cell(small_dims)
+        assert np.allclose(result.released, expected, rtol=1e-12, atol=0.0)
 
     def test_single_epsilon_charge(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 5)
@@ -152,7 +154,7 @@ class TestActivityMetricScaling:
         scales = ScaleMatrix.ones(small_dims.num_activities)
         a = run_activity_metric_scaling(data, scales, 5.0, 1.0, 0.0, 44, small_dims)
         b = run_activity_metric_scaling(data, scales, 5.0, 1.0, 0.0, 44, small_dims)
-        assert a.released.cells == b.released.cells
+        assert np.array_equal(a.released, b.released)
 
 
 class TestAdjacency:
@@ -170,12 +172,11 @@ class TestAdjacency:
                 distance = np.abs(prep(grown).pre_noise_dense - prep(data).pre_noise_dense).sum()
                 assert distance <= clip * (1 + 1e-9) + 1e-12
 
-            with_user = prepare_budget_split(grown, clips, small_dims).pre_noise_sum
-            without = prepare_budget_split(data, clips, small_dims).pre_noise_sum
-            delta = with_user.add(without.scale(-1.0))
-            for a in range(small_dims.num_activities):
-                for m in range(3):
-                    assert slice_l1_norm(delta, a, m) <= clips[a, m] * (1 + 1e-9) + 1e-12
+            delta = (prepare_budget_split(grown, clips, small_dims).pre_noise_dense
+                     - prepare_budget_split(data, clips, small_dims).pre_noise_dense)
+            # each (activity, metric) slice is a contiguous run of the flat vector
+            per_slice = np.abs(delta).reshape(clips.size, -1).sum(axis=1)
+            assert np.all(per_slice <= clips.reshape(-1) * (1 + 1e-9) + 1e-12)
 
 
 class TestFitScales:
@@ -255,19 +256,19 @@ class TestRunRelease:
         data = random_dataset(rng, small_dims, 10)
         ones = ScaleMatrix.ones(small_dims.num_activities)
         cfg = MechanismConfig(2.0, "joint_clipping", 4.0, ones, 0.0, 11)
-        assert (run_release(cfg, data, small_dims).released.cells
-                == run_joint_clipping(data, 4.0, 2.0, 11, small_dims).released.cells)
+        assert np.array_equal(run_release(cfg, data, small_dims).released,
+                              run_joint_clipping(data, 4.0, 2.0, 11, small_dims).released)
 
         grid = np.full((small_dims.num_activities, 3), 2.0)
         cfg = MechanismConfig(2.0, "budget_split", grid, ones, 0.0, 11)
-        assert (run_release(cfg, data, small_dims).released.cells
-                == run_budget_split(data, grid, 2.0, 11, small_dims).released.cells)
+        assert np.array_equal(run_release(cfg, data, small_dims).released,
+                              run_budget_split(data, grid, 2.0, 11, small_dims).released)
 
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), 2.0))
         cfg = MechanismConfig(2.0, "activity_metric_scaling", 4.0, scales, 1.0, 11)
-        assert (run_release(cfg, data, small_dims).released.cells
-                == run_activity_metric_scaling(
-                    data, scales, 4.0, 2.0, 1.0, 11, small_dims).released.cells)
+        assert np.array_equal(
+            run_release(cfg, data, small_dims).released,
+            run_activity_metric_scaling(data, scales, 4.0, 2.0, 1.0, 11, small_dims).released)
 
     def test_config_echo_and_manifest_line(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpgb.schema import (
+    METRIC_NAMES,
     ConfigError,
     Dimensions,
     MechanismConfig,
@@ -226,8 +227,8 @@ class TestFileFormats:
     def test_histogram_roundtrip(self, tmp_path, small_dims, rng):
         hist = random_histogram(rng, small_dims)
         path = tmp_path / "h.csv"
-        write_histogram_csv(path, hist)
-        assert read_histogram_csv(path, small_dims).cells == hist.cells
+        write_histogram_csv(path, hist.to_dense(), small_dims)
+        assert np.array_equal(read_histogram_csv(path, small_dims), hist.to_dense())
 
     def test_histogram_rejects_out_of_bounds(self, tmp_path, small_dims):
         path = tmp_path / "h.csv"
@@ -269,3 +270,91 @@ def test_infer_dimensions():
     assert dims.num_regions == 8 and dims.num_activities == 3
     dims = infer_dimensions([data], num_activities=9, num_regions=50)
     assert dims.num_regions == 50 and dims.num_activities == 9
+
+
+def test_infer_dimensions_overrides_skip_the_records():
+    class Unreadable:
+        users = property(lambda self: pytest.fail("infer_dimensions read the records"))
+
+        def __iter__(self):
+            pytest.fail("infer_dimensions iterated the datasets")
+
+    dims = infer_dimensions(Unreadable(), num_activities=9, num_regions=50)
+    assert dims == Dimensions(num_activities=9, num_regions=50)
+    dims = infer_dimensions([Unreadable()], num_activities=2, num_regions=7)
+    assert dims == Dimensions(num_activities=2, num_regions=7)
+
+
+class TestDenseHistogramFiles:
+    """The release file boundary: a dense vector in cell_index order."""
+
+    def test_edge_values_roundtrip_and_clamped_zero_omitted(self, tmp_path, small_dims):
+        dense = np.zeros(small_dims.total_cells)
+        edges = {3: 5e-324, 10: 0.1 + 0.2, 40: 1e300}
+        for flat, value in edges.items():
+            dense[flat] = value
+        dense[20] = np.maximum(-2.5, 0.0)  # clamped by the release tail
+        path = tmp_path / "h.csv"
+        write_histogram_csv(path, dense, small_dims)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + len(edges)
+        back = read_histogram_csv(path, small_dims)
+        assert back.tobytes() == dense.tobytes()  # bit for bit
+        for flat, value in edges.items():
+            assert back[flat] == value
+
+    def test_rows_are_repr_formatted_in_flat_order(self, tmp_path, rng):
+        # more cells than one write block, so rows cross a block boundary
+        dims = Dimensions(num_activities=9, num_regions=2500)
+        dense = np.zeros(dims.total_cells)
+        flats = np.sort(rng.choice(dims.total_cells, size=300, replace=False))
+        dense[flats] = rng.lognormal(0.0, 3.0, size=flats.size)
+        path = tmp_path / "h.csv"
+        write_histogram_csv(path, dense, dims)
+        expected = ["activity,metric,region,direction,value"]
+        for flat in flats.tolist():
+            a, m, r, d = dims.cell_tuple(flat)
+            expected.append(f"{a},{METRIC_NAMES[m]},{r},{d},{float(dense[flat])!r}")
+        assert path.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()
+
+    def test_writer_rejects_wrong_length(self, tmp_path, small_dims):
+        with pytest.raises(ValueError):
+            write_histogram_csv(tmp_path / "h.csv", np.zeros(5), small_dims)
+
+    @pytest.mark.parametrize("body, lineno, message", [
+        ("0,num_trips,0,0,1.0\n0,num_trips,1\n", 3, "expected 5 fields, got 3"),
+        ("0,speed,0,0,1.0\n", 2, "unknown metric 'speed'"),
+        ("0,7,0,0,1.0\n", 2, "metric index out of range: 7"),
+        ("0,num_trips,x,0,1.0\n", 2, "invalid literal for int() with base 10: 'x'"),
+        ("0,num_trips,0,0,abc\n", 2, "could not convert string to float: 'abc'"),
+        ("\n1,distance,2,1,4.0\n5,num_trips,0,0,1.0\n", 4,
+         "cell (5, 0, 0, 0) out of bounds for Dimensions(num_activities=2, num_regions=4, "
+         "num_metrics=3, num_directions=3)"),
+        ("0,duration,1,2,1.0\n0,2,1,2,3.0\n", 3, "duplicate cell (0, 2, 1, 2)"),
+        ("0,num_trips,0,0,0.0\n0,num_trips,0,0,5.0\n", 3, "duplicate cell (0, 0, 0, 0)"),
+    ])
+    def test_reader_errors_keep_messages_and_line_numbers(
+            self, tmp_path, small_dims, body, lineno, message):
+        path = tmp_path / "h.csv"
+        path.write_text("activity,metric,region,direction,value\n" + body)
+        with pytest.raises(ConfigError) as excinfo:
+            read_histogram_csv(path, small_dims)
+        assert str(excinfo.value) == f"{path}:{lineno}: {message}"
+
+    def test_reader_bad_header(self, tmp_path, small_dims):
+        path = tmp_path / "h.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(ConfigError) as excinfo:
+            read_histogram_csv(path, small_dims)
+        assert str(excinfo.value) == (
+            f"{path}: bad header ['a', 'b'], expected "
+            "['activity', 'metric', 'region', 'direction', 'value']")
+
+    def test_reader_drops_zero_rows_and_accepts_metric_index(self, tmp_path, small_dims):
+        path = tmp_path / "h.csv"
+        path.write_text("activity,metric,region,direction,value\n"
+                        "1,1,3,2,2.5\n0,num_trips,0,0,0.0\n0,num_trips,0,1,-0.0\n")
+        back = read_histogram_csv(path, small_dims)
+        assert np.count_nonzero(back) == 1
+        assert back[small_dims.cell_index(1, 1, 3, 2)] == 2.5
+        assert np.signbit(back).sum() == 0  # a -0.0 row reads as an absent cell
