@@ -18,40 +18,26 @@ from .schema import (
     user_histogram,
 )
 from .dp_core import (
-    LaplaceNoiseSpec,
     PrivacyLedger,
     BudgetExceededError,
     clip_l1,
     exact_quantile,
-    laplace_sample,
-    private_quantile,
 )
-from .client import ClientContribution, client_work
+from .client import client_work
 from .aggregation import secure_sum
-from .mechanisms import (
-    ReleaseResult,
-    fit_clip,
-    fit_scales,
-    run_activity_metric_scaling,
-    run_budget_split,
-    run_joint_clipping,
-    run_release,
-)
+from .mechanisms import ReleaseResult, fit_clip, fit_scales, run_release
 from .datagen import ActivityProfile, GeneratorSpec, generate, ground_truth
-from .evaluation import EvalReport, ScoringPlan, clip_grid_search, sweep, weighted_relative_error
+from .evaluation import EvalReport, ScoringPlan, sweep, weighted_relative_error
 
 __all__ = [
     "__version__",
     "Dimensions", "MechanismConfig", "ScaleMatrix", "SparseHistogram",
     "TripRecord", "WeekDataset", "user_histogram",
-    "LaplaceNoiseSpec", "PrivacyLedger", "BudgetExceededError",
-    "clip_l1", "exact_quantile", "laplace_sample",
-    "private_quantile",
-    "ClientContribution", "client_work",
+    "PrivacyLedger", "BudgetExceededError",
+    "clip_l1", "exact_quantile",
+    "client_work",
     "secure_sum",
-    "ReleaseResult", "fit_clip", "fit_scales",
-    "run_activity_metric_scaling", "run_budget_split", "run_joint_clipping",
-    "run_release",
+    "ReleaseResult", "fit_clip", "fit_scales", "run_release",
     "ActivityProfile", "GeneratorSpec", "generate", "ground_truth",
-    "EvalReport", "ScoringPlan", "clip_grid_search", "sweep", "weighted_relative_error",
+    "EvalReport", "ScoringPlan", "sweep", "weighted_relative_error",
 ]

@@ -12,37 +12,28 @@ release carries only the noised, descaled and thresholded vector.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
-from .client import ClientContribution
 from .dp_core import ConfigError, PrivacyLedger, dense_laplace_noise
-from .schema import Dimensions, SparseHistogram
+from .schema import Dimensions
 
 
-def secure_sum(contributions, dims: Dimensions | None = None) -> SparseHistogram:
-    """Cell-wise sum of client vectors in the given (user-id) order.
+def secure_sum(vectors, dims: Dimensions) -> np.ndarray:
+    """Cell-wise sum of per-user vectors, in the order given (user-id order).
 
-    Stands in for cryptographic secure aggregation: everything downstream
-    of this call sees only the aggregate, never an individual vector.
+    Returns the dense pre-noise vector in cell_index order.  Stands in for
+    cryptographic secure aggregation: everything downstream of this call
+    sees only the aggregate, never an individual vector.  ``vectors`` may be
+    a generator, so no more than one user's vector need exist at a time.
     """
-    total: dict = {}
-    first_dims = dims
-    for contribution in contributions:
-        vec = contribution.vector if isinstance(contribution, ClientContribution) else contribution
-        if first_dims is None:
-            first_dims = vec.dims
-        elif vec.dims != first_dims:
-            raise ValueError("mixed-dimension contributions")
-        for cell, value in vec.cells.items():
-            new = total.get(cell, 0.0) + value
-            if new == 0.0:
-                total.pop(cell, None)
-            else:
-                total[cell] = new
-    if first_dims is None:
-        raise ValueError("secure_sum of an empty list needs explicit dims")
-    return SparseHistogram(first_dims, total)
+    total = array("d", bytes(8 * dims.total_cells))
+    num_regions = dims.num_regions
+    for vec in vectors:
+        for (a, m, r, d), value in vec.cells.items():
+            total[((a * 3 + m) * num_regions + r) * 3 + d] += value
+    return np.frombuffer(total, dtype=float)
 
 
 # cells per block of slices the noise pass holds at once

@@ -10,6 +10,7 @@ bit-for-bit.  Exit codes are stable API: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import os
 import sys
@@ -42,6 +43,7 @@ from .schema import (
     ConfigError,
     infer_dimensions,
     read_histogram_csv,
+    read_kv_file,
     read_mechanism_config,
     read_records_csv,
     write_histogram_csv,
@@ -150,9 +152,8 @@ def cmd_eval(args, argv) -> int:
             f"suppressed_eligible = {report.suppressed_eligible[name]}")
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    import csv as _csv
     with open(cells_path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["metric", "activity", "region", "direction",
                          "true", "released", "rel_error", "weight", "devices"])
         for cell in report.cells:
@@ -178,7 +179,6 @@ def cmd_sweep(args, argv) -> int:
 
     overrides = {}
     if args.config is not None:
-        from .schema import read_kv_file
         overrides = read_kv_file(args.config)
         known = {"epsilons", "mechanisms", "repeats", "seed", "min_devices",
                  "threshold_tau", "fit_quantile"}
@@ -213,7 +213,7 @@ def cmd_sweep(args, argv) -> int:
 
     result = sweep(data, proxy, epsilons, mechanisms, repeats, seed, dims,
                    min_devices=min_devices, tau=tau, fit_q=fit_q,
-                   test_mode=args.test_mode, threads=threads)
+                   test_mode=args.test_mode)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -321,7 +321,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--num-activities", type=int, default=0, dest="num_activities")
     p_sweep.add_argument("--tau", type=float, default=None)
     p_sweep.add_argument("--threads", type=int, default=None,
-                         help="worker cap (default: DPGB_THREADS or all cores)")
+                         help="recorded in the manifest (default: DPGB_THREADS or all "
+                              "cores); the sweep runs on one thread")
     p_sweep.add_argument("--table-epsilon", type=float, default=None, dest="table_epsilon")
     p_sweep.add_argument("--test-mode", action="store_true", dest="test_mode",
                          help="zero noise, for pipeline debugging only (never a DP release)")

@@ -18,26 +18,30 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
-from .dp_core import derive_seed
+from .dp_core import _U_FLOOR, derive_seed
 from .schema import (
     Cell,
     ConfigError,
     Dimensions,
+    ScaleMatrix,
     SparseHistogram,
     TripRecord,
     WeekDataset,
+    _parse_float,
+    _parse_int,
+    read_kv_file,
     user_histogram,
 )
 
 _NORMAL = NormalDist()
-_U_FLOOR = 2.0 ** -54
 _HOME_REGION_SHARE = 0.9  # remaining trips resample the region popularity table
-# exp(-lam) is subnormal above about 708 and zero above about 745.1
-_POISSON_LOG_SPACE = 745.0
+# exp(-lam) is a normal float below about 708.4, subnormal above, zero above about 745.1
+_POISSON_LOG_SPACE = 708.0
 
 PROFILE_CSV_HEADER = [
     "activity", "name", "weight",
@@ -156,9 +160,10 @@ def _poisson_inverse(u: float, lam: float) -> int:
 
     Below _POISSON_LOG_SPACE the pmf runs by the recurrence p *= lam / k from
     exp(-lam), which is what every existing dataset was drawn with.  From
-    there on exp(-lam) is zero or subnormal, so each term is computed in log
-    space instead, and the search stops past the mode once a term no longer
-    changes the running sum.
+    there on exp(-lam) loses precision to subnormal range (and then
+    underflows to zero), so each term is computed in log space instead, and
+    the search stops past the mode once a term no longer changes the running
+    sum.
     """
     if lam <= 0:
         return 0
@@ -233,8 +238,9 @@ def ground_truth(data: WeekDataset, dims: Dimensions) -> tuple[SparseHistogram, 
     """Exact unclipped totals plus per-cell contributing-device counts."""
     totals: dict[Cell, float] = {}
     devices: dict[Cell, int] = {}
+    ones = ScaleMatrix.ones(dims.num_activities)
     for _, records in data.users:
-        hist = user_histogram(records, dims)
+        hist = user_histogram(records, dims, ones)
         for cell, value in hist.cells.items():
             totals[cell] = totals.get(cell, 0.0) + value
             devices[cell] = devices.get(cell, 0) + 1
@@ -245,8 +251,6 @@ def ground_truth(data: WeekDataset, dims: Dimensions) -> tuple[SparseHistogram, 
 
 def read_generator_spec(path, profiles_base=None) -> GeneratorSpec:
     """Key-value spec file; the profile table defaults to the packaged one."""
-    from .schema import read_kv_file, _parse_float, _parse_int  # local import, avoids cycle
-
     kv = read_kv_file(path)
     known = {"num_users", "num_regions", "region_zipf_s", "trips_per_user",
              "outlier_fraction", "outlier_multiplier", "seed", "week_id", "profiles"}
@@ -257,7 +261,6 @@ def read_generator_spec(path, profiles_base=None) -> GeneratorSpec:
         if key not in kv:
             raise ConfigError(f"{path}: missing mandatory key {key!r}")
     if "profiles" in kv:
-        from pathlib import Path
         base = Path(profiles_base) if profiles_base is not None else Path(path).parent
         profiles = load_profiles(base / kv["profiles"])
     else:

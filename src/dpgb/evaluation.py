@@ -13,26 +13,18 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import ground_truth
 from .dp_core import derive_seed
-from .mechanisms import (
-    PreparedRelease,
-    finish_release,
-    fit_clip,
-    fit_scales,
-    prepare_activity_metric_scaling,
-    prepare_budget_split,
-    prepare_joint_clipping,
-)
+from .mechanisms import finish_release, fit_clip, fit_scales, prepare_release
 from .schema import (
     Cell,
     ConfigError,
     Dimensions,
+    MECHANISM_KINDS,
     METRIC_NAMES,
     NUM_TRIPS,
     MechanismConfig,
@@ -46,7 +38,6 @@ PRODUCTION_MIN_DEVICES = 2000
 TARGET_WRE = 0.03
 DEFAULT_EPSILON_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_MECHANISMS = ("joint_clipping", "budget_split", "activity_metric_scaling")
-DEFAULT_CLIP_GRID_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 # Reference measurements from a production-scale proxy run at epsilon = 2,
 # (num_trips, distance, duration); desk-scale synthetic data reproduces the
@@ -245,17 +236,6 @@ def fit_hyperparameters(proxy: WeekDataset, dims: Dimensions,
     )
 
 
-def prepare_for(kind: str, data: WeekDataset, fitted: FittedHyperparameters,
-                dims: Dimensions) -> PreparedRelease:
-    if kind == "budget_split":
-        return prepare_budget_split(data, fitted.split_clips, dims)
-    if kind == "joint_clipping":
-        return prepare_joint_clipping(data, fitted.joint_clip, dims)
-    if kind == "activity_metric_scaling":
-        return prepare_activity_metric_scaling(data, fitted.scales, fitted.ams_clip, dims)
-    raise ConfigError(f"unknown mechanism {kind!r}")
-
-
 # --- sweep -------------------------------------------------------------------
 
 def run_seed(base_seed: int, mechanism: str, epsilon: float, repeat: int) -> int:
@@ -310,76 +290,50 @@ def sweep(
     tau: float = 0.0,
     fit_q: float = 0.95,
     test_mode: bool = False,
-    threads: int = 1,
 ) -> SweepResult:
     """Fit on the proxy, then release and score every (mechanism, eps, repeat).
 
     Passing the evaluation dataset itself as ``proxy`` is the caller's
     explicit unsafe-fit decision.  Sweep cells use independently derived
-    seeds, so thread scheduling cannot change any number.
+    seeds, so the order they run in cannot change any number.  The lists
+    and settings are checked before any fitting starts.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     epsilons = tuple(float(e) for e in epsilons)
     mechanisms = tuple(mechanisms)
+    _check_distinct("mechanism", mechanisms)
+    _check_distinct("epsilon", epsilons)
+    for kind in mechanisms:
+        if kind not in MECHANISM_KINDS:
+            raise ConfigError(f"unknown mechanism {kind!r}; expected one of {MECHANISM_KINDS}")
+    for epsilon in epsilons:
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ConfigError(f"threshold_tau must be finite and >= 0, got {tau!r}")
+
     fitted = fit_hyperparameters(proxy, dims, fit_q)
     plan = ScoringPlan.build(*ground_truth(data, dims), min_devices)
-    prepared = {kind: prepare_for(kind, data, fitted, dims) for kind in mechanisms}
-
-    def one_cell(task: tuple[str, float, int]) -> SweepRow:
-        kind, epsilon, repeat = task
-        cell_seed = run_seed(seed, kind, epsilon, repeat)
-        result = finish_release(prepared[kind], epsilon, tau, cell_seed, test_mode=test_mode)
-        report = weighted_relative_error(plan, result.released)
-        return SweepRow(kind, epsilon, repeat, cell_seed, dict(report.wre), report.overall)
-
-    tasks = [(kind, epsilon, repeat)
-             for kind in mechanisms for epsilon in epsilons for repeat in range(repeats)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(one_cell, tasks))
-    else:
-        rows = tuple(one_cell(task) for task in tasks)
-    return SweepResult(rows, mechanisms, epsilons, repeats, min_devices, tau, fitted)
+    rows = []
+    for kind in mechanisms:
+        prepared = prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)
+        for epsilon in epsilons:
+            for repeat in range(repeats):
+                cell_seed = run_seed(seed, kind, epsilon, repeat)
+                result = finish_release(prepared, epsilon, tau, cell_seed, test_mode=test_mode)
+                report = weighted_relative_error(plan, result.released)
+                rows.append(SweepRow(kind, epsilon, repeat, cell_seed, dict(report.wre),
+                                     report.overall))
+    return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, tau, fitted)
 
 
-def clip_grid_search(
-    proxy: WeekDataset,
-    scales: ScaleMatrix,
-    epsilon: float,
-    grid,
-    repeats: int,
-    seed: int,
-    dims: Dimensions,
-    *,
-    min_devices: int = DEFAULT_MIN_DEVICES,
-    tau: float = 0.0,
-) -> float:
-    """Pick the clip bound minimizing mean overall WRE on the proxy.
-
-    Runs activity_metric_scaling for each candidate; ties break toward the
-    smaller clip.
-    """
-    candidates = sorted(float(c) for c in grid)
-    if not candidates:
-        raise ConfigError("clip_grid_search needs a non-empty grid")
-    plan = ScoringPlan.build(*ground_truth(proxy, dims), min_devices)
-    best_clip, best_score = None, math.inf
-    for clip in candidates:
-        prepared = prepare_activity_metric_scaling(proxy, scales, clip, dims)
-        scores = []
-        for repeat in range(repeats):
-            cell_seed = derive_seed(seed, "clip_grid", repr(clip), repeat)
-            result = finish_release(prepared, epsilon, tau, cell_seed)
-            scores.append(weighted_relative_error(plan, result.released).overall)
-        score = float(np.mean(scores))
-        if score < best_score:
-            best_clip, best_score = clip, score
-    return best_clip
-
-
-def default_clip_grid(fitted_clip: float) -> tuple[float, ...]:
-    return tuple(fitted_clip * f for f in DEFAULT_CLIP_GRID_FACTORS)
+def _check_distinct(name: str, values: tuple) -> None:
+    if not values:
+        raise ConfigError(f"the {name} list is empty")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name} {value!r} is listed twice")
 
 
 # --- output files ------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import noise_descale_threshold, secure_sum
-from .client import client_work, fleet_contributions
+from .client import client_work
 from .dp_core import PrivacyLedger, clip_l1, exact_quantile
 from .schema import (
     ConfigError,
@@ -83,12 +83,11 @@ def prepare_activity_metric_scaling(
 ) -> PreparedRelease:
     if scales.num_activities != dims.num_activities:
         raise ConfigError("scale matrix does not match dimensions")
-    contributions = fleet_contributions(data, scales, clip, dims)
-    raw = secure_sum(contributions, dims=dims)
     return PreparedRelease(
         mechanism_kind=kind,
         dims=dims,
-        pre_noise_dense=raw.to_dense(),
+        pre_noise_dense=secure_sum(
+            (client_work(records, scales, clip, dims) for _, records in data.users), dims),
         slice_scales=scales.entries,
         noise_units=np.full(scales.entries.shape, float(clip)),
         charge_fractions=(("laplace_noise", 1.0),),
@@ -102,11 +101,23 @@ def prepare_joint_clipping(data: WeekDataset, clip: float, dims: Dimensions) -> 
         data, ScaleMatrix.ones(dims.num_activities), clip, dims, kind="joint_clipping")
 
 
+def _clip_slices(hist: SparseHistogram, clips: list[list[float]]) -> SparseHistogram:
+    """Clip each (activity, metric) slice of one user's vector to its own bound."""
+    slices: dict[tuple[int, int], dict] = {}
+    for cell, value in hist.cells.items():
+        slices.setdefault(cell[:2], {})[cell] = value
+    merged: dict = {}
+    for (a, m), cells in slices.items():
+        merged.update(clip_l1(SparseHistogram(hist.dims, cells), clips[a][m]).cells)
+    return SparseHistogram(hist.dims, merged)
+
+
 def prepare_budget_split(data: WeekDataset, clips, dims: Dimensions) -> PreparedRelease:
     """Per-(activity, metric) slices, each clipped to its own bound.
 
     The split count generalizes to num_activities * 3; each slice's noise
-    scale at budget eps is clips(a, m) * split_count / eps.
+    scale at budget eps is clips(a, m) * split_count / eps.  Every cell
+    belongs to one slice, so a user's clipped slices merge into one vector.
     """
     clips = np.asarray(clips, dtype=float)
     if clips.shape != (dims.num_activities, 3):
@@ -116,19 +127,8 @@ def prepare_budget_split(data: WeekDataset, clips, dims: Dimensions) -> Prepared
         raise ConfigError("clip grid entries must be finite and strictly positive")
 
     split_count = dims.num_activities * 3
-    dense = np.zeros(dims.total_cells)
     ones = ScaleMatrix.ones(dims.num_activities)
-    # bucket each user's cells by slice in one pass; every cell belongs to
-    # exactly one slice, so accumulation order per cell stays user order
-    for uid, records in data.users:
-        hist = client_work(uid, records, ones, math.inf, dims).vector
-        buckets: dict[tuple[int, int], dict] = {}
-        for cell, value in hist.cells.items():
-            buckets.setdefault((cell[0], cell[1]), {})[cell] = value
-        for (a, m), cells in buckets.items():
-            clipped = clip_l1(SparseHistogram(dims, cells), float(clips[a, m]))
-            for (ca, cm, r, d), value in clipped.cells.items():
-                dense[dims.cell_index(ca, cm, r, d)] += value
+    bounds = clips.tolist()
     charges = tuple(
         (f"slice_a{a}_{METRIC_NAMES[m]}", 1.0 / split_count)
         for a in range(dims.num_activities) for m in range(3)
@@ -136,7 +136,9 @@ def prepare_budget_split(data: WeekDataset, clips, dims: Dimensions) -> Prepared
     return PreparedRelease(
         mechanism_kind="budget_split",
         dims=dims,
-        pre_noise_dense=dense,
+        pre_noise_dense=secure_sum(
+            (_clip_slices(user_histogram(records, dims, ones), bounds)
+             for _, records in data.users), dims),
         slice_scales=ones.entries,
         noise_units=clips * split_count,
         charge_fractions=charges,
@@ -186,31 +188,6 @@ def finish_release(
     )
 
 
-def run_budget_split(
-    data: WeekDataset, clips, epsilon: float, seed: int, dims: Dimensions,
-    *, tau: float = 0.0, test_mode: bool = False,
-) -> ReleaseResult:
-    return finish_release(
-        prepare_budget_split(data, clips, dims), epsilon, tau, seed, test_mode=test_mode)
-
-
-def run_joint_clipping(
-    data: WeekDataset, clip: float, epsilon: float, seed: int, dims: Dimensions,
-    *, tau: float = 0.0, test_mode: bool = False,
-) -> ReleaseResult:
-    return finish_release(
-        prepare_joint_clipping(data, clip, dims), epsilon, tau, seed, test_mode=test_mode)
-
-
-def run_activity_metric_scaling(
-    data: WeekDataset, scales: ScaleMatrix, clip: float, epsilon: float,
-    tau: float, seed: int, dims: Dimensions, *, test_mode: bool = False,
-) -> ReleaseResult:
-    return finish_release(
-        prepare_activity_metric_scaling(data, scales, clip, dims),
-        epsilon, tau, seed, test_mode=test_mode)
-
-
 def prepare_release(config: MechanismConfig, data: WeekDataset, dims: Dimensions) -> PreparedRelease:
     if config.mechanism_kind == "budget_split":
         return prepare_budget_split(data, config.clip, dims)
@@ -238,8 +215,9 @@ def fit_scales(data: WeekDataset, dims: Dimensions, q: float = 0.95) -> ScaleMat
     if not 0 < q < 1:
         raise ConfigError(f"q must be in (0, 1), got {q}")
     norms: dict[tuple[int, int], list[float]] = {}
-    for uid, records in data.users:
-        hist = user_histogram(records, dims)
+    ones = ScaleMatrix.ones(dims.num_activities)
+    for _, records in data.users:
+        hist = user_histogram(records, dims, ones)
         per_slice: dict[tuple[int, int], float] = {}
         for (a, m, _, _), value in hist.cells.items():
             per_slice[(a, m)] = per_slice.get((a, m), 0.0) + abs(value)
@@ -255,10 +233,7 @@ def fit_clip(data: WeekDataset, scales: ScaleMatrix, dims: Dimensions, q: float 
     """Quantile of per-user scaled pre-clip norms ||v_i||_1."""
     if not data.users:
         raise ConfigError("fit_clip needs a non-empty dataset")
-    norms = [
-        client_work(uid, records, scales, math.inf, dims).vector.l1_norm()
-        for uid, records in data.users
-    ]
+    norms = [user_histogram(records, dims, scales).l1_norm() for _, records in data.users]
     return exact_quantile(norms, q)
 
 

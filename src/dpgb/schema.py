@@ -173,20 +173,6 @@ class SparseHistogram:
                 out[key] = v
         return cls(dims, out)
 
-    @classmethod
-    def from_dense(cls, dims: Dimensions, dense: np.ndarray) -> "SparseHistogram":
-        if dense.shape != (dims.total_cells,):
-            raise ValueError(f"dense array shape {dense.shape} does not match {dims}")
-        flat = np.flatnonzero(dense)
-        rest, d = np.divmod(flat, 3)
-        rest, r = np.divmod(rest, dims.num_regions)
-        a, m = np.divmod(rest, 3)
-        cells = {
-            (int(ai), int(mi), int(ri), int(di)): float(v)
-            for ai, mi, ri, di, v in zip(a, m, r, d, dense[flat])
-        }
-        return cls(dims, cells)
-
     def get(self, cell: Cell) -> float:
         return self.cells.get(cell, 0.0)
 
@@ -235,17 +221,28 @@ class SparseHistogram:
         return len(self.cells)
 
 
-def user_histogram(records, dims: Dimensions) -> SparseHistogram:
-    """Unscaled per-user aggregate: +1 trip, +distance, +duration per record."""
+def user_histogram(records, dims: Dimensions, scales: ScaleMatrix) -> SparseHistogram:
+    """One user's scaled aggregate: per record, 1/S(a, num_trips),
+    distance/S(a, distance) and duration/S(a, duration) accumulate into the
+    record's cells.  With ``ScaleMatrix.ones`` this is the raw aggregate.
+
+    A record outside ``dims`` raises ValueError, so every mechanism fails the
+    same way on out-of-domain input.
+    """
+    if scales.num_activities != dims.num_activities:
+        raise ConfigError("scale matrix does not match dimensions")
+    factors = scales.entries.tolist()
     cells: dict[Cell, float] = {}
     for rec in records:
         rec.validate(dims)
-        base = (rec.activity, NUM_TRIPS, rec.region, rec.direction)
-        cells[base] = cells.get(base, 0.0) + 1.0
-        dist = (rec.activity, DISTANCE, rec.region, rec.direction)
-        cells[dist] = cells.get(dist, 0.0) + rec.distance_km
-        dur = (rec.activity, DURATION, rec.region, rec.direction)
-        cells[dur] = cells.get(dur, 0.0) + rec.duration_s
+        a, r, d = rec.activity, rec.region, rec.direction
+        s_trips, s_dist, s_dur = factors[a]
+        base = (a, NUM_TRIPS, r, d)
+        cells[base] = cells.get(base, 0.0) + 1.0 / s_trips
+        dist = (a, DISTANCE, r, d)
+        cells[dist] = cells.get(dist, 0.0) + rec.distance_km / s_dist
+        dur = (a, DURATION, r, d)
+        cells[dur] = cells.get(dur, 0.0) + rec.duration_s / s_dur
     return SparseHistogram(dims, {c: v for c, v in cells.items() if v != 0.0})
 
 

@@ -6,7 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # wre_oracle import
 
-from dpgb.schema import Dimensions, SparseHistogram, TripRecord, WeekDataset
+from dpgb.schema import (
+    Dimensions, ScaleMatrix, SparseHistogram, TripRecord, WeekDataset, user_histogram,
+)
 
 
 @pytest.fixture
@@ -28,6 +30,11 @@ def random_histogram(rng, dims, max_cells=8, magnitude=10.0):
                 int(rng.integers(dims.num_regions)), int(rng.integers(3)))
         cells[cell] = float(rng.lognormal(0.0, 1.5) * magnitude)
     return SparseHistogram(dims, cells)
+
+
+def raw_histogram(records, dims):
+    """A user's unscaled aggregate: +1 trip, +distance, +duration per record."""
+    return user_histogram(records, dims, ScaleMatrix.ones(dims.num_activities))
 
 
 def random_records(rng, dims, n):

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from dpgb.cli import EXIT_OK, main
-from dpgb.client import fleet_contributions
 from dpgb.datagen import GeneratorSpec, generate, ground_truth, proxy_pair
-from dpgb.dp_core import LaplaceNoiseSpec, clip_l1, laplace_sample
+from dpgb.dp_core import clip_l1, dense_laplace_noise
 from dpgb.evaluation import (
     DEFAULT_EPSILON_GRID,
     TARGET_WRE,
@@ -28,19 +27,15 @@ from dpgb.mechanisms import (
     prepare_activity_metric_scaling,
     prepare_budget_split,
     prepare_joint_clipping,
-    run_activity_metric_scaling,
-    run_budget_split,
-    run_joint_clipping,
 )
 from dpgb.schema import (
     Dimensions,
     ScaleMatrix,
     SparseHistogram,
     WeekDataset,
-    user_histogram,
     write_records_csv,
 )
-from conftest import random_dataset, random_histogram
+from conftest import random_dataset, random_histogram, raw_histogram
 from wre_oracle import brute_force_wre
 
 DESK_SEED = 42
@@ -104,7 +99,7 @@ def test_criterion_1_clip_contract(rng):
 
 def test_criterion_2_noise_calibration():
     start = time.perf_counter()
-    samples = laplace_sample(LaplaceNoiseSpec(scale_b=5.0, rng_seed=2024), 1_000_000)
+    samples = dense_laplace_noise(5.0, 2024, 1_000_000)
     mean = float(samples.mean())
     var = float(samples.var())
     elapsed = time.perf_counter() - start
@@ -157,9 +152,9 @@ def test_criterion_4_accounting(rng):
     scales = ScaleMatrix(np.exp(rng.normal(0, 1, size=(9, 3))))
     clips = np.exp(rng.normal(0.5, 0.8, size=(9, 3)))
 
-    ams = run_activity_metric_scaling(data, scales, 5.0, epsilon, 0.0, 3, dims)
-    joint = run_joint_clipping(data, 5.0, epsilon, 3, dims)
-    split = run_budget_split(data, clips, epsilon, 3, dims)
+    ams = finish_release(prepare_activity_metric_scaling(data, scales, 5.0, dims), epsilon, 0.0, 3)
+    joint = finish_release(prepare_joint_clipping(data, 5.0, dims), epsilon, 0.0, 3)
+    split = finish_release(prepare_budget_split(data, clips, dims), epsilon, 0.0, 3)
 
     totals_ok = all(abs(r.total_epsilon - epsilon) <= 1e-12 for r in (ams, joint, split))
     charges = [eps for _, eps in split.ledger.charges]
@@ -175,17 +170,17 @@ def test_criterion_5_pipeline_identities(rng):
     dims = Dimensions(num_activities=4, num_regions=6)
     data = random_dataset(rng, dims, 50)
     ones = ScaleMatrix.ones(4)
-    raw_norms = [user_histogram(recs, dims).l1_norm() for _, recs in data.users]
+    raw_norms = [raw_histogram(recs, dims).l1_norm() for _, recs in data.users]
     clip = float(np.median([n for n in raw_norms if n > 0]))  # clipping really bites
 
-    exact = run_joint_clipping(data, clip, 1.0, 5, dims, test_mode=True)
+    exact = finish_release(prepare_joint_clipping(data, clip, dims), 1.0, 0.0, 5, test_mode=True)
     expected = reduce(lambda x, y: x.add(y),
-                      [clip_l1(user_histogram(recs, dims), clip) for _, recs in data.users],
+                      [clip_l1(raw_histogram(recs, dims), clip) for _, recs in data.users],
                       SparseHistogram.empty(dims))
     identity_a = np.array_equal(exact.released, expected.to_dense())
 
-    joint = run_joint_clipping(data, clip, 2.0, 99, dims)
-    ams = run_activity_metric_scaling(data, ones, clip, 2.0, 0.0, 99, dims)
+    joint = finish_release(prepare_joint_clipping(data, clip, dims), 2.0, 0.0, 99)
+    ams = finish_release(prepare_activity_metric_scaling(data, ones, clip, dims), 2.0, 0.0, 99)
     identity_b = np.array_equal(joint.released, ams.released)
 
     ok = identity_a and identity_b

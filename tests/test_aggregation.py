@@ -6,48 +6,37 @@ import numpy as np
 import pytest
 
 from dpgb.aggregation import secure_sum, write_ledger
-from dpgb.client import ClientContribution
 from dpgb.dp_core import BudgetExceededError, PrivacyLedger, clip_l1, dense_laplace_noise
 from dpgb.mechanisms import finish_release, prepare_activity_metric_scaling, prepare_joint_clipping
-from dpgb.schema import Dimensions, ScaleMatrix, SparseHistogram, WeekDataset, user_histogram
-from conftest import random_dataset, random_histogram
-
-
-def contribution(uid, hist):
-    return ClientContribution(uid, hist)
+from dpgb.schema import ScaleMatrix, SparseHistogram, WeekDataset
+from conftest import random_dataset, random_histogram, raw_histogram
 
 
 class TestSecureSum:
     def test_empty_list(self, small_dims):
-        assert secure_sum([], dims=small_dims).cells == {}
-        with pytest.raises(ValueError):
-            secure_sum([])
+        assert np.array_equal(secure_sum([], small_dims), np.zeros(small_dims.total_cells))
+        with pytest.raises(TypeError):
+            secure_sum([])  # dims are required
 
     def test_two_single_cell_vectors(self, small_dims):
         a = SparseHistogram(small_dims, {(0, 0, 0, 0): 1.0})
         b = SparseHistogram(small_dims, {(0, 0, 0, 0): 2.0})
-        total = secure_sum([contribution("a", a), contribution("b", b)])
-        assert total.cells == {(0, 0, 0, 0): 3.0}
+        total = secure_sum([a, b], small_dims)
+        assert total[0] == 3.0 and np.count_nonzero(total) == 1
 
     def test_permuted_copies_match_scaled_copy(self, small_dims, rng):
         base = random_histogram(rng, small_dims, max_cells=10)
         n = 7
-        total = secure_sum([contribution(f"u{i}", base) for i in range(n)], dims=small_dims)
-        assert total.allclose(base.scale(float(n)), rel_tol=1e-9)
-
-    def test_mixed_dims_rejected(self, small_dims):
-        other = Dimensions(num_activities=3, num_regions=4)
-        with pytest.raises(ValueError):
-            secure_sum([
-                contribution("a", SparseHistogram.empty(small_dims)),
-                contribution("b", SparseHistogram.empty(other)),
-            ])
+        total = secure_sum([base] * n, small_dims)
+        assert np.allclose(total, base.scale(float(n)).to_dense(), rtol=1e-9, atol=0.0)
 
     def test_accepts_bare_histograms(self, small_dims, rng):
+        # a generator works as well as a list: one pass, user order
         hists = [random_histogram(rng, small_dims) for _ in range(3)]
-        via_contrib = secure_sum([contribution(str(i), h) for i, h in enumerate(hists)],
-                                 dims=small_dims)
-        assert secure_sum(hists, dims=small_dims).cells == via_contrib.cells
+        total = secure_sum(hists, small_dims)
+        assert np.array_equal(secure_sum((h for h in hists), small_dims), total)
+        expected = hists[0].add(hists[1]).add(hists[2]).to_dense()
+        assert np.allclose(total, expected, rtol=1e-12, atol=0.0)
 
 
 class TestServerWork:
@@ -62,7 +51,7 @@ class TestServerWork:
         assert np.array_equal(result.released, prepared.pre_noise_dense)  # bit-exact
         expected = reduce(
             lambda x, y: x.add(y),
-            [clip_l1(user_histogram(recs, small_dims), clip) for _, recs in data.users],
+            [clip_l1(raw_histogram(recs, small_dims), clip) for _, recs in data.users],
             SparseHistogram.empty(small_dims))
         assert np.array_equal(result.released, expected.to_dense())
         assert result.suppressed_cells == 0
@@ -75,7 +64,7 @@ class TestServerWork:
         prepared = prepare_activity_metric_scaling(data, scales, 1e9, small_dims)
         result = finish_release(prepared, 1.0, 0.0, 5, test_mode=True)
         raw = reduce(lambda x, y: x.add(y),
-                     [user_histogram(recs, small_dims) for _, recs in data.users],
+                     [raw_histogram(recs, small_dims) for _, recs in data.users],
                      SparseHistogram.empty(small_dims))
         assert np.allclose(result.released, raw.to_dense(), rtol=1e-12, atol=0.0)
 

@@ -320,13 +320,15 @@ def test_dpgb_threads_env(workspace, monkeypatch):
 
 
 def test_release_eval_sweep_build_no_sparse_release(workspace, monkeypatch):
-    """The dense release vector goes to and from the CSV files unconverted."""
+    """No command converts a whole-domain sparse histogram to the dense vector:
+    the pre-noise aggregate is summed densely and the release stays dense from
+    there to and from the CSV files."""
     tmp_path, _, data_path, proxy_path = workspace
     from dpgb.schema import SparseHistogram
 
     def refuse(*args, **kwargs):
-        raise AssertionError("SparseHistogram.from_dense called on the release path")
-    monkeypatch.setattr(SparseHistogram, "from_dense", classmethod(refuse))
+        raise AssertionError("SparseHistogram.to_dense called on a CLI path")
+    monkeypatch.setattr(SparseHistogram, "to_dense", refuse)
     sweep_dir = tmp_path / "s"
     assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                  "--out", str(sweep_dir), "--epsilons", "2.0", "--repeats", "2",
@@ -336,3 +338,29 @@ def test_release_eval_sweep_build_no_sparse_release(workspace, monkeypatch):
                  str(sweep_dir / "fitted_budget_split.cfg"), "--out", str(released)]) == EXIT_OK
     assert main(["eval", "--data", str(data_path), "--released", str(released),
                  "--out", str(tmp_path / "eval"), "--min-devices", "5"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--mechanisms", "joint_clipping,joint_clipping"], "'joint_clipping' is listed twice"),
+    (["--mechanisms", ","], "mechanism list is empty"),
+    (["--mechanisms", "joint_clipping,median"], "'median'"),
+    (["--epsilons", ","], "epsilon list is empty"),
+    (["--epsilons", "1.0,2.0,1"], "epsilon 1.0 is listed twice"),
+    (["--epsilons", "2.0,0"], "got 0.0"),
+    (["--epsilons", "-1"], "got -1.0"),
+    (["--epsilons", "nan"], "got nan"),
+    (["--epsilons", "inf"], "got inf"),
+    (["--tau", "-0.5"], "got -0.5"),
+    (["--tau", "nan"], "got nan"),
+])
+def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsys, flags, named):
+    tmp_path, _, data_path, proxy_path = workspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fitted before the settings were checked")
+    monkeypatch.setattr("dpgb.evaluation.fit_hyperparameters", refuse)
+    out_dir = tmp_path / "s"
+    assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
+                 "--out", str(out_dir), "--repeats", "1", "--threads", "1"] + flags) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (out_dir / "sweep.csv").exists()

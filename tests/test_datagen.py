@@ -23,9 +23,9 @@ from dpgb.schema import (
     SparseHistogram,
     TripRecord,
     WeekDataset,
-    user_histogram,
     write_records_csv,
 )
+from conftest import raw_histogram
 
 
 def ks_distance(a, b):
@@ -144,7 +144,7 @@ class TestPoissonInverse:
     """Trip counts are drawn by inverting the Poisson CDF at one uniform."""
 
     def test_desk_dataset_bytes_unchanged(self, tmp_path):
-        # rates below 745 keep the original recurrence draw for draw
+        # rates below 708 keep the original recurrence draw for draw
         spec = GeneratorSpec.default(num_users=10_000, num_regions=100, seed=7)
         path = tmp_path / "desk.csv"
         write_records_csv(path, generate(spec))
@@ -161,6 +161,14 @@ class TestPoissonInverse:
         assert abs(float(np.median(draws)) - lam) <= 5.0 * math.sqrt(lam)
         assert abs(_poisson_inverse(0.5, lam) - lam) <= 5.0 * math.sqrt(lam)
         assert draws[-1] < lam + 20.0 * math.sqrt(lam)
+
+    def test_median_within_known_bounds_across_the_switch(self):
+        # the Poisson median lies in [lam - ln 2, lam + 1/3]; the recurrence
+        # drifted below it once exp(-lam) went subnormal
+        for step in range(601):
+            lam = 700.0 + step / 10
+            median = _poisson_inverse(0.5, lam)
+            assert lam - math.log(2) <= median <= lam + 1 / 3, (lam, median)
 
     def test_large_trips_per_user_spec(self):
         data = generate(small_spec(num_users=2, trips_per_user=20_000.0))
@@ -190,7 +198,7 @@ class TestGroundTruth:
         truth, devices = ground_truth(data, spec.dims)
         expected = SparseHistogram.empty(spec.dims)
         for _, records in data.users:
-            expected = expected.add(user_histogram(records, spec.dims))
+            expected = expected.add(raw_histogram(records, spec.dims))
         assert truth.allclose(expected, rel_tol=1e-9)
         assert max(devices.values()) <= data.num_users
 

@@ -7,19 +7,16 @@ import pytest
 from dpgb.dp_core import (
     BudgetExceededError,
     ConfigError,
-    LaplaceNoiseSpec,
     PrivacyLedger,
     clip_l1,
+    dense_laplace_noise,
     derive_seed,
     exact_quantile,
     laplace_inverse_cdf,
-    laplace_sample,
-    private_quantile,
-    slice_histogram,
 )
 from dpgb.mechanisms import finish_release, prepare_joint_clipping
-from dpgb.schema import SparseHistogram, WeekDataset, user_histogram
-from conftest import random_dataset, random_histogram
+from dpgb.schema import SparseHistogram, WeekDataset
+from conftest import random_dataset, random_histogram, raw_histogram
 
 
 class TestDeriveSeed:
@@ -78,28 +75,30 @@ class TestLaplaceSampling:
         assert laplace_inverse_cdf(0.5, 1.0) == 0.0
 
     def test_moments(self):
-        samples = laplace_sample(LaplaceNoiseSpec(scale_b=5.0, rng_seed=77), 1_000_000)
+        samples = dense_laplace_noise(5.0, 77, 1_000_000)
         assert abs(samples.mean()) < 0.05
         assert samples.var() == pytest.approx(50.0, rel=0.05)  # 2 b^2
 
     def test_reproducible_bit_for_bit(self):
-        spec = LaplaceNoiseSpec(scale_b=2.0, rng_seed=5)
-        assert np.array_equal(laplace_sample(spec, 1000), laplace_sample(spec, 1000))
-        other = laplace_sample(LaplaceNoiseSpec(scale_b=2.0, rng_seed=6), 1000)
-        assert not np.array_equal(laplace_sample(spec, 1000), other)
+        assert np.array_equal(dense_laplace_noise(2.0, 5, 1000), dense_laplace_noise(2.0, 5, 1000))
+        other = dense_laplace_noise(2.0, 6, 1000)
+        assert not np.array_equal(dense_laplace_noise(2.0, 5, 1000), other)
 
     def test_prefix_stability(self):
-        spec = LaplaceNoiseSpec(scale_b=1.0, rng_seed=3)
-        assert np.array_equal(laplace_sample(spec, 10), laplace_sample(spec, 100)[:10])
+        head = dense_laplace_noise(1.0, 3, 10)
+        assert np.array_equal(head, dense_laplace_noise(1.0, 3, 100)[:10])
+
+    def test_blocks_from_one_generator_match_one_draw(self):
+        rng = np.random.default_rng(8)
+        blocks = [dense_laplace_noise(1.5, rng, n) for n in (7, 0, 30, 3)]
+        assert np.array_equal(np.concatenate(blocks), dense_laplace_noise(1.5, 8, 40))
 
     def test_invalid_spec(self):
-        with pytest.raises(ConfigError):
-            LaplaceNoiseSpec(scale_b=0.0, rng_seed=1)
         with pytest.raises(ValueError):
-            laplace_sample(LaplaceNoiseSpec(1.0, 1), -1)
+            dense_laplace_noise(1.0, 1, -1)
 
     def test_zero_length(self):
-        assert laplace_sample(LaplaceNoiseSpec(1.0, 1), 0).shape == (0,)
+        assert dense_laplace_noise(1.0, 1, 0).shape == (0,)
 
 
 class TestLaplaceMechanism:
@@ -108,12 +107,12 @@ class TestLaplaceMechanism:
 
     def test_zero_noise_limit_exact_sum(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 5)
-        big_clip = max(user_histogram(recs, small_dims).l1_norm() for _, recs in data.users) + 1
+        big_clip = max(raw_histogram(recs, small_dims).l1_norm() for _, recs in data.users) + 1
         result = finish_release(prepare_joint_clipping(data, big_clip, small_dims),
                                 1.0, 0.0, 1, test_mode=True)
         expected = SparseHistogram.empty(small_dims)
         for _, recs in data.users:
-            expected = expected.add(user_histogram(recs, small_dims))
+            expected = expected.add(raw_histogram(recs, small_dims))
         assert np.array_equal(result.released, expected.to_dense())
 
     def test_adjacent_prenoise_sums_differ_at_most_clip(self, small_dims, rng):
@@ -129,7 +128,7 @@ class TestLaplaceMechanism:
         # tau = 0 then releases its positive half
         prepared = prepare_joint_clipping(WeekDataset("w", ()), 10.0, small_dims)
         result = finish_release(prepared, 2.0, 0.0, 1234)
-        stream = laplace_sample(LaplaceNoiseSpec(5.0, 1234), small_dims.total_cells)
+        stream = dense_laplace_noise(5.0, 1234, small_dims.total_cells)
         assert np.array_equal(result.released, np.maximum(stream, 0.0))
 
     def test_every_cell_gets_noise(self, small_dims):
@@ -220,53 +219,3 @@ class TestExactQuantile:
         # smallest x with at least ceil(q*n) values <= x
         assert exact_quantile([1, 1, 1, 5], 0.5) == 1
         assert exact_quantile([1, 1, 1, 5], 0.9) == 5
-
-
-class TestPrivateQuantile:
-    def test_infinite_epsilon_picks_nearest_endpoint(self, rng):
-        values = rng.uniform(0, 100, size=500)
-        got = private_quantile(values, 0.95, math.inf, 100.0, 200, seed=1)
-        exact = exact_quantile(values, 0.95)
-        assert abs(got - exact) <= 100.0 / 200 + 1e-9
-
-    def test_empty_input_uniform_over_endpoints(self):
-        picks = {private_quantile([], 0.5, 1.0, 10.0, 4, seed=s) for s in range(200)}
-        assert picks == {2.5, 5.0, 7.5, 10.0}
-
-    def test_out_of_range_value(self):
-        with pytest.raises(ValueError):
-            private_quantile([150.0], 0.5, 1.0, 100.0, 10, seed=1)
-
-    def test_simulation_concentrates_near_quantile(self, rng):
-        values = rng.uniform(0, 100, size=10_000)
-        outputs = [
-            private_quantile(values, 0.95, 1.0, 100.0, 200, seed=s)
-            for s in range(500)
-        ]
-        assert 90.0 <= float(np.median(outputs)) <= 100.0
-
-    def test_charges_ledger(self):
-        ledger = PrivacyLedger(budget=1.0)
-        private_quantile([1.0, 2.0], 0.5, 0.25, 10.0, 4, seed=1, ledger=ledger)
-        assert ledger.total() == 0.25
-
-    def test_deterministic_given_seed(self, rng):
-        values = list(rng.uniform(0, 10, size=100))
-        a = private_quantile(values, 0.5, 2.0, 10.0, 50, seed=42)
-        b = private_quantile(values, 0.5, 2.0, 10.0, 50, seed=42)
-        assert a == b
-
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigError):
-            private_quantile([1.0], 0.5, 1.0, 10.0, 1, seed=1)
-        with pytest.raises(ConfigError):
-            private_quantile([1.0], 0.5, 0.0, 10.0, 4, seed=1)
-        with pytest.raises(ConfigError):
-            private_quantile([1.0], 0.5, 1.0, -1.0, 4, seed=1)
-
-
-def test_slice_histogram(small_dims):
-    hist = SparseHistogram(small_dims, {
-        (0, 0, 1, 1): 2.0, (0, 1, 1, 1): 3.0, (1, 0, 0, 0): 4.0})
-    sliced = slice_histogram(hist, 0, 0)
-    assert sliced.cells == {(0, 0, 1, 1): 2.0}

