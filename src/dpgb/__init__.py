@@ -12,32 +12,31 @@ from .schema import (
     Dimensions,
     MechanismConfig,
     ScaleMatrix,
-    SparseHistogram,
-    TripRecord,
+    UserCells,
     WeekDataset,
-    user_histogram,
+    user_cells,
 )
 from .dp_core import (
     PrivacyLedger,
     BudgetExceededError,
     clip_l1,
     exact_quantile,
+    l1_norms,
 )
 from .client import client_work
 from .aggregation import secure_sum
 from .mechanisms import ReleaseResult, fit_clip, fit_scales, run_release
-from .datagen import ActivityProfile, GeneratorSpec, generate, ground_truth
+from .datagen import ActivityProfile, GeneratorSpec, GroundTruth, generate, ground_truth
 from .evaluation import EvalReport, ScoringPlan, sweep, weighted_relative_error
 
 __all__ = [
     "__version__",
-    "Dimensions", "MechanismConfig", "ScaleMatrix", "SparseHistogram",
-    "TripRecord", "WeekDataset", "user_histogram",
+    "Dimensions", "MechanismConfig", "ScaleMatrix", "UserCells", "WeekDataset", "user_cells",
     "PrivacyLedger", "BudgetExceededError",
-    "clip_l1", "exact_quantile",
+    "clip_l1", "exact_quantile", "l1_norms",
     "client_work",
     "secure_sum",
     "ReleaseResult", "fit_clip", "fit_scales", "run_release",
-    "ActivityProfile", "GeneratorSpec", "generate", "ground_truth",
+    "ActivityProfile", "GeneratorSpec", "GroundTruth", "generate", "ground_truth",
     "EvalReport", "ScoringPlan", "sweep", "weighted_relative_error",
 ]

@@ -12,7 +12,6 @@ release carries only the noised, descaled and thresholded vector.
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
@@ -20,20 +19,21 @@ from .dp_core import ConfigError, PrivacyLedger, dense_laplace_noise
 from .schema import Dimensions
 
 
-def secure_sum(vectors, dims: Dimensions) -> np.ndarray:
-    """Cell-wise sum of per-user vectors, in the order given (user-id order).
+def secure_sum(blocks, dims: Dimensions) -> np.ndarray:
+    """Cell-wise sum of per-user vectors, in user order.
 
+    ``blocks`` yields the vectors as ``cell`` and ``value`` rows, users in
+    order (see ``client_work``); each row is added into the total in turn,
+    so every cell sums its users left to right whatever the block size.
     Returns the dense pre-noise vector in cell_index order.  Stands in for
     cryptographic secure aggregation: everything downstream of this call
-    sees only the aggregate, never an individual vector.  ``vectors`` may be
-    a generator, so no more than one user's vector need exist at a time.
+    sees only the aggregate, never an individual vector.  ``blocks`` may be
+    a generator, so no more than one block of vectors need exist at a time.
     """
-    total = array("d", bytes(8 * dims.total_cells))
-    num_regions = dims.num_regions
-    for vec in vectors:
-        for (a, m, r, d), value in vec.cells.items():
-            total[((a * 3 + m) * num_regions + r) * 3 + d] += value
-    return np.frombuffer(total, dtype=float)
+    total = np.zeros(dims.total_cells)
+    for rows in blocks:
+        np.add.at(total, rows.cell, rows.value)
+    return total
 
 
 # cells per block of slices the noise pass holds at once

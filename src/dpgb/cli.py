@@ -134,7 +134,7 @@ def cmd_eval(args, argv) -> int:
     data = read_records_csv(args.data)
     dims = infer_dimensions(
         [data], num_activities=args.num_activities, num_regions=args.num_regions)
-    plan = ScoringPlan.build(*ground_truth(data, dims), args.min_devices)
+    plan = ScoringPlan.build(ground_truth(data, dims), args.min_devices)
     report = weighted_relative_error(plan, read_histogram_csv(args.released, dims))
 
     out_dir = Path(args.out)

@@ -25,17 +25,14 @@ import numpy as np
 
 from .dp_core import _U_FLOOR, derive_seed
 from .schema import (
-    Cell,
     ConfigError,
     Dimensions,
     ScaleMatrix,
-    SparseHistogram,
-    TripRecord,
     WeekDataset,
     _parse_float,
     _parse_int,
     read_kv_file,
-    user_histogram,
+    user_cells,
 )
 
 _NORMAL = NormalDist()
@@ -192,13 +189,14 @@ def _lognormal(u: float, log_mean: float, log_sigma: float) -> float:
 
 
 def _user_trips(rng: np.random.Generator, spec: GeneratorSpec,
-                region_cdf: np.ndarray) -> list[TripRecord]:
+                region_cdf: np.ndarray) -> list[tuple]:
+    """One user's (region, activity, direction, distance, duration) trips."""
     home = _pick(region_cdf, rng.random())
     outlier_activity = -1
     if rng.random() < spec.outlier_fraction:
         outlier_activity = min(
             int(rng.random() * spec.dims.num_activities), spec.dims.num_activities - 1)
-    records: list[TripRecord] = []
+    records: list[tuple] = []
     for a, profile in enumerate(spec.activity_profiles):
         count = _poisson_inverse(rng.random(), spec.trips_per_user * profile.weight)
         boost = spec.outlier_multiplier if a == outlier_activity else 1.0
@@ -209,7 +207,7 @@ def _user_trips(rng: np.random.Generator, spec: GeneratorSpec,
                 rng.random(), profile.distance_log_mean, profile.distance_log_sigma)
             duration = boost * _lognormal(
                 rng.random(), profile.duration_log_mean, profile.duration_log_sigma)
-            records.append(TripRecord(region, a, direction, distance, duration))
+            records.append((region, a, direction, distance, duration))
     return records
 
 
@@ -220,12 +218,13 @@ def generate(spec: GeneratorSpec) -> WeekDataset:
     parallel implementation) cannot change the data.
     """
     region_cdf = _zipf_cdf(spec.dims.num_regions, spec.region_zipf_s)
-    users = []
-    for i in range(spec.num_users):
-        uid = f"u{i:06d}"
-        rng = np.random.default_rng(derive_seed(spec.seed, uid))
-        users.append((uid, tuple(_user_trips(rng, spec, region_cdf))))
-    return WeekDataset(spec.week_id, tuple(users))
+    user_ids = tuple(f"u{i:06d}" for i in range(spec.num_users))
+    trips = [_user_trips(np.random.default_rng(derive_seed(spec.seed, uid)), spec, region_cdf)
+             for uid in user_ids]
+    # small indices and every float convert to float64 and back exactly
+    columns = np.array([t for user in trips for t in user], dtype=float).reshape(-1, 5).T
+    offsets = np.cumsum([0] + [len(user) for user in trips])
+    return WeekDataset(spec.week_id, user_ids, offsets, *columns)
 
 
 def proxy_pair(spec: GeneratorSpec) -> tuple[WeekDataset, WeekDataset]:
@@ -234,17 +233,50 @@ def proxy_pair(spec: GeneratorSpec) -> tuple[WeekDataset, WeekDataset]:
     return generate(spec), generate(proxy_spec)
 
 
-def ground_truth(data: WeekDataset, dims: Dimensions) -> tuple[SparseHistogram, dict[Cell, int]]:
-    """Exact unclipped totals plus per-cell contributing-device counts."""
-    totals: dict[Cell, float] = {}
-    devices: dict[Cell, int] = {}
-    ones = ScaleMatrix.ones(dims.num_activities)
-    for _, records in data.users:
-        hist = user_histogram(records, dims, ones)
-        for cell, value in hist.cells.items():
-            totals[cell] = totals.get(cell, 0.0) + value
-            devices[cell] = devices.get(cell, 0) + 1
-    return SparseHistogram(dims, {c: v for c, v in totals.items() if v != 0.0}), devices
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """Exact unclipped totals of the cells some user's vector reaches.
+
+    ``flat`` holds those cells in increasing order, ``totals`` their sums
+    over users in user order and ``devices`` the number of users with a
+    nonzero value in each.  ``order`` lists them in order of first
+    appearance (users in order, each user's cells in the order of their
+    first addend), the order evaluation adds and reports them in.
+    """
+
+    dims: Dimensions
+    flat: np.ndarray
+    totals: np.ndarray
+    devices: np.ndarray
+    order: np.ndarray
+
+
+def ground_truth(data: WeekDataset, dims: Dimensions) -> GroundTruth:
+    """Exact unclipped totals plus per-cell contributing-device counts.
+
+    The cells reached so far are kept sorted, each with its total, device
+    count and first position, behind a sentinel past the domain.  Each
+    block of users inserts the cells it reaches first and adds its rows in
+    user order, so nothing domain-sized is allocated.
+    """
+    reached = np.array([dims.total_cells])
+    first, totals, devices = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64)
+    position = 0
+    for rows in user_cells(data, dims, ScaleMatrix.ones(dims.num_activities)):
+        order = np.argsort(rows.first, kind="stable")
+        cells = rows.cell[order]
+        fresh = np.flatnonzero(reached[np.searchsorted(reached, cells)] != cells)
+        new_cells, at = np.unique(cells[fresh], return_index=True)
+        place = np.searchsorted(reached, new_cells)
+        reached = np.insert(reached, place, new_cells)
+        first = np.insert(first, place, position + fresh[at])
+        totals = np.insert(totals, place, 0.0)
+        devices = np.insert(devices, place, 0)
+        slot = np.searchsorted(reached, cells)
+        np.add.at(totals, slot, rows.value[order])
+        np.add.at(devices, slot, 1)
+        position += cells.size
+    return GroundTruth(dims, reached[:-1], totals[:-1], devices[:-1], np.argsort(first[:-1]))
 
 
 # --- generator spec file -----------------------------------------------------

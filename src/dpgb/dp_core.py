@@ -1,10 +1,10 @@
 """Differential-privacy primitives.
 
-L1 clipping, seeded inverse-CDF Laplace noise, exact quantile selection,
-and a per-run epsilon ledger.  Noise is double-precision
-inverse-CDF sampling; mitigations for floating-point attacks on DP (snapping,
-discrete noise) are deliberately out of scope for this research-scale
-artifact.
+L1 norms and clipping of per-user runs, seeded inverse-CDF Laplace noise,
+exact quantile selection, and a per-run epsilon ledger.  Noise is
+double-precision inverse-CDF sampling; mitigations for floating-point
+attacks on DP (snapping, discrete noise) are deliberately out of scope for
+this research-scale artifact.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schema import ConfigError, SparseHistogram
+from .schema import ConfigError
 
 ADJACENCY = "(user, week) add/remove"
 
@@ -94,18 +94,35 @@ def laplace_inverse_cdf(u, scale_b):
     return -scale_b * np.sign(d) * np.log1p(-2.0 * np.abs(d))
 
 
-def clip_l1(v: SparseHistogram, clip: float) -> SparseHistogram:
-    """Rescale v so its L1 norm is at most ``clip``; directions preserved.
+def l1_norms(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """L1 norm of each run ``values[starts[i]:starts[i + 1]]``.
 
-    Returns v unchanged when already within the bound (including the empty
-    histogram), which keeps the no-op case exact.
+    Each norm is a ``math.fsum``, exactly rounded, so it does not depend on
+    the order of the run.
     """
-    if math.isnan(clip) or clip <= 0:
+    magnitudes = np.abs(values).tolist()
+    edges = np.asarray(starts).tolist()
+    return np.array([math.fsum(magnitudes[lo:hi]) for lo, hi in zip(edges, edges[1:])],
+                    dtype=float)
+
+
+def clip_l1(values: np.ndarray, starts: np.ndarray, clip) -> np.ndarray:
+    """Rescale each run ``values[starts[i]:starts[i + 1]]`` so its L1 norm
+    is at most its bound; directions preserved.
+
+    ``clip`` is one bound for every run or one per run.  A run over its
+    bound is multiplied by bound / norm; one within it (including an empty
+    run) keeps its values bit for bit.
+    """
+    bounds = np.asarray(clip, dtype=float)
+    if not np.all(bounds > 0):
         raise ConfigError(f"clip bound must be > 0, got {clip}")
-    norm = v.l1_norm()
-    if norm <= clip:
-        return v
-    return v.scale(clip / norm)
+    bounds = np.broadcast_to(bounds, (len(starts) - 1,))
+    norms = l1_norms(values, starts)
+    factors = np.ones(norms.size)
+    over = norms > bounds
+    factors[over] = bounds[over] / norms[over]
+    return values * np.repeat(factors, np.diff(starts))
 
 
 def dense_laplace_noise(scale_b, seed, shape) -> np.ndarray:
@@ -129,10 +146,10 @@ def exact_quantile(values, q: float) -> float:
     are <= x.  The rank is computed with exact rational arithmetic so the
     result of e.g. q=0.95, n=100 does not depend on the rounding of q * n.
     """
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
+    ordered = np.sort(np.asarray(values, dtype=float))
+    if not ordered.size:
         raise ValueError("exact_quantile needs a non-empty input")
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0, 1), got {q}")
-    rank = math.ceil(Fraction(q) * len(ordered))
-    return ordered[max(rank, 1) - 1]
+    rank = math.ceil(Fraction(q) * ordered.size)
+    return float(ordered[max(rank, 1) - 1])

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import ground_truth
+from .datagen import GroundTruth, ground_truth
 from .dp_core import derive_seed
 from .mechanisms import finish_release, fit_clip, fit_scales, prepare_release
 from .schema import (
-    Cell,
     ConfigError,
     Dimensions,
     MECHANISM_KINDS,
@@ -29,7 +28,6 @@ from .schema import (
     NUM_TRIPS,
     MechanismConfig,
     ScaleMatrix,
-    SparseHistogram,
     WeekDataset,
 )
 
@@ -70,43 +68,42 @@ class ScoringPlan:
     devices: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, truth: SparseHistogram, devices: dict[Cell, int],
-              min_devices: int) -> "ScoringPlan":
+    def build(cls, truth: GroundTruth, min_devices: int) -> "ScoringPlan":
         """Eligible cells have at least ``min_devices`` contributing devices and
         a strictly positive true value; true-zero cells are excluded since
         their relative error is undefined.
 
         The weights come from the true trip counts and are shared by all three
         metrics; within one region they sum to 1 before eligibility filtering.
+        Each region's total adds its trip-count cells in truth order.
         """
-        counts: dict[tuple[int, int, int], float] = {}
-        region_totals: dict[int, float] = {}
-        for (a, m, r, d), value in truth.cells.items():
-            if m != NUM_TRIPS:
-                continue
-            counts[(r, d, a)] = counts.get((r, d, a), 0.0) + value
-            region_totals[r] = region_totals.get(r, 0.0) + value
-        weights = {
-            key: value / region_totals[key[0]]
-            for key, value in counts.items() if region_totals[key[0]] > 0
-        }
-        columns = tuple(([], [], [], []) for _ in METRIC_NAMES)
-        for (a, m, r, d), true_value in truth.cells.items():
-            count = devices.get((a, m, r, d), 0)
-            if true_value <= 0 or count < min_devices:
-                continue
-            flat, values, cell_weights, cell_devices = columns[m]
-            flat.append(truth.dims.cell_index(a, m, r, d))
-            values.append(true_value)
-            cell_weights.append(weights.get((r, d, a), 0.0))
-            cell_devices.append(count)
+        dims = truth.dims
+        slice_cells = dims.num_regions * 3
+        # n_{r,d,a}: the true value of the cell's num_trips cell, which
+        # sorts at or before it
+        key = truth.flat - truth.flat // slice_cells % 3 * slice_cells
+        at = np.searchsorted(truth.flat, key)
+        counts = np.where(truth.flat[at] == key, truth.totals[at], 0.0)[truth.order]
+        flat, totals, devices = (column[truth.order] for column in (
+            truth.flat, truth.totals, truth.devices))
+        metric = flat // slice_cells % 3
+        region = flat // 3 % dims.num_regions
+        trips = metric == NUM_TRIPS
+        region_totals = np.bincount(region[trips], weights=totals[trips],
+                                    minlength=dims.num_regions)
+        per_region = region_totals[region]
+        weights = np.zeros(flat.size)
+        has_trips = per_region > 0
+        weights[has_trips] = counts[has_trips] / per_region[has_trips]
+        eligible = (totals > 0) & (devices >= min_devices)
+        picks = [np.flatnonzero(eligible & (metric == m)) for m in range(len(METRIC_NAMES))]
         return cls(
-            dims=truth.dims,
+            dims=dims,
             min_devices=min_devices,
-            flat=tuple(np.array(col[0], dtype=np.int64) for col in columns),
-            truth=tuple(np.array(col[1], dtype=float) for col in columns),
-            weights=tuple(np.array(col[2], dtype=float) for col in columns),
-            devices=tuple(np.array(col[3], dtype=np.int64) for col in columns),
+            flat=tuple(flat[pick] for pick in picks),
+            truth=tuple(totals[pick] for pick in picks),
+            weights=tuple(weights[pick] for pick in picks),
+            devices=tuple(devices[pick] for pick in picks),
         )
 
 
@@ -314,7 +311,7 @@ def sweep(
         raise ConfigError(f"threshold_tau must be finite and >= 0, got {tau!r}")
 
     fitted = fit_hyperparameters(proxy, dims, fit_q)
-    plan = ScoringPlan.build(*ground_truth(data, dims), min_devices)
+    plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
     rows = []
     for kind in mechanisms:
         prepared = prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)

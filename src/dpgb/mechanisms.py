@@ -24,16 +24,15 @@ import numpy as np
 
 from .aggregation import noise_descale_threshold, secure_sum
 from .client import client_work
-from .dp_core import PrivacyLedger, clip_l1, exact_quantile
+from .dp_core import PrivacyLedger, exact_quantile, l1_norms
 from .schema import (
     ConfigError,
     Dimensions,
     METRIC_NAMES,
     MechanismConfig,
     ScaleMatrix,
-    SparseHistogram,
     WeekDataset,
-    user_histogram,
+    user_cells,
 )
 
 
@@ -81,13 +80,10 @@ def prepare_activity_metric_scaling(
     data: WeekDataset, scales: ScaleMatrix, clip: float, dims: Dimensions,
     *, kind: str = "activity_metric_scaling",
 ) -> PreparedRelease:
-    if scales.num_activities != dims.num_activities:
-        raise ConfigError("scale matrix does not match dimensions")
     return PreparedRelease(
         mechanism_kind=kind,
         dims=dims,
-        pre_noise_dense=secure_sum(
-            (client_work(records, scales, clip, dims) for _, records in data.users), dims),
+        pre_noise_dense=secure_sum(client_work(data, scales, clip, dims), dims),
         slice_scales=scales.entries,
         noise_units=np.full(scales.entries.shape, float(clip)),
         charge_fractions=(("laplace_noise", 1.0),),
@@ -101,34 +97,16 @@ def prepare_joint_clipping(data: WeekDataset, clip: float, dims: Dimensions) -> 
         data, ScaleMatrix.ones(dims.num_activities), clip, dims, kind="joint_clipping")
 
 
-def _clip_slices(hist: SparseHistogram, clips: list[list[float]]) -> SparseHistogram:
-    """Clip each (activity, metric) slice of one user's vector to its own bound."""
-    slices: dict[tuple[int, int], dict] = {}
-    for cell, value in hist.cells.items():
-        slices.setdefault(cell[:2], {})[cell] = value
-    merged: dict = {}
-    for (a, m), cells in slices.items():
-        merged.update(clip_l1(SparseHistogram(hist.dims, cells), clips[a][m]).cells)
-    return SparseHistogram(hist.dims, merged)
-
-
 def prepare_budget_split(data: WeekDataset, clips, dims: Dimensions) -> PreparedRelease:
     """Per-(activity, metric) slices, each clipped to its own bound.
 
     The split count generalizes to num_activities * 3; each slice's noise
     scale at budget eps is clips(a, m) * split_count / eps.  Every cell
-    belongs to one slice, so a user's clipped slices merge into one vector.
+    belongs to one slice, so a user's clipped slices form one vector.
     """
     clips = np.asarray(clips, dtype=float)
-    if clips.shape != (dims.num_activities, 3):
-        raise ConfigError(
-            f"clip grid must have shape ({dims.num_activities}, 3), got {clips.shape}")
-    if not np.all(np.isfinite(clips)) or not np.all(clips > 0):
-        raise ConfigError("clip grid entries must be finite and strictly positive")
-
     split_count = dims.num_activities * 3
     ones = ScaleMatrix.ones(dims.num_activities)
-    bounds = clips.tolist()
     charges = tuple(
         (f"slice_a{a}_{METRIC_NAMES[m]}", 1.0 / split_count)
         for a in range(dims.num_activities) for m in range(3)
@@ -136,9 +114,7 @@ def prepare_budget_split(data: WeekDataset, clips, dims: Dimensions) -> Prepared
     return PreparedRelease(
         mechanism_kind="budget_split",
         dims=dims,
-        pre_noise_dense=secure_sum(
-            (_clip_slices(user_histogram(records, dims, ones), bounds)
-             for _, records in data.users), dims),
+        pre_noise_dense=secure_sum(client_work(data, ones, clips, dims), dims),
         slice_scales=ones.entries,
         noise_units=clips * split_count,
         charge_fractions=charges,
@@ -210,31 +186,33 @@ def fit_scales(data: WeekDataset, dims: Dimensions, q: float = 0.95) -> ScaleMat
 
     Users with a zero slice are excluded from that slice's quantile (a user
     who never cycles should not drag the cycling scale toward zero); slices
-    nobody populates default to 1 so descaling stays defined.
+    nobody populates default to 1 so descaling stays defined.  A slice norm
+    adds the user's cells in the order of their first addend.
     """
     if not 0 < q < 1:
         raise ConfigError(f"q must be in (0, 1), got {q}")
-    norms: dict[tuple[int, int], list[float]] = {}
-    ones = ScaleMatrix.ones(dims.num_activities)
-    for _, records in data.users:
-        hist = user_histogram(records, dims, ones)
-        per_slice: dict[tuple[int, int], float] = {}
-        for (a, m, _, _), value in hist.cells.items():
-            per_slice[(a, m)] = per_slice.get((a, m), 0.0) + abs(value)
-        for key, norm in per_slice.items():
-            norms.setdefault(key, []).append(norm)
-    entries = np.ones((dims.num_activities, 3))
-    for (a, m), values in norms.items():
-        entries[a, m] = exact_quantile(values, q)
-    return ScaleMatrix(entries)
+    num_slices = dims.num_activities * 3
+    slices, norms = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for rows in user_cells(data, dims, ScaleMatrix.ones(dims.num_activities)):
+        order = np.argsort(rows.first, kind="stable")
+        key = rows.user[order] * num_slices + rows.cell[order] // (dims.num_regions * 3)
+        keys, inverse = np.unique(key, return_inverse=True)
+        slices.append(keys % num_slices)
+        norms.append(np.bincount(inverse, weights=np.abs(rows.value[order])))
+    slices, norms = np.concatenate(slices), np.concatenate(norms)
+    entries = np.ones(num_slices)
+    for s in np.unique(slices).tolist():
+        entries[s] = exact_quantile(norms[slices == s], q)
+    return ScaleMatrix(entries.reshape(-1, 3))
 
 
 def fit_clip(data: WeekDataset, scales: ScaleMatrix, dims: Dimensions, q: float = 0.95) -> float:
-    """Quantile of per-user scaled pre-clip norms ||v_i||_1."""
-    if not data.users:
+    """Quantile of per-user scaled pre-clip norms ||v_i||_1, users with no
+    records included."""
+    if not data.num_users:
         raise ConfigError("fit_clip needs a non-empty dataset")
-    norms = [user_histogram(records, dims, scales).l1_norm() for _, records in data.users]
-    return exact_quantile(norms, q)
+    return exact_quantile(np.concatenate(
+        [l1_norms(rows.value, rows.starts) for rows in user_cells(data, dims, scales)]), q)
 
 
 def manifest_line(result: ReleaseResult) -> str:

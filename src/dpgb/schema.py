@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -87,163 +89,126 @@ class Dimensions:
         a, m = divmod(flat, 3)
         return (a, m, r, d)
 
-    def check_cell(self, cell: Cell) -> None:
-        a, m, r, d = cell
-        self.cell_index(a, m, r, d)
 
-
-@dataclass(frozen=True)
-class TripRecord:
-    """One trip: where it happened, how it was taken, how far and how long."""
-
-    region: int
-    activity: int
-    direction: int
-    distance_km: float
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.region < 0 or self.activity < 0 or self.direction < 0:
-            raise ValueError(f"negative index in {self}")
-        if not (math.isfinite(self.distance_km) and self.distance_km >= 0):
-            raise ValueError(f"distance_km must be finite and >= 0, got {self.distance_km}")
-        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
-            raise ValueError(f"duration_s must be finite and >= 0, got {self.duration_s}")
-
-    def validate(self, dims: Dimensions) -> None:
-        if (self.region >= dims.num_regions or self.activity >= dims.num_activities
-                or self.direction >= 3):
-            raise ValueError(f"record {self} out of bounds for {dims}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeekDataset:
-    """One week of trips, held per user.
+    """One week of trips as columns, grouped by user.
 
-    ``week_id`` is an opaque label.  ``users`` is an ordered sequence of
-    (user_id, records) pairs; the order is the canonical reduction order for
-    every aggregation, so runs are reproducible.
+    ``week_id`` is an opaque label.  User i is ``user_ids[i]`` and holds the
+    records ``offsets[i]:offsets[i + 1]`` of the region, activity, direction,
+    distance_km and duration_s columns; a user may hold none.  User order is
+    the canonical reduction order for every aggregation, so runs are
+    reproducible.
     """
 
     week_id: str
-    users: tuple[tuple[str, tuple[TripRecord, ...]], ...]
+    user_ids: tuple[str, ...]
+    offsets: np.ndarray
+    region: np.ndarray
+    activity: np.ndarray
+    direction: np.ndarray
+    distance_km: np.ndarray
+    duration_s: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = [uid for uid, _ in self.users]
-        if len(ids) != len(set(ids)):
+        if len(set(self.user_ids)) != len(self.user_ids):
             raise ConfigError(f"duplicate user_id in dataset {self.week_id!r}")
-
-    @classmethod
-    def build(cls, week_id: str, users) -> "WeekDataset":
-        return cls(week_id, tuple((uid, tuple(records)) for uid, records in users))
+        for name, dtype in (("offsets", np.int64), ("region", np.int64),
+                            ("activity", np.int64), ("direction", np.int64),
+                            ("distance_km", float), ("duration_s", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        columns = (self.region, self.activity, self.direction, self.distance_km, self.duration_s)
+        n, offsets = self.region.size, self.offsets
+        if (offsets.shape != (len(self.user_ids) + 1,) or offsets[0] != 0 or offsets[-1] != n
+                or np.any(np.diff(offsets) < 0) or any(col.shape != (n,) for col in columns)):
+            raise ValueError("the offsets must rise from 0 to the length of every record column")
+        negative = (self.region < 0) | (self.activity < 0) | (self.direction < 0)
+        bad_distance = ~(np.isfinite(self.distance_km) & (self.distance_km >= 0))
+        bad_duration = ~(np.isfinite(self.duration_s) & (self.duration_s >= 0))
+        bad = np.flatnonzero(negative | bad_distance | bad_duration)
+        if bad.size:  # the first bad record, its first failed check
+            i = bad[0]
+            if negative[i]:
+                raise ValueError(f"negative index in record (region={self.region[i]}, "
+                                 f"activity={self.activity[i]}, direction={self.direction[i]})")
+            name, value = (("distance_km", self.distance_km[i]) if bad_distance[i]
+                           else ("duration_s", self.duration_s[i]))
+            raise ValueError(f"{name} must be finite and >= 0, got {float(value)}")
 
     @property
     def num_users(self) -> int:
-        return len(self.users)
+        return len(self.user_ids)
 
     @property
     def num_records(self) -> int:
-        return sum(len(records) for _, records in self.users)
+        return int(self.region.size)
 
 
-@dataclass(frozen=True)
-class SparseHistogram:
-    """Map from (activity, metric, region, direction) cells to real values.
+class UserCells(NamedTuple):
+    """The per-user vectors of one block of whole users, as rows.
 
-    An absent cell is zero; constructors drop explicit zeros.  The plain
-    constructor trusts its input; use :meth:`from_cells` for validated data.
-    Instances are treated as immutable values.
+    One row per (user, cell) with a nonzero value, sorted by user and then
+    by cell.  ``first`` orders a user's rows by the position of the first
+    addend to each cell in the block's records; ``starts`` holds, for each
+    user of the block in turn and then for its end, the first row of that
+    user, so user k of the block owns rows ``starts[k]:starts[k + 1]``.
     """
 
-    dims: Dimensions
-    cells: dict[Cell, float]
-
-    @classmethod
-    def empty(cls, dims: Dimensions) -> "SparseHistogram":
-        return cls(dims, {})
-
-    @classmethod
-    def from_cells(cls, dims: Dimensions, cells) -> "SparseHistogram":
-        out: dict[Cell, float] = {}
-        for cell, value in dict(cells).items():
-            key = (int(cell[0]), int(cell[1]), int(cell[2]), int(cell[3]))
-            dims.check_cell(key)
-            v = float(value)
-            if v != 0.0:
-                out[key] = v
-        return cls(dims, out)
-
-    def get(self, cell: Cell) -> float:
-        return self.cells.get(cell, 0.0)
-
-    def l1_norm(self) -> float:
-        # fsum keeps the norm invariant to cell insertion order
-        return math.fsum(abs(v) for v in self.cells.values())
-
-    def scale(self, factor: float) -> "SparseHistogram":
-        if factor == 1.0:
-            return self
-        return SparseHistogram(
-            self.dims, {c: v * factor for c, v in self.cells.items() if v * factor != 0.0}
-        )
-
-    def add(self, other: "SparseHistogram") -> "SparseHistogram":
-        if other.dims != self.dims:
-            raise ValueError("cannot merge histograms with different dimensions")
-        merged = dict(self.cells)
-        for cell, value in other.cells.items():
-            new = merged.get(cell, 0.0) + value
-            if new == 0.0:
-                merged.pop(cell, None)
-            else:
-                merged[cell] = new
-        return SparseHistogram(self.dims, merged)
-
-    __add__ = add
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dims.total_cells)
-        for (a, m, r, d), value in self.cells.items():
-            dense[self.dims.cell_index(a, m, r, d)] = value
-        return dense
-
-    def allclose(self, other: "SparseHistogram", rel_tol: float = 1e-9,
-                 abs_tol: float = 0.0) -> bool:
-        if other.dims != self.dims:
-            return False
-        for cell in self.cells.keys() | other.cells.keys():
-            if not math.isclose(self.get(cell), other.get(cell),
-                                rel_tol=rel_tol, abs_tol=abs_tol):
-                return False
-        return True
-
-    def __len__(self) -> int:
-        return len(self.cells)
+    user: np.ndarray
+    cell: np.ndarray
+    value: np.ndarray
+    first: np.ndarray
+    starts: np.ndarray
 
 
-def user_histogram(records, dims: Dimensions, scales: ScaleMatrix) -> SparseHistogram:
-    """One user's scaled aggregate: per record, 1/S(a, num_trips),
-    distance/S(a, distance) and duration/S(a, duration) accumulate into the
-    record's cells.  With ``ScaleMatrix.ones`` this is the raw aggregate.
+# records per block of whole users that user_cells turns into rows at once
+_BLOCK_RECORDS = 1 << 15
 
-    A record outside ``dims`` raises ValueError, so every mechanism fails the
-    same way on out-of-domain input.
+
+def user_cells(data: WeekDataset, dims: Dimensions, scales: ScaleMatrix) -> Iterator[UserCells]:
+    """Each user's scaled vector, in blocks of whole users in user order.
+
+    A record adds 1/S(a, num_trips), distance/S(a, distance) and
+    duration/S(a, duration) to its three cells; with ``ScaleMatrix.ones``
+    the rows are the raw aggregate.  A cell's addends are summed in record
+    order, and cells that sum to zero get no row.
+
+    A record outside ``dims`` raises ValueError, so every mechanism fails
+    the same way on out-of-domain input.
     """
     if scales.num_activities != dims.num_activities:
         raise ConfigError("scale matrix does not match dimensions")
-    factors = scales.entries.tolist()
-    cells: dict[Cell, float] = {}
-    for rec in records:
-        rec.validate(dims)
-        a, r, d = rec.activity, rec.region, rec.direction
-        s_trips, s_dist, s_dur = factors[a]
-        base = (a, NUM_TRIPS, r, d)
-        cells[base] = cells.get(base, 0.0) + 1.0 / s_trips
-        dist = (a, DISTANCE, r, d)
-        cells[dist] = cells.get(dist, 0.0) + rec.distance_km / s_dist
-        dur = (a, DURATION, r, d)
-        cells[dur] = cells.get(dur, 0.0) + rec.duration_s / s_dur
-    return SparseHistogram(dims, {c: v for c, v in cells.items() if v != 0.0})
+    return _user_cell_blocks(data, dims, scales.entries)
+
+
+def _user_cell_blocks(data: WeekDataset, dims: Dimensions, entries: np.ndarray):
+    offsets = data.offsets
+    slice_cells = dims.num_regions * 3
+    metric_shift = np.arange(3) * slice_cells
+    marks = np.searchsorted(offsets, np.arange(0, offsets[-1], _BLOCK_RECORDS), side="right") - 1
+    edges = np.unique(np.concatenate(([0], marks, [data.num_users]))).tolist()
+    for u0, u1 in zip(edges, edges[1:]):
+        lo, hi = int(offsets[u0]), int(offsets[u1])
+        a, r, d = data.activity[lo:hi], data.region[lo:hi], data.direction[lo:hi]
+        out = np.flatnonzero((a >= dims.num_activities) | (r >= dims.num_regions) | (d >= 3))
+        if out.size:
+            i = out[0]
+            raise ValueError(f"record (region={r[i]}, activity={a[i]}, direction={d[i]}) "
+                             f"out of bounds for {dims}")
+        # three addends per record, record-major: num_trips, distance, duration
+        cells = ((a * 3 * slice_cells + r * 3 + d)[:, None] + metric_shift).reshape(-1)
+        magnitudes = np.stack(
+            (np.ones(hi - lo), data.distance_km[lo:hi], data.duration_s[lo:hi]), axis=1)
+        addends = (magnitudes / entries[a]).reshape(-1)
+        owner = np.repeat(np.arange(u1 - u0), 3 * np.diff(offsets[u0:u1 + 1]))
+        keys, first, inverse = np.unique(
+            owner * dims.total_cells + cells, return_index=True, return_inverse=True)
+        sums = np.bincount(inverse, weights=addends)  # adds in record order
+        keep = sums != 0.0
+        keys = keys[keep]
+        user = keys // dims.total_cells + u0
+        yield UserCells(user, keys % dims.total_cells, sums[keep], first[keep],
+                        np.searchsorted(user, np.arange(u0, u1 + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,15 +232,6 @@ class ScaleMatrix:
     @property
     def num_activities(self) -> int:
         return int(self.entries.shape[0])
-
-    def factor(self, activity: int, metric: int) -> float:
-        return float(self.entries[activity, metric])
-
-    def per_cell(self, dims: Dimensions) -> np.ndarray:
-        """Expand to one factor per flat cell, in cell_index order."""
-        if dims.num_activities != self.num_activities:
-            raise ConfigError("scale matrix does not match dimensions")
-        return np.repeat(self.entries.reshape(-1), dims.num_regions * 3)
 
     def is_ones(self) -> bool:
         return bool(np.all(self.entries == 1.0))
@@ -420,37 +376,72 @@ def write_mechanism_config(path, config: MechanismConfig) -> None:
 
 
 def write_records_csv(path, data: WeekDataset) -> None:
+    owners = np.repeat(np.array(data.user_ids, dtype=object), np.diff(data.offsets))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_CSV_HEADER)
-        for uid, records in data.users:
-            for rec in records:
-                writer.writerow(
-                    [uid, rec.region, rec.activity, rec.direction, rec.distance_km, rec.duration_s])
+        writer.writerows(zip(owners.tolist(), data.region.tolist(), data.activity.tolist(),
+                             data.direction.tolist(), data.distance_km.tolist(),
+                             data.duration_s.tolist()))
+
+
+_RECORD_DTYPE = np.dtype([("user_id", object), ("region", np.int64), ("activity", np.int64),
+                          ("direction", np.int64), ("distance_km", float), ("duration_s", float)])
 
 
 def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
-    """Read trips grouped by user, in order of first appearance."""
-    users: dict[str, list[TripRecord]] = {}
+    """Read trips grouped by user, users in order of first appearance and
+    each user's records in file order.
+
+    One ``np.loadtxt`` pass parses the file.  If a row does not parse or
+    fails the record checks, the file is read again with ``csv`` to name
+    the first bad line and what is wrong with it.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+    if header != RECORD_CSV_HEADER:
+        raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # older numpy only warns, then truncates, when an index reads as a float
+            warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                    DeprecationWarning)
+            table = np.loadtxt(path, dtype=_RECORD_DTYPE, delimiter=",", skiprows=1,
+                               quotechar='"', comments=None, ndmin=1, encoding="utf-8")
+        index: dict[str, int] = {}
+        owner = np.fromiter((index.setdefault(uid, len(index)) for uid in table["user_id"]),
+                            dtype=np.int64, count=table.size)
+        table["user_id"] = None  # the dataset keeps one string per user, not per row
+        columns = [table[name] for name in RECORD_CSV_HEADER[1:]]
+        if np.any(owner[1:] < owner[:-1]):  # users interleaved: group them, stably
+            order = np.argsort(owner, kind="stable")
+            columns = [col[order] for col in columns]
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(index)))))
+        return WeekDataset(week_id if week_id is not None else Path(path).stem,
+                           tuple(index), offsets, *columns)
+    except ValueError as exc:
+        raise _bad_row_error(path, f"{path}: {exc}") from None
+
+
+def _bad_row_error(path, fallback: str) -> ConfigError:
+    """The error naming the first bad row of a records file as
+    ``path:lineno: message``, lines counted as csv rows; ``fallback`` when
+    every row passes Python's own int() and float() and the record checks."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RECORD_CSV_HEADER:
-            raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
+        next(reader, None)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 6:
-                raise ConfigError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:
-                rec = TripRecord(
-                    region=int(row[1]), activity=int(row[2]), direction=int(row[3]),
-                    distance_km=float(row[4]), duration_s=float(row[5]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            users.setdefault(row[0], []).append(rec)
-    label = week_id if week_id is not None else Path(path).stem
-    return WeekDataset.build(label, users.items())
+                return ConfigError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+            try:  # the row as a one-record dataset, for the same checks
+                WeekDataset("", ("",), [0, 1], [int(row[1])], [int(row[2])], [int(row[3])],
+                            [float(row[4])], [float(row[5])])
+            except (ValueError, OverflowError) as exc:
+                return ConfigError(f"{path}:{lineno}: {exc}")
+    return ConfigError(fallback)
 
 
 # cells per block of the dense vector the histogram writer converts at once
@@ -522,10 +513,9 @@ def infer_dimensions(datasets, *, num_activities: int = 0, num_regions: int = 0)
         return Dimensions(num_activities=num_activities, num_regions=num_regions)
     max_a, max_r = 0, 0
     for data in datasets:
-        for _, records in data.users:
-            for rec in records:
-                max_a = max(max_a, rec.activity + 1)
-                max_r = max(max_r, rec.region + 1)
+        if data.num_records:
+            max_a = max(max_a, int(data.activity.max()) + 1)
+            max_r = max(max_r, int(data.region.max()) + 1)
     return Dimensions(
         num_activities=num_activities if num_activities > 0 else max(max_a, 1),
         num_regions=num_regions if num_regions > 0 else max(max_r, 1),

@@ -4,11 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # wre_oracle import
+sys.path.insert(0, str(Path(__file__).parent))  # wre_oracle, sparse_reference imports
 
-from dpgb.schema import (
-    Dimensions, ScaleMatrix, SparseHistogram, TripRecord, WeekDataset, user_histogram,
-)
+from dpgb.schema import Dimensions
+from sparse_reference import SparseHistogram, TripRecord, make_dataset, raw_histogram  # noqa: F401
 
 
 @pytest.fixture
@@ -32,11 +31,6 @@ def random_histogram(rng, dims, max_cells=8, magnitude=10.0):
     return SparseHistogram(dims, cells)
 
 
-def raw_histogram(records, dims):
-    """A user's unscaled aggregate: +1 trip, +distance, +duration per record."""
-    return user_histogram(records, dims, ScaleMatrix.ones(dims.num_activities))
-
-
 def random_records(rng, dims, n):
     return [
         TripRecord(
@@ -55,4 +49,9 @@ def random_dataset(rng, dims, num_users, max_records=12, week_id="test-week"):
     for i in range(num_users):
         n = int(rng.integers(0, max_records + 1))
         users.append((f"u{i:04d}", tuple(random_records(rng, dims, n))))
-    return WeekDataset(week_id, tuple(users))
+    return make_dataset(week_id, users)
+
+
+def one_user(records, week_id="w"):
+    """A one-user dataset holding ``records``."""
+    return make_dataset(week_id, [("u", records)])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dpgb.cli import EXIT_OK, main
-from dpgb.datagen import GeneratorSpec, generate, ground_truth, proxy_pair
+from dpgb.datagen import GeneratorSpec, proxy_pair
 from dpgb.dp_core import clip_l1, dense_laplace_noise
 from dpgb.evaluation import (
     DEFAULT_EPSILON_GRID,
@@ -28,14 +28,15 @@ from dpgb.mechanisms import (
     prepare_budget_split,
     prepare_joint_clipping,
 )
-from dpgb.schema import (
-    Dimensions,
-    ScaleMatrix,
+from dpgb.schema import Dimensions, ScaleMatrix, write_records_csv
+from conftest import random_dataset, raw_histogram
+from sparse_reference import (
     SparseHistogram,
-    WeekDataset,
-    write_records_csv,
+    as_ground_truth,
+    make_dataset,
+    users_of,
 )
-from conftest import random_dataset, random_histogram, raw_histogram
+from sparse_reference import clip_l1 as reference_clip_l1
 from wre_oracle import brute_force_wre
 
 DESK_SEED = 42
@@ -54,14 +55,13 @@ def desk():
     """Default desk dataset pair: 10^4 users, 100 regions, heavy tails, outliers."""
     spec = GeneratorSpec.default(num_users=10_000, num_regions=100, seed=DESK_SEED)
     data, proxy = proxy_pair(spec)
-    truth, devices = ground_truth(data, spec.dims)
-    return spec, data, proxy, truth, devices
+    return spec, data, proxy
 
 
 @pytest.fixture(scope="module")
 def shared_sweep(desk):
     """One sweep over 5 budgets x 3 mechanisms x 20 seeds, timed."""
-    spec, data, proxy, _, _ = desk
+    spec, data, proxy = desk
     start = time.perf_counter()
     result = sweep(data, proxy, (0.5, 1.0, 2.0, 4.0, 8.0), MECHANISMS, 20,
                    SWEEP_SEED, spec.dims, min_devices=20)
@@ -70,26 +70,25 @@ def shared_sweep(desk):
 
 
 def test_criterion_1_clip_contract(rng):
-    dims = Dimensions(num_activities=2, num_regions=3)
-    cell_pool = [(a, m, r, d) for a in range(2) for m in range(3)
-                 for r in range(3) for d in range(3)][:6]
+    # 10^5 random (v, C) pairs, clipped at once as runs of one vector
     n_pairs = 100_000
     counts = rng.integers(0, 7, size=n_pairs)
-    values = rng.lognormal(1.0, 2.5, size=(n_pairs, 6))
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    values = rng.lognormal(1.0, 2.5, size=int(starts[-1]))
     clips = rng.lognormal(1.0, 2.0, size=n_pairs)
 
     start = time.perf_counter()
-    bound_violations = identity_violations = 0
-    for i in range(n_pairs):
-        cells = {cell_pool[j]: float(values[i, j]) for j in range(counts[i])}
-        v = SparseHistogram(dims, cells)
-        c = float(clips[i])
-        clipped = clip_l1(v, c)
-        if clipped.l1_norm() > c * (1 + 1e-9):
-            bound_violations += 1
-        if v.l1_norm() <= c and clipped.cells != v.cells:
-            identity_violations += 1
+    clipped = clip_l1(values, starts, clips)
     elapsed = time.perf_counter() - start
+    bound_violations = identity_violations = 0
+    edges = starts.tolist()
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        c = float(clips[i])
+        if math.fsum(np.abs(clipped[lo:hi]).tolist()) > c * (1 + 1e-9):
+            bound_violations += 1
+        if (math.fsum(values[lo:hi].tolist()) <= c
+                and clipped[lo:hi].tobytes() != values[lo:hi].tobytes()):
+            identity_violations += 1
 
     ok = bound_violations == 0 and identity_violations == 0 and elapsed < 5.0
     assert report_line(1, ok,
@@ -116,8 +115,8 @@ def test_criterion_3_sensitivity(rng):
     for trial in range(100):
         base = random_dataset(rng, dims, int(rng.integers(4, 12)), max_records=8,
                               week_id=f"pair{trial}")
-        extra_records = tuple(random_dataset(rng, dims, 1, max_records=10).users[0][1])
-        grown = WeekDataset(base.week_id, base.users + (("added-user", extra_records),))
+        extra_records = users_of(random_dataset(rng, dims, 1, max_records=10))[0][1]
+        grown = make_dataset(base.week_id, users_of(base) + (("added-user", extra_records),))
         clip = float(rng.lognormal(1.0, 1.0))
         clips = np.exp(rng.normal(0.5, 0.8, size=(3, 3)))
         scales = ScaleMatrix(np.exp(rng.normal(0, 1, size=(3, 3))))
@@ -170,12 +169,13 @@ def test_criterion_5_pipeline_identities(rng):
     dims = Dimensions(num_activities=4, num_regions=6)
     data = random_dataset(rng, dims, 50)
     ones = ScaleMatrix.ones(4)
-    raw_norms = [raw_histogram(recs, dims).l1_norm() for _, recs in data.users]
+    raw_norms = [raw_histogram(recs, dims).l1_norm() for _, recs in users_of(data)]
     clip = float(np.median([n for n in raw_norms if n > 0]))  # clipping really bites
 
     exact = finish_release(prepare_joint_clipping(data, clip, dims), 1.0, 0.0, 5, test_mode=True)
     expected = reduce(lambda x, y: x.add(y),
-                      [clip_l1(raw_histogram(recs, dims), clip) for _, recs in data.users],
+                      [reference_clip_l1(raw_histogram(recs, dims), clip)
+                       for _, recs in users_of(data)],
                       SparseHistogram.empty(dims))
     identity_a = np.array_equal(exact.released, expected.to_dense())
 
@@ -194,7 +194,7 @@ def test_criterion_6_thresholding_tail():
     # probability exp(-3)/2
     regions = 1235  # 9 * 3 * 1235 * 3 = 100,035 true-zero cells
     dims = Dimensions(num_activities=9, num_regions=regions)
-    prep = prepare_joint_clipping(WeekDataset("empty", ()), 10.0, dims)
+    prep = prepare_joint_clipping(make_dataset("empty", []), 10.0, dims)
     result = finish_release(prep, 2.0, 3.0, 77)
     fraction = np.count_nonzero(result.released) / dims.total_cells
     expected = 0.5 * math.exp(-3.0)
@@ -263,7 +263,7 @@ def test_criterion_10_evaluation_oracle(rng):
         truth = SparseHistogram(dims, truth_cells)
         released = SparseHistogram(dims, released_cells)
         report = weighted_relative_error(
-            ScoringPlan.build(truth, devices, min_devices), released.to_dense())
+            ScoringPlan.build(as_ground_truth(truth, devices), min_devices), released.to_dense())
         expected = brute_force_wre(dims, truth_cells, devices, released_cells, min_devices)
         for m, name in enumerate(METRICS):
             if expected[m] is None:
@@ -277,7 +277,7 @@ def test_criterion_10_evaluation_oracle(rng):
 
 
 def test_criterion_11_end_to_end_sweep(desk, tmp_path):
-    _, data, proxy, _, _ = desk
+    _, data, proxy = desk
     data_path, proxy_path = tmp_path / "data.csv", tmp_path / "proxy.csv"
     write_records_csv(data_path, data)
     write_records_csv(proxy_path, proxy)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from dpgb.datagen import generate, read_generator_spec
-from dpgb.evaluation import run_seed
+from dpgb.datagen import generate, ground_truth, read_generator_spec
+from dpgb.dp_core import dense_laplace_noise
+from dpgb.evaluation import ScoringPlan, run_seed
 from dpgb.mechanisms import fit_clip, fit_scales
 from dpgb.schema import (
     Dimensions,
@@ -16,6 +19,13 @@ from dpgb.schema import (
 
 
 GEN_CFG = "num_users = 120\nnum_regions = 6\nseed = 4\ntrips_per_user = 6.0\n"
+
+
+def dense_truth(truth):
+    """The exact totals as a dense vector in cell_index order."""
+    dense = np.zeros(truth.dims.total_cells)
+    dense[truth.flat] = truth.totals
+    return dense
 
 
 @pytest.fixture
@@ -166,9 +176,8 @@ class TestEval:
         from dpgb.schema import write_histogram_csv
         data = read_records_csv(data_path)
         dims = Dimensions(num_activities=9, num_regions=6)
-        truth, _ = ground_truth(data, dims)
         released_path = tmp_path / "truth.csv"
-        write_histogram_csv(released_path, truth.to_dense(), dims)
+        write_histogram_csv(released_path, dense_truth(ground_truth(data, dims)), dims)
         out_dir = tmp_path / "eval"
         assert main(["eval", "--data", str(data_path), "--released", str(released_path),
                      "--out", str(out_dir), "--min-devices", "1",
@@ -183,9 +192,8 @@ class TestEval:
         from dpgb.schema import write_histogram_csv
         data = read_records_csv(data_path)
         dims = Dimensions(num_activities=9, num_regions=6)
-        truth, _ = ground_truth(data, dims)
         released_path = tmp_path / "truth.csv"
-        write_histogram_csv(released_path, truth.to_dense(), dims)
+        write_histogram_csv(released_path, dense_truth(ground_truth(data, dims)), dims)
         out_dir = tmp_path / "eval"
         assert main(["eval", "--data", str(data_path), "--released", str(released_path),
                      "--out", str(out_dir), "--min-devices", "100000"]) == EXIT_OK
@@ -197,9 +205,8 @@ class TestEval:
         from dpgb.schema import write_histogram_csv
         data = read_records_csv(data_path)
         dims = Dimensions(num_activities=9, num_regions=6)
-        truth, _ = ground_truth(data, dims)
         released_path = tmp_path / "truth.csv"
-        write_histogram_csv(released_path, truth.to_dense(), dims)
+        write_histogram_csv(released_path, dense_truth(ground_truth(data, dims)), dims)
         out_s = tmp_path / "eval_s"
         out_m = tmp_path / "eval_m"
         main(["eval", "--data", str(data_path), "--released", str(released_path),
@@ -242,8 +249,8 @@ class TestSweep:
         seed = run_seed(7, "joint_clipping", 2.0, 0)
         from dataclasses import replace
         result = run_release(replace(cfg, rng_seed=seed), data, dims)
-        truth, devices = ground_truth(data, dims)
-        report = weighted_relative_error(ScoringPlan.build(truth, devices, 5), result.released)
+        report = weighted_relative_error(ScoringPlan.build(ground_truth(data, dims), 5),
+                                         result.released)
         with open(out_dir / "sweep.csv", newline="") as fh:
             rows = {row["metric"]: float(row["wre"]) for row in csv.DictReader(fh)}
         for name, value in rows.items():
@@ -319,16 +326,23 @@ def test_dpgb_threads_env(workspace, monkeypatch):
     assert "threads = 2" in (out_dir / "manifest").read_text()
 
 
-def test_release_eval_sweep_build_no_sparse_release(workspace, monkeypatch):
-    """No command converts a whole-domain sparse histogram to the dense vector:
-    the pre-noise aggregate is summed densely and the release stays dense from
-    there to and from the CSV files."""
+def test_release_eval_sweep_build_no_sparse_release(workspace):
+    """The commands hold the data as columns and the truth as the cells some
+    user reached: at the production domain (4.05M cells, 32 MB per dense
+    vector), the ground truth and scoring plan of 120 users peak far below
+    one domain-sized vector."""
     tmp_path, _, data_path, proxy_path = workspace
-    from dpgb.schema import SparseHistogram
+    data = read_records_csv(data_path)
+    dims = Dimensions(num_activities=9, num_regions=50_000)
+    tracemalloc.start()
+    try:
+        plan = ScoringPlan.build(ground_truth(data, dims), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(flat.size for flat in plan.flat) > 0
+    assert peak < dims.total_cells * 8 / 16
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("SparseHistogram.to_dense called on a CLI path")
-    monkeypatch.setattr(SparseHistogram, "to_dense", refuse)
     sweep_dir = tmp_path / "s"
     assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                  "--out", str(sweep_dir), "--epsilons", "2.0", "--repeats", "2",
@@ -364,3 +378,33 @@ def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsy
                  "--out", str(out_dir), "--repeats", "1", "--threads", "1"] + flags) == EXIT_CONFIG
     assert named in capsys.readouterr().err
     assert not (out_dir / "sweep.csv").exists()
+
+
+def test_header_only_records(workspace, capsys):
+    """A records file with no rows releases pure noise, scores nothing, and
+    cannot be fitted on."""
+    tmp_path, _, data_path, _ = workspace
+    empty = tmp_path / "empty.csv"
+    empty.write_text("user_id,region,activity,direction,distance_km,duration_s\n")
+    dims = Dimensions(num_activities=2, num_regions=3)
+    cfg_path = tmp_path / "joint.cfg"
+    write_mechanism_config(cfg_path, MechanismConfig(
+        2.0, "joint_clipping", 1.0, ScaleMatrix.ones(2), 0.0, 5))
+    released = tmp_path / "released.csv"
+    assert main(["release", "--data", str(empty), "--config", str(cfg_path),
+                 "--out", str(released), "--num-regions", "3"]) == EXIT_OK
+    noise = dense_laplace_noise(1.0 / 2.0, 5, dims.total_cells)
+    assert np.array_equal(read_histogram_csv(released, dims), np.maximum(noise, 0.0))
+
+    out_dir = tmp_path / "eval"
+    assert main(["eval", "--data", str(empty), "--released", str(released),
+                 "--out", str(out_dir), "--num-activities", "2",
+                 "--num-regions", "3"]) == EXIT_OK
+    assert "no eligible cells" in (out_dir / "report.txt").read_text()
+
+    capsys.readouterr()
+    assert main(["sweep", "--data", str(data_path), "--proxy", str(empty),
+                 "--out", str(tmp_path / "s"), "--epsilons", "2.0", "--repeats", "1",
+                 "--threads", "1"]) == EXIT_CONFIG
+    assert "fit_clip needs a non-empty dataset" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "sweep.csv").exists()

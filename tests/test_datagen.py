@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpgb import schema
 from dpgb.datagen import (
     ActivityProfile,
     GeneratorSpec,
@@ -16,16 +17,14 @@ from dpgb.datagen import (
     read_generator_spec,
     _poisson_inverse,
 )
-from dpgb.schema import (
-    ConfigError,
-    Dimensions,
-    DISTANCE,
-    SparseHistogram,
+from dpgb.schema import ConfigError, Dimensions, write_records_csv
+from sparse_reference import (
     TripRecord,
-    WeekDataset,
-    write_records_csv,
+    make_dataset,
+    reference_ground_truth,
+    same_dataset,
+    users_of,
 )
-from conftest import raw_histogram
 
 
 def ks_distance(a, b):
@@ -75,21 +74,22 @@ class TestGenerate:
     def test_records_respect_dims(self):
         spec = small_spec()
         data = generate(spec)
-        for _, records in data.users:
-            for rec in records:
-                rec.validate(spec.dims)
+        assert data.num_records > 0
+        assert data.region.min() >= 0 and data.region.max() < spec.dims.num_regions
+        assert data.activity.min() >= 0 and data.activity.max() < spec.dims.num_activities
+        assert data.direction.min() >= 0 and data.direction.max() < 3
 
     def test_deterministic_bit_for_bit(self, tmp_path):
         spec = small_spec()
         a, b = generate(spec), generate(spec)
-        assert a == b
+        assert same_dataset(a, b)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(pa, a)
         write_records_csv(pb, b)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seeds_differ(self):
-        assert generate(small_spec()) != generate(replace(small_spec(), seed=6))
+        assert not same_dataset(generate(small_spec()), generate(replace(small_spec(), seed=6)))
 
     def test_degenerate_sigma_gives_exact_magnitudes(self):
         profiles = tuple(
@@ -99,7 +99,7 @@ class TestGenerate:
                        outlier_fraction=0.0)
         data = generate(spec)
         assert data.num_records > 0
-        for _, records in data.users:
+        for _, records in users_of(data):
             for rec in records:
                 profile = profiles[rec.activity]
                 assert rec.distance_km == math.exp(profile.distance_log_mean)
@@ -108,7 +108,7 @@ class TestGenerate:
     def test_activity_scales_span_orders_of_magnitude(self):
         data = generate(GeneratorSpec.default(num_users=3000, num_regions=20, seed=9))
         by_activity = {}
-        for _, records in data.users:
+        for _, records in users_of(data):
             for rec in records:
                 by_activity.setdefault(rec.activity, []).append(rec.distance_km)
         means = {a: np.mean(v) for a, v in by_activity.items() if len(v) > 20}
@@ -119,18 +119,18 @@ class TestGenerate:
         boosted = replace(base, outlier_fraction=0.5, outlier_multiplier=10.0)
         def max_user_distance(data):
             return max(
-                (max((r.distance_km for r in recs), default=0.0) for _, recs in data.users),
+                (max((r.distance_km for r in recs), default=0.0) for _, recs in users_of(data)),
                 default=0.0)
         assert max_user_distance(generate(boosted)) > max_user_distance(generate(base))
 
     def test_proxy_pair_marginals_match(self):
         spec = GeneratorSpec.default(num_users=10_000, num_regions=50, seed=31)
         data, proxy = proxy_pair(spec)
-        assert data != proxy
+        assert not same_dataset(data, proxy)
         for a in range(spec.dims.num_activities):
             def norms(ds):
                 out = []
-                for _, records in ds.users:
+                for _, records in users_of(ds):
                     total = math.fsum(r.distance_km for r in records if r.activity == a)
                     if total > 0:
                         out.append(total)
@@ -172,39 +172,53 @@ class TestPoissonInverse:
 
     def test_large_trips_per_user_spec(self):
         data = generate(small_spec(num_users=2, trips_per_user=20_000.0))
-        for _, records in data.users:
-            assert abs(len(records) - 20_000) <= 5.0 * math.sqrt(20_000)
+        for count in np.diff(data.offsets).tolist():
+            assert abs(count - 20_000) <= 5.0 * math.sqrt(20_000)
+
+
+def truth_cells(truth):
+    """{cell: (total, devices)} of a GroundTruth, in first-appearance order."""
+    assert np.all(np.diff(truth.flat) > 0)
+    order = truth.order
+    return {truth.dims.cell_tuple(flat): (total, devices) for flat, total, devices in zip(
+        truth.flat[order].tolist(), truth.totals[order].tolist(), truth.devices[order].tolist())}
 
 
 class TestGroundTruth:
     def test_single_record(self, small_dims):
-        data = WeekDataset("w", (("u0", (TripRecord(1, 0, 2, 3.0, 60.0),)),))
-        truth, devices = ground_truth(data, small_dims)
-        assert truth.cells == {(0, 0, 1, 2): 1.0, (0, 1, 1, 2): 3.0, (0, 2, 1, 2): 60.0}
-        assert devices == {(0, 0, 1, 2): 1, (0, 1, 1, 2): 1, (0, 2, 1, 2): 1}
+        data = make_dataset("w", [("u0", (TripRecord(1, 0, 2, 3.0, 60.0),))])
+        truth = ground_truth(data, small_dims)
+        assert truth_cells(truth) == {
+            (0, 0, 1, 2): (1.0, 1), (0, 1, 1, 2): (3.0, 1), (0, 2, 1, 2): (60.0, 1)}
 
     def test_duplicated_users_double_everything(self, small_dims):
         records = (TripRecord(1, 0, 2, 3.0, 60.0), TripRecord(0, 1, 0, 1.0, 10.0))
-        one = WeekDataset("w", (("u0", records),))
-        two = WeekDataset("w", (("u0", records), ("u1", records)))
-        t1, d1 = ground_truth(one, small_dims)
-        t2, d2 = ground_truth(two, small_dims)
-        assert t2.allclose(t1.scale(2.0), rel_tol=1e-12)
-        assert d2 == {cell: 2 * n for cell, n in d1.items()}
+        one = truth_cells(ground_truth(make_dataset("w", [("u0", records)]), small_dims))
+        two = truth_cells(ground_truth(
+            make_dataset("w", [("u0", records), ("u1", records)]), small_dims))
+        assert two == {cell: (2 * total, 2 * n) for cell, (total, n) in one.items()}
 
-    def test_matches_fold_of_user_histograms(self):
+    def test_matches_fold_of_user_histograms(self, monkeypatch):
+        # the dict reference, bit for bit and in the same first-appearance
+        # order, with zero-valued cells left out, across block boundaries
         spec = small_spec()
         data = generate(spec)
-        truth, devices = ground_truth(data, spec.dims)
-        expected = SparseHistogram.empty(spec.dims)
-        for _, records in data.users:
-            expected = expected.add(raw_histogram(records, spec.dims))
-        assert truth.allclose(expected, rel_tol=1e-9)
-        assert max(devices.values()) <= data.num_users
+        users = [(uid, list(recs) + [TripRecord(0, 1, 2, 0.0, 5.0)] * (i % 3 == 0))
+                 for i, (uid, recs) in enumerate(users_of(data))]
+        data = make_dataset("w", users)
+        expected, devices = reference_ground_truth(data, spec.dims)
+        for block_records in (1 << 15, 100, 1):
+            monkeypatch.setattr(schema, "_BLOCK_RECORDS", block_records)
+            truth = ground_truth(data, spec.dims)
+            assert list(truth_cells(truth).items()) == [
+                (cell, (value, devices[cell])) for cell, value in expected.cells.items()]
+        assert truth.devices.max() <= data.num_users
 
     def test_empty_dataset(self, small_dims):
-        truth, devices = ground_truth(WeekDataset("w", ()), small_dims)
-        assert truth.cells == {} and devices == {}
+        truth = ground_truth(make_dataset("w", []), small_dims)
+        assert truth.flat.size == truth.totals.size == truth.devices.size == 0
+        truth = ground_truth(make_dataset("w", [("u0", ()), ("u1", ())]), small_dims)
+        assert truth.flat.size == 0
 
 
 class TestSpecFile:

@@ -12,11 +12,19 @@ from dpgb.dp_core import (
     dense_laplace_noise,
     derive_seed,
     exact_quantile,
+    l1_norms,
     laplace_inverse_cdf,
 )
 from dpgb.mechanisms import finish_release, prepare_joint_clipping
-from dpgb.schema import SparseHistogram, WeekDataset
 from conftest import random_dataset, random_histogram, raw_histogram
+from sparse_reference import SparseHistogram, make_dataset, users_of
+
+
+def runs(histograms):
+    """The values of several vectors as runs of one array, with their starts."""
+    values = [list(h.cells.values()) for h in histograms]
+    starts = np.concatenate(([0], np.cumsum([len(v) for v in values], dtype=np.int64)))
+    return np.array([x for v in values for x in v], dtype=float), starts
 
 
 class TestDeriveSeed:
@@ -29,45 +37,63 @@ class TestDeriveSeed:
 
 
 class TestClipL1:
-    def test_within_bound_unchanged(self, small_dims):
-        v = SparseHistogram(small_dims, {(0, 0, 0, 0): 3.0, (0, 1, 0, 0): 1.0})
-        assert clip_l1(v, 4.0) is v  # norm == C, exact identity
+    """clip_l1 over runs of one array, one run per vector."""
 
-    def test_scales_down(self, small_dims):
-        v = SparseHistogram(small_dims, {(0, 0, 0, 0): 6.0, (0, 1, 0, 0): 2.0})
-        clipped = clip_l1(v, 4.0)
-        assert clipped.cells == {(0, 0, 0, 0): 3.0, (0, 1, 0, 0): 1.0}
+    def test_within_bound_unchanged(self):
+        values = np.array([3.0, 1.0, 0.1 + 0.2])
+        starts = np.array([0, 2, 3])
+        out = clip_l1(values, starts, np.array([4.0, 0.30000000000000004]))
+        assert out.tobytes() == values.tobytes()  # norm == C, exact identity
 
-    def test_empty(self, small_dims):
-        v = SparseHistogram.empty(small_dims)
-        assert clip_l1(v, 1.0) is v
+    def test_scales_down(self):
+        out = clip_l1(np.array([6.0, 2.0, 1.0]), np.array([0, 2, 3]), 4.0)
+        assert out.tolist() == [3.0, 1.0, 1.0]
 
-    def test_non_positive_bound(self, small_dims):
-        v = SparseHistogram.empty(small_dims)
+    def test_empty(self):
+        assert clip_l1(np.zeros(0), np.array([0]), 1.0).shape == (0,)
+        out = clip_l1(np.array([5.0]), np.array([0, 0, 1, 1]), 1.0)  # empty runs around one
+        assert out.tolist() == [1.0]
+        assert l1_norms(np.array([5.0]), np.array([0, 0, 1, 1])).tolist() == [0.0, 5.0, 0.0]
+
+    def test_non_positive_bound(self):
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ConfigError):
-                clip_l1(v, bad)
+                clip_l1(np.zeros(0), np.array([0]), bad)
+            with pytest.raises(ConfigError):
+                clip_l1(np.ones(2), np.array([0, 1, 2]), np.array([1.0, bad]))
 
     def test_norm_bound_property(self, small_dims, rng):
-        for _ in range(2000):
-            v = random_histogram(rng, small_dims, magnitude=float(rng.lognormal(2, 2)))
-            c = float(rng.lognormal(1, 2))
-            clipped = clip_l1(v, c)
-            assert clipped.l1_norm() <= c * (1 + 1e-9)
+        vectors = [random_histogram(rng, small_dims, magnitude=float(rng.lognormal(2, 2)))
+                   for _ in range(2000)]
+        bounds = rng.lognormal(1, 2, size=len(vectors))
+        values, starts = runs(vectors)
+        clipped = clip_l1(values, starts, bounds)
+        norms = l1_norms(clipped, starts)
+        for v, c, norm, lo, hi in zip(vectors, bounds, norms, starts, starts[1:]):
+            assert norm <= c * (1 + 1e-9)
             if v.l1_norm() <= c:
-                assert clipped.cells == v.cells
+                assert clipped[lo:hi].tolist() == list(v.cells.values())
 
     def test_preserves_ratios(self, small_dims, rng):
-        for _ in range(200):
-            v = random_histogram(rng, small_dims, max_cells=6, magnitude=50.0)
-            if len(v) < 2:
-                continue
-            clipped = clip_l1(v, v.l1_norm() / 3.0)
-            cells = list(v.cells)
-            for i in range(len(cells) - 1):
-                left = clipped.get(cells[i]) / clipped.get(cells[i + 1])
-                right = v.get(cells[i]) / v.get(cells[i + 1])
-                assert left == pytest.approx(right, rel=1e-12)
+        vectors = [v for v in (random_histogram(rng, small_dims, max_cells=6, magnitude=50.0)
+                               for _ in range(200)) if len(v) >= 2]
+        values, starts = runs(vectors)
+        clipped = clip_l1(values, starts, np.array([v.l1_norm() / 3.0 for v in vectors]))
+        for lo, hi in zip(starts.tolist(), starts[1:].tolist()):
+            for i in range(lo, hi - 1):
+                assert clipped[i] / clipped[i + 1] == pytest.approx(
+                    values[i] / values[i + 1], rel=1e-12)
+
+    def test_matches_the_dict_reference_bit_for_bit(self, small_dims, rng):
+        from sparse_reference import clip_l1 as reference_clip_l1
+        vectors = [random_histogram(rng, small_dims, magnitude=float(rng.lognormal(2, 2)))
+                   for _ in range(500)]
+        bounds = rng.lognormal(1, 2, size=len(vectors))
+        values, starts = runs(vectors)
+        clipped = clip_l1(values, starts, bounds)
+        expected = [list(reference_clip_l1(v, float(c)).cells.values())
+                    for v, c in zip(vectors, bounds)]
+        assert clipped.tolist() == [x for v in expected for x in v]
 
 
 class TestLaplaceSampling:
@@ -107,18 +133,19 @@ class TestLaplaceMechanism:
 
     def test_zero_noise_limit_exact_sum(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 5)
-        big_clip = max(raw_histogram(recs, small_dims).l1_norm() for _, recs in data.users) + 1
+        big_clip = max(raw_histogram(recs, small_dims).l1_norm()
+                       for _, recs in users_of(data)) + 1
         result = finish_release(prepare_joint_clipping(data, big_clip, small_dims),
                                 1.0, 0.0, 1, test_mode=True)
         expected = SparseHistogram.empty(small_dims)
-        for _, recs in data.users:
+        for _, recs in users_of(data):
             expected = expected.add(raw_histogram(recs, small_dims))
         assert np.array_equal(result.released, expected.to_dense())
 
     def test_adjacent_prenoise_sums_differ_at_most_clip(self, small_dims, rng):
         clip = 4.0
         data = random_dataset(rng, small_dims, 6)
-        without = WeekDataset("w", data.users[:-1])
+        without = make_dataset("w", users_of(data)[:-1])
         distance = np.abs(prepare_joint_clipping(data, clip, small_dims).pre_noise_dense
                           - prepare_joint_clipping(without, clip, small_dims).pre_noise_dense).sum()
         assert distance <= clip * (1 + 1e-9) + 1e-12
@@ -126,20 +153,20 @@ class TestLaplaceMechanism:
     def test_noise_scale_is_clip_over_epsilon(self, small_dims):
         # eps=2, C=10 must consume exactly the Lap(5) stream, bit for bit;
         # tau = 0 then releases its positive half
-        prepared = prepare_joint_clipping(WeekDataset("w", ()), 10.0, small_dims)
+        prepared = prepare_joint_clipping(make_dataset("w", []), 10.0, small_dims)
         result = finish_release(prepared, 2.0, 0.0, 1234)
         stream = dense_laplace_noise(5.0, 1234, small_dims.total_cells)
         assert np.array_equal(result.released, np.maximum(stream, 0.0))
 
     def test_every_cell_gets_noise(self, small_dims):
         # lift every cell far above the noise so that none is clamped
-        prepared = prepare_joint_clipping(WeekDataset("w", ()), 1.0, small_dims)
+        prepared = prepare_joint_clipping(make_dataset("w", []), 1.0, small_dims)
         lifted = replace(prepared, pre_noise_dense=np.full(small_dims.total_cells, 100.0))
         result = finish_release(lifted, 1.0, 0.0, 9)
         assert np.count_nonzero(result.released != 100.0) == small_dims.total_cells
 
     def test_ledger_charged_and_abort(self, small_dims):
-        prepared = prepare_joint_clipping(WeekDataset("w", ()), 1.0, small_dims)
+        prepared = prepare_joint_clipping(make_dataset("w", []), 1.0, small_dims)
         assert finish_release(prepared, 1.0, 0.0, 1).ledger.total() == 1.0
         overspent = replace(prepared, charge_fractions=(("a", 1.0), ("b", 0.5)))
         with pytest.raises(BudgetExceededError):

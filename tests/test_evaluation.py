@@ -20,8 +20,9 @@ from dpgb.evaluation import (
     write_sweep_csv,
 )
 from dpgb.mechanisms import finish_release, prepare_joint_clipping
-from dpgb.schema import Dimensions, SparseHistogram, WeekDataset, write_records_csv
+from dpgb.schema import Dimensions, write_records_csv
 from conftest import random_histogram
+from sparse_reference import SparseHistogram, as_ground_truth, reference_ground_truth
 from wre_oracle import brute_force_wre
 
 METRICS = ("num_trips", "distance", "duration")
@@ -29,8 +30,8 @@ METRICS = ("num_trips", "distance", "duration")
 
 def score(truth, devices, released, min_devices):
     """One-shot WRE of a sparse release, through a freshly built plan."""
-    return weighted_relative_error(ScoringPlan.build(truth, devices, min_devices),
-                                   released.to_dense())
+    plan = ScoringPlan.build(as_ground_truth(truth, devices), min_devices)
+    return weighted_relative_error(plan, released.to_dense())
 
 
 def desk_pair(num_users=400, num_regions=8, seed=17):
@@ -123,7 +124,7 @@ class TestWeightedRelativeError:
 
     def test_dims_mismatch_rejected(self, small_dims):
         other = Dimensions(num_activities=3, num_regions=4)
-        plan = ScoringPlan.build(SparseHistogram.empty(small_dims), {}, 1)
+        plan = ScoringPlan.build(as_ground_truth(SparseHistogram.empty(small_dims), {}), 1)
         with pytest.raises(ValueError):
             weighted_relative_error(plan, SparseHistogram.empty(other).to_dense())
 
@@ -132,7 +133,7 @@ def test_weight_table_sums_to_one_per_region(rng):
     dims = Dimensions(num_activities=3, num_regions=5)
     truth = random_histogram(rng, dims, max_cells=60)
     # with no device floor every trip-count cell is eligible and keeps its weight
-    plan = ScoringPlan.build(truth, {}, 0)
+    plan = ScoringPlan.build(as_ground_truth(truth, {}), 0)
     per_region = {}
     for flat, w in zip(plan.flat[0].tolist(), plan.weights[0].tolist()):
         r = dims.cell_tuple(flat)[2]
@@ -140,6 +141,33 @@ def test_weight_table_sums_to_one_per_region(rng):
     assert len(per_region) == len({r for (_, m, r, _) in truth.cells if m == 0})
     for total in per_region.values():
         assert total == pytest.approx(1.0, rel=1e-12)
+
+
+def test_plan_matches_the_dict_build():
+    # eligible cells in the order they first appear, and weights over
+    # region totals that add trip counts in that order, as the dict loop
+    # over the reference truth did, bit for bit
+    data, _ = desk_pair(num_users=300)
+    dims = Dimensions(num_activities=9, num_regions=8)
+    truth, devices = reference_ground_truth(data, dims)
+    region_totals = {}
+    for (a, m, r, d), value in truth.cells.items():
+        if m == 0:
+            region_totals[r] = region_totals.get(r, 0.0) + value
+    columns = tuple(([], [], [], []) for _ in METRICS)
+    for (a, m, r, d), value in truth.cells.items():
+        if value > 0 and devices[(a, m, r, d)] >= 5:
+            columns[m][0].append(dims.cell_index(a, m, r, d))
+            columns[m][1].append(value)
+            columns[m][2].append(truth.get((a, 0, r, d)) / region_totals[r])
+            columns[m][3].append(devices[(a, m, r, d)])
+    plan = ScoringPlan.build(ground_truth(data, dims), 5)
+    for m in range(3):
+        assert plan.flat[m].tolist() == columns[m][0]
+        assert plan.truth[m].tolist() == columns[m][1]
+        assert plan.weights[m].tolist() == columns[m][2]
+        assert plan.devices[m].tolist() == columns[m][3]
+    assert sum(len(col[0]) for col in columns) > 100
 
 
 class TestSweep:
@@ -154,8 +182,8 @@ class TestSweep:
         prepared = prepare_joint_clipping(data, fitted.joint_clip, dims)
         seed = run_seed(7, "joint_clipping", 2.0, 0)
         release = finish_release(prepared, 2.0, 0.0, seed)
-        truth, devices = ground_truth(data, dims)
-        direct = weighted_relative_error(ScoringPlan.build(truth, devices, 5), release.released)
+        direct = weighted_relative_error(ScoringPlan.build(ground_truth(data, dims), 5),
+                                         release.released)
         assert row.seed == seed
         assert row.overall == pytest.approx(direct.overall, rel=1e-12)
 

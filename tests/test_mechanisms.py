@@ -4,8 +4,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dpgb.client import client_work
-from dpgb.dp_core import clip_l1, dense_laplace_noise, exact_quantile
+from dpgb import schema
+from dpgb.dp_core import dense_laplace_noise, exact_quantile
 from dpgb.mechanisms import (
     finish_release,
     fit_clip,
@@ -16,21 +16,22 @@ from dpgb.mechanisms import (
     prepare_joint_clipping,
     run_release,
 )
-from dpgb.schema import (
-    ConfigError,
-    Dimensions,
-    MechanismConfig,
-    ScaleMatrix,
+from dpgb.schema import ConfigError, Dimensions, MechanismConfig, ScaleMatrix
+from conftest import random_dataset, raw_histogram
+from sparse_reference import (
     SparseHistogram,
     TripRecord,
-    WeekDataset,
+    clip_l1,
+    make_dataset,
+    per_cell,
+    user_histogram,
+    users_of,
 )
-from conftest import random_dataset, raw_histogram
 
 
 def merged_user_histograms(data, dims):
     return reduce(lambda x, y: x.add(y),
-                  [raw_histogram(recs, dims) for _, recs in data.users],
+                  [raw_histogram(recs, dims) for _, recs in users_of(data)],
                   SparseHistogram.empty(dims))
 
 
@@ -60,7 +61,7 @@ class TestBudgetSplit:
         clips = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
         epsilon, seed = 2.0, 271
         split_count = dims.num_activities * 3
-        result = finish_release(prepare_budget_split(WeekDataset("w", ()), clips, dims),
+        result = finish_release(prepare_budget_split(make_dataset("w", []), clips, dims),
                                 epsilon, 0.0, seed)
         unit = dense_laplace_noise(1.0, seed, dims.total_cells)
         b_flat = np.repeat((clips * split_count).reshape(-1), dims.num_regions * 3) / epsilon
@@ -77,7 +78,7 @@ class TestBudgetSplit:
         expected = SparseHistogram.empty(small_dims)
         for a in range(small_dims.num_activities):
             for m in range(3):
-                for _, recs in data.users:
+                for _, recs in users_of(data):
                     hist = raw_histogram(recs, small_dims)
                     cells = {c: v for c, v in hist.cells.items() if c[0] == a and c[1] == m}
                     if cells:
@@ -87,14 +88,14 @@ class TestBudgetSplit:
 
     def test_grid_shape_validated(self, small_dims):
         with pytest.raises(ConfigError):
-            finish_release(prepare_budget_split(WeekDataset("w", ()), np.ones((1, 3)), small_dims),
+            finish_release(prepare_budget_split(make_dataset("w", []), np.ones((1, 3)), small_dims),
                            1.0, 0.0, 1)
 
 
 class TestJointClipping:
     def test_test_mode_exact_truth_when_clip_large(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
-        big = max(raw_histogram(r, small_dims).l1_norm() for _, r in data.users) + 1
+        big = max(raw_histogram(r, small_dims).l1_norm() for _, r in users_of(data)) + 1
         result = finish_release(prepare_joint_clipping(data, big, small_dims),
                                 1.0, 0.0, 1, test_mode=True)
         assert np.array_equal(result.released,
@@ -112,7 +113,7 @@ class TestJointClipping:
         # same absolute noise on count cells (~1 per trip) and duration cells
         # (~600 per trip), so relative errors track the magnitude ratio
         records = tuple(TripRecord(0, 0, 0, 5.0, 600.0) for _ in range(1))
-        data = WeekDataset("w", tuple((f"u{i}", records) for i in range(30)))
+        data = make_dataset("w", [(f"u{i}", records) for i in range(30)])
         count_cell, duration_cell = (0, 0, 0, 0), (0, 2, 0, 0)
         count_flat, duration_flat = (small_dims.cell_index(*count_cell),
                                      small_dims.cell_index(*duration_cell))
@@ -138,9 +139,10 @@ class TestActivityMetricScaling:
         clip = fit_clip(data, scales, small_dims)
         result = finish_release(prepare_activity_metric_scaling(data, scales, clip, small_dims),
                                 1.0, 0.0, 5, test_mode=True)
-        fleet = [client_work(recs, scales, clip, small_dims) for _, recs in data.users]
+        fleet = [clip_l1(user_histogram(recs, small_dims, scales), clip)
+                 for _, recs in users_of(data)]
         scaled_sum = reduce(lambda x, y: x.add(y), fleet, SparseHistogram.empty(small_dims))
-        expected = scaled_sum.to_dense() * scales.per_cell(small_dims)
+        expected = scaled_sum.to_dense() * per_cell(scales, small_dims)
         assert np.allclose(result.released, expected, rtol=1e-12, atol=0.0)
 
     def test_single_epsilon_charge(self, small_dims, rng):
@@ -169,7 +171,7 @@ class TestAdjacency:
         for _ in range(20):
             data = random_dataset(rng, small_dims, 6)
             extra = random_dataset(rng, small_dims, 7)
-            grown = WeekDataset("w", data.users + (("extra", extra.users[6][1]),))
+            grown = make_dataset("w", users_of(data) + (("extra", users_of(extra)[6][1]),))
 
             for prep in (lambda d: prepare_activity_metric_scaling(d, scales, clip, small_dims),
                          lambda d: prepare_joint_clipping(d, clip, small_dims)):
@@ -187,17 +189,17 @@ class TestFitScales:
     def test_constant_norms(self, small_dims):
         # every user: one trip of activity 0, distance 2, duration 8
         records = (TripRecord(0, 0, 0, 2.0, 8.0),)
-        data = WeekDataset("w", tuple((f"u{i}", records) for i in range(50)))
+        data = make_dataset("w", [(f"u{i}", records) for i in range(50)])
         scales = fit_scales(data, small_dims)
-        assert scales.factor(0, 0) == 1.0   # one trip each
-        assert scales.factor(0, 1) == 2.0
-        assert scales.factor(0, 2) == 8.0
+        assert scales.entries[0, 0] == 1.0   # one trip each
+        assert scales.entries[0, 1] == 2.0
+        assert scales.entries[0, 2] == 8.0
 
     def test_unused_activity_defaults_to_one(self, small_dims):
         records = (TripRecord(0, 0, 0, 2.0, 8.0),)
-        data = WeekDataset("w", (("u0", records),))
+        data = make_dataset("w", [("u0", records)])
         scales = fit_scales(data, small_dims)
-        assert all(scales.factor(1, m) == 1.0 for m in range(3))
+        assert all(scales.entries[1, m] == 1.0 for m in range(3))
 
     def test_exponential_norms_hit_analytic_quantile(self, rng):
         dims = Dimensions(num_activities=1, num_regions=2)
@@ -205,15 +207,33 @@ class TestFitScales:
         for i in range(10_000):
             d = float(rng.exponential(1.0))
             users.append((f"u{i}", (TripRecord(0, 0, 0, d, 0.0),)))
-        data = WeekDataset("w", tuple(users))
+        data = make_dataset("w", users)
         scales = fit_scales(data, dims)
-        assert scales.factor(0, 1) == pytest.approx(math.log(20), abs=0.1)
-        assert scales.factor(0, 0) == 1.0    # everyone has exactly one trip
-        assert scales.factor(0, 2) == 1.0    # zero durations leave no nonzero slice
+        assert scales.entries[0, 1] == pytest.approx(math.log(20), abs=0.1)
+        assert scales.entries[0, 0] == 1.0    # everyone has exactly one trip
+        assert scales.entries[0, 2] == 1.0    # zero durations leave no nonzero slice
+
+    def test_matches_the_dict_reference_bit_for_bit(self, small_dims, rng, monkeypatch):
+        # each user's slice norm adds |v| with plain + in the order the
+        # user's cells first appear, as the dict loop did
+        data = random_dataset(rng, small_dims, 400, max_records=30)
+        norms = {}
+        for _, records in users_of(data):
+            per_slice = {}
+            for (a, m, _, _), value in raw_histogram(records, small_dims).cells.items():
+                per_slice[(a, m)] = per_slice.get((a, m), 0.0) + abs(value)
+            for key, norm in per_slice.items():
+                norms.setdefault(key, []).append(norm)
+        expected = np.ones((small_dims.num_activities, 3))
+        for (a, m), values in norms.items():
+            expected[a, m] = exact_quantile(values, 0.9)
+        for block_records in (1 << 15, 37):
+            monkeypatch.setattr(schema, "_BLOCK_RECORDS", block_records)
+            assert fit_scales(data, small_dims, 0.9).entries.tobytes() == expected.tobytes()
 
     def test_permutation_invariant(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 30)
-        shuffled = WeekDataset("w2", tuple(reversed(data.users)))
+        shuffled = make_dataset("w2", reversed(users_of(data)))
         assert np.array_equal(fit_scales(data, small_dims).entries,
                               fit_scales(shuffled, small_dims).entries)
 
@@ -221,14 +241,14 @@ class TestFitScales:
 class TestFitClip:
     def test_single_user(self, small_dims):
         records = (TripRecord(0, 0, 0, 2.0, 8.0),)
-        data = WeekDataset("w", (("u0", records),))
+        data = make_dataset("w", [("u0", records)])
         ones = ScaleMatrix.ones(small_dims.num_activities)
         assert fit_clip(data, ones, small_dims) == 11.0  # 1 + 2 + 8
 
     def test_all_ones_matches_raw_norm_quantile(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 60)
         ones = ScaleMatrix.ones(small_dims.num_activities)
-        raw_norms = [raw_histogram(r, small_dims).l1_norm() for _, r in data.users]
+        raw_norms = [raw_histogram(r, small_dims).l1_norm() for _, r in users_of(data)]
         assert fit_clip(data, ones, small_dims) == pytest.approx(
             exact_quantile(raw_norms, 0.95), rel=1e-12)
 
@@ -242,16 +262,35 @@ class TestFitClip:
             count = max(1, int(rng.lognormal(2.0, 1.5)))
             users.append((f"u{i}", tuple(
                 TripRecord(0, a, 0, 0.0, 0.0) for _ in range(count))))
-        data = WeekDataset("w", tuple(users))
-        raw_norms = [raw_histogram(r, dims).l1_norm() for _, r in data.users]
+        data = make_dataset("w", users)
+        raw_norms = [raw_histogram(r, dims).l1_norm() for _, r in users_of(data)]
         assert max(raw_norms) / min(raw_norms) >= 100.0
         scales = fit_scales(data, dims)
         clip = fit_clip(data, scales, dims)
         assert 0.5 <= clip <= 1.5
 
+    def test_zero_record_users_count(self, small_dims):
+        # norms 0 (empty), 11, 0 (empty), 3, 0 (empty): the empty users sit
+        # at both ends and in the middle, and each counts in the quantile
+        data = make_dataset("w", [
+            ("e0", ()),
+            ("a", (TripRecord(0, 0, 0, 2.0, 8.0),)),
+            ("e1", ()),
+            ("b", (TripRecord(1, 1, 1, 1.0, 1.0),)),
+            ("e2", ()),
+        ])
+        assert data.num_users == 5 and data.num_records == 2
+        ones = ScaleMatrix.ones(small_dims.num_activities)
+        assert fit_clip(data, ones, small_dims, q=0.6) == 0.0
+        assert fit_clip(data, ones, small_dims, q=0.7) == 3.0
+        assert fit_clip(data, ones, small_dims, q=0.9) == 11.0
+        # nor do they move the slice quantiles, which skip empty slices
+        assert fit_scales(data, small_dims, q=0.5).entries.tolist() == [
+            [1.0, 2.0, 8.0], [1.0, 1.0, 1.0]]
+
     def test_empty_dataset_rejected(self, small_dims):
         with pytest.raises(ConfigError):
-            fit_clip(WeekDataset("w", ()), ScaleMatrix.ones(small_dims.num_activities),
+            fit_clip(make_dataset("w", []), ScaleMatrix.ones(small_dims.num_activities),
                      small_dims)
 
 

@@ -1,26 +1,50 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from dpgb import schema
 from dpgb.schema import (
     METRIC_NAMES,
     ConfigError,
     Dimensions,
     MechanismConfig,
     ScaleMatrix,
-    SparseHistogram,
-    TripRecord,
     WeekDataset,
     infer_dimensions,
     read_histogram_csv,
     read_mechanism_config,
     read_records_csv,
+    user_cells,
     write_histogram_csv,
     write_mechanism_config,
     write_records_csv,
 )
-from conftest import random_histogram, random_records, raw_histogram
+from conftest import one_user, random_dataset, random_histogram, random_records
+from sparse_reference import (
+    SparseHistogram,
+    TripRecord,
+    block_histograms,
+    make_dataset,
+    same_dataset,
+    user_histogram,
+    users_of,
+)
+
+RECORD_CSV_HEADER = ["user_id", "region", "activity", "direction", "distance_km", "duration_s"]
+NEGATIVE_ACTIVITY = "negative index in record (region=0, activity=-1, direction=0)"
+
+
+def user_records(data):
+    return [(uid, [tuple(rec) for rec in records]) for uid, records in users_of(data)]
+
+
+def vector(records, dims, scales=None):
+    """The one user's vector that user_cells makes of ``records``."""
+    scales = scales if scales is not None else ScaleMatrix.ones(dims.num_activities)
+    vectors = block_histograms(user_cells(one_user(records), dims, scales), dims)
+    return vectors.get(0, SparseHistogram.empty(dims))
 
 
 class TestDimensions:
@@ -69,45 +93,62 @@ class TestDimensions:
 
 
 class TestTripRecord:
+    """Every record is checked when a dataset is built from its columns."""
+
     def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            TripRecord(0, 0, 0, -1.0, 10.0)
-        with pytest.raises(ValueError):
-            TripRecord(0, 0, 0, 1.0, -10.0)
-        with pytest.raises(ValueError):
-            TripRecord(-1, 0, 0, 1.0, 10.0)
-        with pytest.raises(ValueError):
-            TripRecord(0, 0, 0, math.nan, 10.0)
+        for bad, message in [
+            (TripRecord(0, 0, 0, -1.0, 10.0), "distance_km must be finite and >= 0, got -1.0"),
+            (TripRecord(0, 0, 0, 1.0, -10.0), "duration_s must be finite and >= 0, got -10.0"),
+            (TripRecord(-1, 0, 0, 1.0, 10.0),
+             "negative index in record (region=-1, activity=0, direction=0)"),
+            (TripRecord(0, 0, 0, math.nan, 10.0), "distance_km must be finite and >= 0, got nan"),
+            (TripRecord(0, 0, 0, 1.0, math.inf), "duration_s must be finite and >= 0, got inf"),
+        ]:
+            good = TripRecord(1, 1, 1, 1.0, 1.0)
+            with pytest.raises(ValueError) as excinfo:
+                make_dataset("w", [("a", [good]), ("b", [good, bad])])
+            assert str(excinfo.value) == message
 
     def test_validate_bounds(self, small_dims):
-        TripRecord(3, 1, 2, 1.0, 2.0).validate(small_dims)
-        with pytest.raises(ValueError):
-            TripRecord(4, 1, 2, 1.0, 2.0).validate(small_dims)
-        with pytest.raises(ValueError):
-            TripRecord(3, 2, 2, 1.0, 2.0).validate(small_dims)
+        vector([TripRecord(3, 1, 2, 1.0, 2.0)], small_dims)
+        for bad in (TripRecord(4, 1, 2, 1.0, 2.0), TripRecord(3, 2, 2, 1.0, 2.0),
+                    TripRecord(3, 1, 3, 1.0, 2.0)):
+            with pytest.raises(ValueError) as excinfo:
+                vector([TripRecord(0, 0, 0, 1.0, 1.0), bad], small_dims)
+            assert str(excinfo.value) == (
+                f"record (region={bad.region}, activity={bad.activity}, "
+                f"direction={bad.direction}) out of bounds for {small_dims}")
 
 
 class TestWeekDataset:
     def test_duplicate_user_rejected(self):
         with pytest.raises(ConfigError):
-            WeekDataset("w", (("u1", ()), ("u1", ())))
+            make_dataset("w", [("u1", ()), ("u1", ())])
 
     def test_zero_record_users_allowed(self):
-        data = WeekDataset("w", (("u1", ()),))
+        data = make_dataset("w", [("u1", ())])
         assert data.num_users == 1 and data.num_records == 0
+
+    def test_columns_must_match_the_offsets(self):
+        with pytest.raises(ValueError):
+            WeekDataset("w", ("a", "b"), [0, 2, 1], [0], [0], [0], [1.0], [1.0])
+        with pytest.raises(ValueError):
+            WeekDataset("w", ("a",), [0, 1], [0, 0], [0], [0], [1.0], [1.0])
 
 
 class TestUserHistogram:
+    """user_cells, the one records-to-cells path, against the dict reference."""
+
     def test_empty(self, small_dims):
-        assert raw_histogram([], small_dims).cells == {}
+        assert vector([], small_dims).cells == {}
 
     def test_single_record(self, small_dims):
-        hist = raw_histogram([TripRecord(2, 1, 0, 3.5, 600.0)], small_dims)
+        hist = vector([TripRecord(2, 1, 0, 3.5, 600.0)], small_dims)
         assert hist.cells == {(1, 0, 2, 0): 1.0, (1, 1, 2, 0): 3.5, (1, 2, 2, 0): 600.0}
 
     def test_same_cell_accumulates(self, small_dims):
         recs = [TripRecord(1, 0, 1, 1.0, 10.0), TripRecord(1, 0, 1, 2.0, 20.0)]
-        hist = raw_histogram(recs, small_dims)
+        hist = vector(recs, small_dims)
         assert hist.get((0, 0, 1, 1)) == 2.0
         assert hist.get((0, 1, 1, 1)) == 3.0
         assert hist.get((0, 2, 1, 1)) == 30.0
@@ -116,13 +157,41 @@ class TestUserHistogram:
         for _ in range(50):
             a = random_records(rng, small_dims, int(rng.integers(0, 10)))
             b = random_records(rng, small_dims, int(rng.integers(0, 10)))
-            combined = raw_histogram(a + b, small_dims)
-            merged = raw_histogram(a, small_dims).add(raw_histogram(b, small_dims))
+            combined = vector(a + b, small_dims)
+            merged = vector(a, small_dims).add(vector(b, small_dims))
             assert combined.allclose(merged, rel_tol=1e-12)
 
     def test_out_of_bounds_record_raises(self, small_dims):
         with pytest.raises(ValueError):
-            raw_histogram([TripRecord(99, 0, 0, 1.0, 1.0)], small_dims)
+            vector([TripRecord(99, 0, 0, 1.0, 1.0)], small_dims)
+
+    def test_rows_equal_the_reference_bit_for_bit(self, small_dims, rng, monkeypatch):
+        # blocks of about 10 records split the fleet at user boundaries;
+        # zero-valued sums get no row, as the reference drops them
+        monkeypatch.setattr(schema, "_BLOCK_RECORDS", 10)
+        users = [(uid, list(recs) + [TripRecord(0, 1, 2, 0.0, 0.0)] * (i % 2))
+                 for i, (uid, recs) in enumerate(users_of(random_dataset(rng, small_dims, 60)))]
+        data = make_dataset("w", users)
+        scales = ScaleMatrix(np.exp(rng.normal(0, 2, size=(small_dims.num_activities, 3))))
+        blocks = list(user_cells(data, small_dims, scales))
+        assert len(blocks) > 10
+        vectors = block_histograms(blocks, small_dims)
+        for i, (_, records) in enumerate(users):
+            expected = user_histogram(records, small_dims, scales)
+            got = vectors.get(i, SparseHistogram.empty(small_dims))
+            assert got.cells == expected.cells  # values equal bit for bit
+            # first orders a user's rows as the reference dict does
+            rows = [(int(block.first[k]), small_dims.cell_tuple(int(block.cell[k])))
+                    for block in blocks for k in np.flatnonzero(block.user == i)]
+            assert [cell for _, cell in sorted(rows)] == list(expected.cells)
+        # blocks hold whole users in order; starts delimit each user's rows
+        first_user = 0
+        for block in blocks:
+            users_in_block = block.starts.size - 1
+            owners = np.repeat(np.arange(users_in_block), np.diff(block.starts))
+            assert np.array_equal(block.user, first_user + owners)
+            first_user += users_in_block
+        assert first_user == data.num_users
 
 
 class TestSparseHistogram:
@@ -169,13 +238,14 @@ class TestScaleMatrix:
             ScaleMatrix(np.array([[1.0, -2.0, 1.0]]))
 
     def test_per_cell_layout(self, small_dims):
+        # every cell of slice (a, m) is divided by entries[a, m]
         entries = np.arange(1, 7, dtype=float).reshape(2, 3)
-        flat = ScaleMatrix(entries).per_cell(small_dims)
-        for a in range(2):
-            for m in range(3):
-                for r in range(4):
-                    for d in range(3):
-                        assert flat[small_dims.cell_index(a, m, r, d)] == entries[a, m]
+        records = [TripRecord(r, a, d, 1.0, 1.0)
+                   for a in range(2) for r in range(4) for d in range(3)]
+        hist = vector(records, small_dims, ScaleMatrix(entries))
+        assert len(hist) == small_dims.total_cells
+        for (a, m, _, _), value in hist.cells.items():
+            assert value == 1.0 / entries[a, m]
 
     def test_ones(self):
         assert ScaleMatrix.ones(5).is_ones()
@@ -205,11 +275,11 @@ class TestMechanismConfig:
 class TestFileFormats:
     def test_records_roundtrip_bytes(self, tmp_path, small_dims, rng):
         users = [(f"u{i}", tuple(random_records(rng, small_dims, 3))) for i in range(5)]
-        data = WeekDataset("w1", tuple(users))
+        data = make_dataset("w1", users)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(p1, data)
         back = read_records_csv(p1, week_id="w1")
-        assert back == data
+        assert same_dataset(back, data)
         write_records_csv(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -224,6 +294,108 @@ class TestFileFormats:
         p.write_text("user_id,region,activity,direction,distance_km,duration_s\nu1,0,0,0,-3,1\n")
         with pytest.raises(ConfigError):
             read_records_csv(p)
+
+    # the CLI sets no warning filter, so a DeprecationWarning numpy gives
+    # instead of an error (a decimal in an index column) would be dropped
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("body, lineno, message", [
+        ("u1,0,0,0,1.0,2.0\n\nu1,0,0\n", 4, "expected 6 fields, got 3"),
+        ("\nu1,0,0,0,1.0,2.0,7\n", 3, "expected 6 fields, got 7"),
+        ("\n  \n", 3, "expected 6 fields, got 1"),
+        ("u1,0,0,0,1.0,2.0\n\nu2,x,0,0,1.0,2.0\n", 4,
+         "invalid literal for int() with base 10: 'x'"),
+        ("\nu1,0,0,1.5,1.0,2.0\n", 3, "invalid literal for int() with base 10: '1.5'"),
+        ("\nu1,-0.5,0,0,1.0,2.0\n", 3, "invalid literal for int() with base 10: '-0.5'"),
+        ("\nu1,0,1e3,0,1.0,2.0\n", 3, "invalid literal for int() with base 10: '1e3'"),
+        ("\nu1,0,0,0,abc,2.0\n", 3, "could not convert string to float: 'abc'"),
+        ("\nu1,0,0,0,1.0,\n", 3, "could not convert string to float: ''"),
+        ("\nu1,0,-1,0,1.0,2.0\n", 3, NEGATIVE_ACTIVITY),
+        ("\nu1,0,0,0,-3,2.0\n", 3, "distance_km must be finite and >= 0, got -3.0"),
+        ("\nu1,0,0,0,nan,2.0\n", 3, "distance_km must be finite and >= 0, got nan"),
+        ("\nu1,0,0,0,inf,2.0\n", 3, "distance_km must be finite and >= 0, got inf"),
+        ("\nu1,0,0,0,1.0,-0.5\n", 3, "duration_s must be finite and >= 0, got -0.5"),
+        ("\nu1,0,0,0,1.0,NaN\n", 3, "duration_s must be finite and >= 0, got nan"),
+        ("\nu1,0,0,0,1.0,-inf\n", 3, "duration_s must be finite and >= 0, got -inf"),
+        # the first bad line wins, whatever the kind of a later one
+        ("u1,0,0,0,1.0,2.0\n\nu2,0,0,0,-1.0,2.0\n\nu3,y,0,0,1.0,2.0\n", 4,
+         "distance_km must be finite and >= 0, got -1.0"),
+        ("u1,0,0,0,1.0,2.0\n\nu2,0,0,0,1.0,2.0\n\nu2,0,0,0,1.0,inf\nu3,0,0,0,-2,2\n", 6,
+         "duration_s must be finite and >= 0, got inf"),
+        # within one line, a negative index is reported before a bad distance
+        ("\nu1,0,-1,0,nan,2.0\n", 3, NEGATIVE_ACTIVITY),
+    ])
+    def test_records_reader_errors_keep_messages_and_line_numbers(
+            self, tmp_path, body, lineno, message):
+        path = tmp_path / "records.csv"
+        path.write_text(",".join(RECORD_CSV_HEADER) + "\n" + body)
+        with pytest.raises(ConfigError) as excinfo:
+            read_records_csv(path)
+        assert str(excinfo.value) == f"{path}:{lineno}: {message}"
+
+    def test_records_reader_takes_plain_numbers_only(self, tmp_path):
+        # spellings Python's int() accepts but the C parser does not, and
+        # indices past int64, are rejected rather than read
+        path = tmp_path / "records.csv"
+        header = ",".join(RECORD_CSV_HEADER) + "\n"
+        path.write_text(header + "u1,0,0,0,1.0,2.0\nu2,1_0,0,0,1.0,2.0\n")
+        with pytest.raises(ConfigError) as excinfo:
+            read_records_csv(path)
+        assert str(excinfo.value).startswith(f"{path}: could not convert string '1_0' to int64")
+        path.write_text(header + "\nu1,0,0,99999999999999999999,1.0,2.0\n")
+        with pytest.raises(ConfigError) as excinfo:
+            read_records_csv(path)
+        assert str(excinfo.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("text, header", [
+        ("nope\nu1,0,0,0,1.0,2.0\n", ["nope"]),
+        ("\n" + ",".join(RECORD_CSV_HEADER) + "\n", []),
+        ("user_id,region\n", ["user_id", "region"]),
+        ("", None),
+    ])
+    def test_records_reader_bad_header(self, tmp_path, text, header):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as excinfo:
+            read_records_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
+
+    def test_user_ids_and_record_order_survive_a_round_trip(self, tmp_path):
+        # ids of 1 and 40 characters, with a comma, a double quote and
+        # non-ASCII letters; "a,b" and 'say "hi"' are interleaved in the file
+        long_id = "v" * 40
+        rows = [
+            ("x", 0, 0, 0, 1.5, 10.0),
+            ("a,b", 1, 1, 2, 2.5, 20.0),
+            ('say "hi"', 2, 0, 1, 3.5, 30.0),
+            ("a,b", 3, 1, 0, 0.1 + 0.2, 40.0),
+            ('say "hi"', 0, 1, 1, 1e300, 5e-324),
+            (long_id, 1, 0, 2, 0.0, 0.0),
+            ("Zoë", 2, 1, 0, 7.0, 70.0),
+            ("a,b", 0, 0, 0, 8.0, 80.0),
+            ('é,"q"', 1, 1, 1, 9.0, 90.0),
+        ]
+        src = tmp_path / "interleaved.csv"
+        with open(src, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(RECORD_CSV_HEADER)
+            writer.writerows(rows)
+        data = read_records_csv(src)
+        order = ["x", "a,b", 'say "hi"', long_id, "Zoë", 'é,"q"']
+        assert data.num_users == len(order) and data.num_records == len(rows)
+        users = [(uid, [tuple(rec) for rec in records]) for uid, records in user_records(data)]
+        assert users == [(uid, [row[1:] for row in rows if row[0] == uid]) for uid in order]
+
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_records_csv(first, data)
+        again = read_records_csv(first)
+        assert [(uid, list(recs)) for uid, recs in user_records(again)] == [
+            (uid, list(recs)) for uid, recs in user_records(data)]
+        write_records_csv(second, again)
+        assert first.read_bytes() == second.read_bytes()
+        text = first.read_bytes().decode("utf-8")
+        assert '"a,b",' in text and '"say ""hi""",' in text and '"é,""q""",' in text
+        assert f"\r\n{long_id},1,0,2,0.0,0.0\r\n" in text
 
     def test_histogram_roundtrip(self, tmp_path, small_dims, rng):
         hist = random_histogram(rng, small_dims)
@@ -265,9 +437,8 @@ class TestFileFormats:
 
 
 def test_infer_dimensions():
-    recs = (TripRecord(7, 2, 1, 1.0, 1.0),)
-    data = WeekDataset("w", (("u1", recs),))
-    dims = infer_dimensions([data])
+    data = make_dataset("w", [("u1", (TripRecord(7, 2, 1, 1.0, 1.0),)), ("u2", ())])
+    dims = infer_dimensions([data, make_dataset("empty", [])])
     assert dims.num_regions == 8 and dims.num_activities == 3
     dims = infer_dimensions([data], num_activities=9, num_regions=50)
     assert dims.num_regions == 50 and dims.num_activities == 9
@@ -275,7 +446,8 @@ def test_infer_dimensions():
 
 def test_infer_dimensions_overrides_skip_the_records():
     class Unreadable:
-        users = property(lambda self: pytest.fail("infer_dimensions read the records"))
+        def __getattr__(self, name):
+            pytest.fail(f"infer_dimensions read {name}")
 
         def __iter__(self):
             pytest.fail("infer_dimensions iterated the datasets")
