@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -64,7 +63,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    # streamed, so hashing an input never holds the whole file in memory
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_manifest(path, command: str, argv, inputs: dict, outputs, extra: dict) -> None:
@@ -78,20 +82,6 @@ def _write_manifest(path, command: str, argv, inputs: dict, outputs, extra: dict
     for key, value in extra.items():
         lines.append(f"{key} = {value}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None and value > 0:
-        return value
-    env = os.environ.get("DPGB_THREADS", "")
-    if env.strip():
-        try:
-            parsed = int(env)
-        except ValueError:
-            raise ConfigError(f"DPGB_THREADS must be an integer, got {env!r}") from None
-        if parsed > 0:
-            return parsed
-    return os.cpu_count() or 1
 
 
 def cmd_generate(args, argv) -> int:
@@ -123,10 +113,10 @@ def cmd_release(args, argv) -> int:
     _write_manifest(
         str(args.out) + ".manifest", "release", argv,
         {"data": args.data, "config": args.config}, [args.out, ledger_path],
-        {"seed": result.seed, "run": manifest_line(result),
-         "ledger_total": repr(result.total_epsilon)})
+        {"seed": config.rng_seed, "run": manifest_line(result),
+         "ledger_total": repr(result.ledger.total())})
     print(f"released {np.count_nonzero(result.released)} cells to {args.out} "
-          f"(epsilon = {result.total_epsilon!r}, suppressed = {result.suppressed_cells})")
+          f"(epsilon = {result.ledger.total()!r}, suppressed = {result.suppressed_cells})")
     return EXIT_OK
 
 
@@ -204,7 +194,6 @@ def cmd_sweep(args, argv) -> int:
     min_devices = _setting(args.min_devices, "min_devices", DEFAULT_MIN_DEVICES, int)
     tau = _setting(args.tau, "threshold_tau", 0.0, float)
     fit_q = _setting(None, "fit_quantile", 0.95, float)
-    threads = _resolve_threads(args.threads)
 
     data = read_records_csv(args.data)
     proxy = data if args.unsafe_fit else read_records_csv(args.proxy)
@@ -245,7 +234,7 @@ def cmd_sweep(args, argv) -> int:
         out_dir / "manifest", "sweep", argv, inputs,
         [sweep_path, agg_path, curve_path, table_path] + config_paths,
         {"seed": seed, "repeats": repeats, "min_devices": min_devices,
-         "threshold_tau": repr(tau), "threads": threads,
+         "threshold_tau": repr(tau),
          "epsilons": ",".join(repr(e) for e in epsilons),
          "mechanisms": ",".join(mechanisms),
          "test_mode": args.test_mode, "unsafe_fit": args.unsafe_fit})
@@ -320,9 +309,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--num-regions", type=int, default=0, dest="num_regions")
     p_sweep.add_argument("--num-activities", type=int, default=0, dest="num_activities")
     p_sweep.add_argument("--tau", type=float, default=None)
-    p_sweep.add_argument("--threads", type=int, default=None,
-                         help="recorded in the manifest (default: DPGB_THREADS or all "
-                              "cores); the sweep runs on one thread")
     p_sweep.add_argument("--table-epsilon", type=float, default=None, dest="table_epsilon")
     p_sweep.add_argument("--test-mode", action="store_true", dest="test_mode",
                          help="zero noise, for pipeline debugging only (never a DP release)")

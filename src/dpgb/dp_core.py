@@ -77,9 +77,6 @@ class PrivacyLedger:
     def total(self) -> float:
         return math.fsum(eps for _, eps in self.charges)
 
-    def snapshot(self) -> "PrivacyLedger":
-        return PrivacyLedger(self.budget, list(self.charges), self.adjacency)
-
     def summary(self) -> str:
         lines = [f"# adjacency: {self.adjacency}"]
         lines += [f"{label},{eps!r}" for label, eps in self.charges]

@@ -196,12 +196,11 @@ class FittedHyperparameters:
     scales: ScaleMatrix
     ams_clip: float
     joint_clip: float
-    split_clips: np.ndarray
     quantile: float
 
     def config_for(self, kind: str, epsilon: float, tau: float, seed: int) -> MechanismConfig:
         if kind == "budget_split":
-            clip: float | np.ndarray = self.split_clips
+            clip: float | np.ndarray = self.scales.entries
             scales = ScaleMatrix.ones(self.scales.num_activities)
         elif kind == "joint_clipping":
             clip = self.joint_clip
@@ -228,7 +227,6 @@ def fit_hyperparameters(proxy: WeekDataset, dims: Dimensions,
         scales=scales,
         ams_clip=fit_clip(proxy, scales, dims, q),
         joint_clip=fit_clip(proxy, ones, dims, q),
-        split_clips=scales.entries.copy(),
         quantile=q,
     )
 
@@ -404,11 +402,21 @@ def read_sweep_csv(path) -> tuple[tuple[SweepRow, ...], tuple[str, ...], tuple[f
         header = next(reader, None)
         if header != SWEEP_CSV_HEADER:
             raise ConfigError(f"{path}: bad header {header!r}, expected {SWEEP_CSV_HEADER}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            kind, epsilon, repeat = row[0], float(row[1]), int(row[2])
-            grouped.setdefault((kind, epsilon, repeat), {})[row[3]] = float(row[4])
+            if len(row) != len(SWEEP_CSV_HEADER):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected {len(SWEEP_CSV_HEADER)} fields, got {len(row)}")
+            try:
+                kind, epsilon, repeat, wre = row[0], float(row[1]), int(row[2]), float(row[4])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            metrics = grouped.setdefault((kind, epsilon, repeat), {})
+            if row[3] in metrics:
+                raise ConfigError(
+                    f"{path}:{lineno}: duplicate row {(kind, epsilon, repeat, row[3])}")
+            metrics[row[3]] = wre
             if kind not in mechanisms:
                 mechanisms.append(kind)
             if epsilon not in epsilons:

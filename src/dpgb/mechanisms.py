@@ -18,7 +18,8 @@ budgets and seeds pays the aggregation cost once per mechanism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,86 +42,79 @@ class ReleaseResult:
     """One private release plus its accounting.
 
     ``released`` is the dense vector in cell_index order; suppressed and
-    clamped cells hold 0.
+    clamped cells hold 0.  ``config_echo`` is the config the release ran
+    with, budget and seed included.
     """
 
-    mechanism_kind: str
     released: np.ndarray
-    total_epsilon: float
     config_echo: MechanismConfig
-    seed: int
     suppressed_cells: int
     ledger: PrivacyLedger
 
 
 @dataclass(frozen=True)
 class PreparedRelease:
-    """Clipped pre-noise aggregate, ready to be noised at any budget.
+    """Clipped pre-noise aggregate of one config, ready to be noised at any
+    budget and seed."""
 
-    ``slice_scales`` and ``noise_units`` have shape (A, 3), one entry per
-    (activity, metric) slice.  ``slice_scales`` holds the descale factors S;
-    ``noise_units`` holds the Laplace scale times epsilon (the clip bound for
-    single-release mechanisms, clip * num_slices for budget_split), so the
-    slice's noise scale at budget eps is noise_units / eps.
-    ``charge_fractions`` lists the ledger charges as fractions of the total
-    budget.
-    """
-
-    mechanism_kind: str
+    config: MechanismConfig
     dims: Dimensions
     pre_noise_dense: np.ndarray
-    slice_scales: np.ndarray
-    noise_units: np.ndarray
-    charge_fractions: tuple[tuple[str, float], ...]
-    clip_echo: float | np.ndarray
-    scales_echo: ScaleMatrix
 
 
-def prepare_activity_metric_scaling(
-    data: WeekDataset, scales: ScaleMatrix, clip: float, dims: Dimensions,
-    *, kind: str = "activity_metric_scaling",
-) -> PreparedRelease:
-    return PreparedRelease(
-        mechanism_kind=kind,
-        dims=dims,
-        pre_noise_dense=secure_sum(client_work(data, scales, clip, dims), dims),
-        slice_scales=scales.entries,
-        noise_units=np.full(scales.entries.shape, float(clip)),
-        charge_fractions=(("laplace_noise", 1.0),),
-        clip_echo=float(clip),
-        scales_echo=scales,
-    )
+class SubRelease(NamedTuple):
+    """One Laplace release of a mechanism, one row of its calibration table.
 
-
-def prepare_joint_clipping(data: WeekDataset, clip: float, dims: Dimensions) -> PreparedRelease:
-    return prepare_activity_metric_scaling(
-        data, ScaleMatrix.ones(dims.num_activities), clip, dims, kind="joint_clipping")
-
-
-def prepare_budget_split(data: WeekDataset, clips, dims: Dimensions) -> PreparedRelease:
-    """Per-(activity, metric) slices, each clipped to its own bound.
-
-    The split count generalizes to num_activities * 3; each slice's noise
-    scale at budget eps is clips(a, m) * split_count / eps.  Every cell
-    belongs to one slice, so a user's clipped slices form one vector.
+    ``slices`` lists the (activity, metric) slices it noises as flat indices
+    a * 3 + m; ``sensitivity`` is its L1 sensitivity in the scaled domain; it
+    spends 1/``k`` of the budget.  Its noise scale at budget eps is
+    sensitivity * k / eps, and its ledger charge (1 / k) * eps.
     """
-    clips = np.asarray(clips, dtype=float)
-    split_count = dims.num_activities * 3
-    ones = ScaleMatrix.ones(dims.num_activities)
-    charges = tuple(
-        (f"slice_a{a}_{METRIC_NAMES[m]}", 1.0 / split_count)
-        for a in range(dims.num_activities) for m in range(3)
-    )
+
+    label: str
+    slices: tuple[int, ...]
+    sensitivity: float
+    k: int
+
+
+def calibration_table(config: MechanismConfig) -> tuple[SubRelease, ...]:
+    """The sub-releases of a config, which noise and charge come from.
+
+    joint_clipping and activity_metric_scaling make one release of every
+    slice at the full budget, sensitive to the clip.  budget_split makes one
+    release per slice, sensitive to that slice's grid entry, each at an
+    equal share of the budget.
+    """
+    num_slices = config.scales.entries.size
+    if config.mechanism_kind != "budget_split":
+        return (SubRelease("laplace_noise", tuple(range(num_slices)), config.clip, 1),)
+    return tuple(
+        SubRelease(f"slice_a{s // 3}_{METRIC_NAMES[s % 3]}", (s,), clip, num_slices)
+        for s, clip in enumerate(config.clip.reshape(-1).tolist()))
+
+
+def slice_noise_scales(table, num_slices: int, epsilon: float) -> np.ndarray:
+    """The Laplace scale b of each slice under ``table``, in flat slice order.
+
+    Raises unless the rows cover every one of ``num_slices`` slices exactly
+    once.
+    """
+    covered = np.array([s for row in table for s in row.slices], dtype=np.int64)
+    if not np.array_equal(np.sort(covered), np.arange(num_slices)):
+        raise ConfigError(f"calibration table must cover each of {num_slices} slices "
+                          f"exactly once, got {sorted(covered.tolist())}")
+    per_row = (np.array([row.sensitivity for row in table])
+               * np.array([row.k for row in table]) / epsilon)
+    b = np.empty(num_slices)
+    b[covered] = np.repeat(per_row, [len(row.slices) for row in table])
+    return b
+
+
+def prepare_release(config: MechanismConfig, data: WeekDataset, dims: Dimensions) -> PreparedRelease:
+    """Every user's scaled and clipped vector, summed; the step of a run that
+    depends only on the data, the scales and the clip."""
     return PreparedRelease(
-        mechanism_kind="budget_split",
-        dims=dims,
-        pre_noise_dense=secure_sum(client_work(data, ones, clips, dims), dims),
-        slice_scales=ones.entries,
-        noise_units=clips * split_count,
-        charge_fractions=charges,
-        clip_echo=clips,
-        scales_echo=ones,
-    )
+        config, dims, secure_sum(client_work(data, config.scales, config.clip, dims), dims))
 
 
 def finish_release(
@@ -131,45 +125,21 @@ def finish_release(
     *,
     test_mode: bool = False,
 ) -> ReleaseResult:
-    """Noise, descale, and threshold a prepared aggregate at one budget."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
+    """Noise, descale, and threshold a prepared aggregate at one budget.
+
+    Every slice's noise scale and every ledger charge come from the rows of
+    the config's calibration table; a table that does not cover every slice
+    exactly once raises before any noise is drawn.
+    """
+    config = replace(prepared.config, epsilon=epsilon, threshold_tau=tau, rng_seed=seed)
+    table = calibration_table(config)
+    b = slice_noise_scales(table, prepared.dims.num_activities * 3, epsilon)
     ledger = PrivacyLedger(budget=math.inf if test_mode else epsilon)
-    for label, fraction in prepared.charge_fractions:
-        ledger.charge(label, math.inf if test_mode else fraction * epsilon)
+    for row in table:
+        ledger.charge(row.label, math.inf if test_mode else (1.0 / row.k) * epsilon)
     released, suppressed = noise_descale_threshold(
-        prepared.pre_noise_dense,
-        prepared.slice_scales,
-        prepared.noise_units / epsilon,
-        tau,
-        seed,
-        test_mode=test_mode,
-    )
-    config = MechanismConfig(
-        epsilon=epsilon,
-        mechanism_kind=prepared.mechanism_kind,
-        clip=prepared.clip_echo,
-        scales=prepared.scales_echo,
-        threshold_tau=tau,
-        rng_seed=seed,
-    )
-    return ReleaseResult(
-        mechanism_kind=prepared.mechanism_kind,
-        released=released,
-        total_epsilon=ledger.total(),
-        config_echo=config,
-        seed=seed,
-        suppressed_cells=suppressed,
-        ledger=ledger,
-    )
-
-
-def prepare_release(config: MechanismConfig, data: WeekDataset, dims: Dimensions) -> PreparedRelease:
-    if config.mechanism_kind == "budget_split":
-        return prepare_budget_split(data, config.clip, dims)
-    if config.mechanism_kind == "joint_clipping":
-        return prepare_joint_clipping(data, config.clip, dims)
-    return prepare_activity_metric_scaling(data, config.scales, config.clip, dims)
+        prepared.pre_noise_dense, config.scales.entries, b, tau, seed, test_mode=test_mode)
+    return ReleaseResult(released, config, suppressed, ledger)
 
 
 def run_release(
@@ -220,10 +190,10 @@ def manifest_line(result: ReleaseResult) -> str:
     clip = result.config_echo.clip
     clip_repr = "grid" if isinstance(clip, np.ndarray) else repr(clip)
     return ",".join([
-        result.mechanism_kind,
+        result.config_echo.mechanism_kind,
         repr(result.config_echo.epsilon),
         clip_repr,
-        str(result.seed),
+        str(result.config_echo.rng_seed),
         str(result.released.size),
         str(result.suppressed_cells),
     ])

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # wre_oracle, sparse_reference imports
 
-from dpgb.schema import Dimensions
+from dpgb.mechanisms import prepare_release
+from dpgb.schema import Dimensions, MechanismConfig, ScaleMatrix
 from sparse_reference import SparseHistogram, TripRecord, make_dataset, raw_histogram  # noqa: F401
 
 
@@ -55,3 +56,11 @@ def random_dataset(rng, dims, num_users, max_records=12, week_id="test-week"):
 def one_user(records, week_id="w"):
     """A one-user dataset holding ``records``."""
     return make_dataset(week_id, [("u", records)])
+
+
+def prepare(kind, data, clip, dims, scales=None):
+    """``prepare_release`` of a ``kind`` config with this clip and scale
+    matrix (default all ones); prepare reads nothing else of the config."""
+    if scales is None:
+        scales = ScaleMatrix.ones(dims.num_activities)
+    return prepare_release(MechanismConfig(1.0, kind, clip, scales, 0.0, 0), data, dims)

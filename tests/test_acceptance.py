@@ -22,14 +22,9 @@ from dpgb.evaluation import (
     sweep,
     weighted_relative_error,
 )
-from dpgb.mechanisms import (
-    finish_release,
-    prepare_activity_metric_scaling,
-    prepare_budget_split,
-    prepare_joint_clipping,
-)
+from dpgb.mechanisms import finish_release
 from dpgb.schema import Dimensions, ScaleMatrix, write_records_csv
-from conftest import random_dataset, raw_histogram
+from conftest import prepare, random_dataset, raw_histogram
 from sparse_reference import (
     SparseHistogram,
     as_ground_truth,
@@ -122,16 +117,16 @@ def test_criterion_3_sensitivity(rng):
         scales = ScaleMatrix(np.exp(rng.normal(0, 1, size=(3, 3))))
 
         for prep in (
-            lambda d: prepare_activity_metric_scaling(d, scales, clip, dims),
-            lambda d: prepare_joint_clipping(d, clip, dims),
+            lambda d: prepare("activity_metric_scaling", d, clip, dims, scales),
+            lambda d: prepare("joint_clipping", d, clip, dims),
         ):
             distance = float(np.abs(
                 prep(grown).pre_noise_dense - prep(base).pre_noise_dense).sum())
             worst = max(worst, distance / clip)
             assert distance <= clip * (1 + 1e-9) + 1e-12
 
-        delta = (prepare_budget_split(grown, clips, dims).pre_noise_dense
-                 - prepare_budget_split(base, clips, dims).pre_noise_dense)
+        delta = (prepare("budget_split", grown, clips, dims).pre_noise_dense
+                 - prepare("budget_split", base, clips, dims).pre_noise_dense)
         # each (activity, metric) slice is a contiguous run of the flat vector
         slice_distances = np.abs(delta).reshape(clips.size, -1).sum(axis=1)
         bounds = clips.reshape(-1)
@@ -151,11 +146,12 @@ def test_criterion_4_accounting(rng):
     scales = ScaleMatrix(np.exp(rng.normal(0, 1, size=(9, 3))))
     clips = np.exp(rng.normal(0.5, 0.8, size=(9, 3)))
 
-    ams = finish_release(prepare_activity_metric_scaling(data, scales, 5.0, dims), epsilon, 0.0, 3)
-    joint = finish_release(prepare_joint_clipping(data, 5.0, dims), epsilon, 0.0, 3)
-    split = finish_release(prepare_budget_split(data, clips, dims), epsilon, 0.0, 3)
+    ams = finish_release(prepare("activity_metric_scaling", data, 5.0, dims, scales),
+                         epsilon, 0.0, 3)
+    joint = finish_release(prepare("joint_clipping", data, 5.0, dims), epsilon, 0.0, 3)
+    split = finish_release(prepare("budget_split", data, clips, dims), epsilon, 0.0, 3)
 
-    totals_ok = all(abs(r.total_epsilon - epsilon) <= 1e-12 for r in (ams, joint, split))
+    totals_ok = all(abs(r.ledger.total() - epsilon) <= 1e-12 for r in (ams, joint, split))
     charges = [eps for _, eps in split.ledger.charges]
     split_ok = len(charges) == 9 * 3 and len(set(charges)) == 1
     singles_ok = len(ams.ledger.charges) == 1 and len(joint.ledger.charges) == 1
@@ -172,15 +168,15 @@ def test_criterion_5_pipeline_identities(rng):
     raw_norms = [raw_histogram(recs, dims).l1_norm() for _, recs in users_of(data)]
     clip = float(np.median([n for n in raw_norms if n > 0]))  # clipping really bites
 
-    exact = finish_release(prepare_joint_clipping(data, clip, dims), 1.0, 0.0, 5, test_mode=True)
+    exact = finish_release(prepare("joint_clipping", data, clip, dims), 1.0, 0.0, 5, test_mode=True)
     expected = reduce(lambda x, y: x.add(y),
                       [reference_clip_l1(raw_histogram(recs, dims), clip)
                        for _, recs in users_of(data)],
                       SparseHistogram.empty(dims))
     identity_a = np.array_equal(exact.released, expected.to_dense())
 
-    joint = finish_release(prepare_joint_clipping(data, clip, dims), 2.0, 0.0, 99)
-    ams = finish_release(prepare_activity_metric_scaling(data, ones, clip, dims), 2.0, 0.0, 99)
+    joint = finish_release(prepare("joint_clipping", data, clip, dims), 2.0, 0.0, 99)
+    ams = finish_release(prepare("activity_metric_scaling", data, clip, dims, ones), 2.0, 0.0, 99)
     identity_b = np.array_equal(joint.released, ams.released)
 
     ok = identity_a and identity_b
@@ -194,7 +190,7 @@ def test_criterion_6_thresholding_tail():
     # probability exp(-3)/2
     regions = 1235  # 9 * 3 * 1235 * 3 = 100,035 true-zero cells
     dims = Dimensions(num_activities=9, num_regions=regions)
-    prep = prepare_joint_clipping(make_dataset("empty", []), 10.0, dims)
+    prep = prepare("joint_clipping", make_dataset("empty", []), 10.0, dims)
     result = finish_release(prep, 2.0, 3.0, 77)
     fraction = np.count_nonzero(result.released) / dims.total_cells
     expected = 0.5 * math.exp(-3.0)
@@ -286,7 +282,7 @@ def test_criterion_11_end_to_end_sweep(desk, tmp_path):
     start = time.perf_counter()
     code = main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                  "--out", str(out_dir), "--repeats", "20", "--seed", str(SWEEP_SEED),
-                 "--min-devices", "20", "--threads", "4"])
+                 "--min-devices", "20"])
     elapsed = time.perf_counter() - start
 
     curve = (out_dir / "curve.dat").read_text()

@@ -5,12 +5,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dpgb import aggregation
+from dpgb import aggregation, mechanisms
 from dpgb.aggregation import secure_sum, write_ledger
 from dpgb.dp_core import BudgetExceededError, PrivacyLedger, dense_laplace_noise
-from dpgb.mechanisms import finish_release, prepare_activity_metric_scaling, prepare_joint_clipping
+from dpgb.mechanisms import SubRelease, finish_release
 from dpgb.schema import Dimensions, ScaleMatrix, UserCells
-from conftest import random_dataset, random_histogram, raw_histogram
+from conftest import prepare, random_dataset, random_histogram, raw_histogram
 from sparse_reference import SparseHistogram, clip_l1, make_dataset, per_cell, users_of
 
 
@@ -64,7 +64,7 @@ class TestServerWork:
     def test_test_mode_identity_pipeline(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 12)
         clip = 6.0
-        prepared = prepare_joint_clipping(data, clip, small_dims)
+        prepared = prepare("joint_clipping", data, clip, small_dims)
         result = finish_release(prepared, 1.0, 0.0, 5, test_mode=True)
         assert np.array_equal(result.released, prepared.pre_noise_dense)  # bit-exact
         expected = reduce(
@@ -79,7 +79,7 @@ class TestServerWork:
         k = 4.0
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), k))
         data = random_dataset(rng, small_dims, 10)
-        prepared = prepare_activity_metric_scaling(data, scales, 1e9, small_dims)
+        prepared = prepare("activity_metric_scaling", data, 1e9, small_dims, scales)
         result = finish_release(prepared, 1.0, 0.0, 5, test_mode=True)
         raw = reduce(lambda x, y: x.add(y),
                      [raw_histogram(recs, small_dims) for _, recs in users_of(data)],
@@ -89,7 +89,7 @@ class TestServerWork:
     def test_descaling_is_single_multiplication(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 8)
         scales = ScaleMatrix(np.exp(rng.normal(0, 1, size=(small_dims.num_activities, 3))))
-        prepared = prepare_activity_metric_scaling(data, scales, 5.0, small_dims)
+        prepared = prepare("activity_metric_scaling", data, 5.0, small_dims, scales)
         result = finish_release(prepared, 2.0, 0.0, 17)
         noisy = prepared.pre_noise_dense + dense_laplace_noise(
             5.0 / 2.0, 17, small_dims.total_cells)
@@ -100,7 +100,7 @@ class TestServerWork:
         assert np.all(descaled[~kept] <= 0.0)
 
     def test_threshold_suppresses_small_cells(self, small_dims):
-        prepared = prepare_joint_clipping(make_dataset("w", []), 10.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset("w", []), 10.0, small_dims)
         result = finish_release(prepared, 2.0, 3.0, 23)
         threshold = 3.0 * (10.0 / 2.0)
         released = result.released[result.released != 0.0]
@@ -108,7 +108,7 @@ class TestServerWork:
         assert result.suppressed_cells == small_dims.total_cells - released.size
 
     def test_tau_zero_clamps_negatives_out(self, small_dims):
-        prepared = prepare_joint_clipping(make_dataset("w", []), 10.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset("w", []), 10.0, small_dims)
         result = finish_release(prepared, 2.0, 0.0, 23)
         noise = dense_laplace_noise(10.0 / 2.0, 23, small_dims.total_cells)
         assert np.any(noise < 0)
@@ -117,7 +117,7 @@ class TestServerWork:
 
     def test_suppression_monotone_in_tau(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
-        prepared = prepare_joint_clipping(data, 8.0, small_dims)
+        prepared = prepare("joint_clipping", data, 8.0, small_dims)
         kept_cells = None
         for tau in (0.0, 1.0, 2.0, 4.0):
             result = finish_release(prepared, 2.0, tau, 99)
@@ -130,7 +130,7 @@ class TestServerWork:
         data = random_dataset(rng, small_dims, 6, max_records=4)
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), 2.0))
         clip, epsilon = 5.0, 2.0
-        prepared = prepare_activity_metric_scaling(data, scales, clip, small_dims)
+        prepared = prepare("activity_metric_scaling", data, clip, small_dims, scales)
         # lift every cell 40 noise scales clear of zero, so no draw is clamped
         offset = 40.0 * clip / epsilon
         lifted = replace(prepared, pre_noise_dense=prepared.pre_noise_dense + offset)
@@ -144,22 +144,24 @@ class TestServerWork:
         se = math.sqrt(2.0) * (clip / epsilon) * 2.0 / math.sqrt(n_seeds)
         assert np.all(np.abs(mean - expected) <= 4.0 * se)
 
-    def test_budget_abort(self, small_dims):
-        prepared = prepare_joint_clipping(make_dataset("w", []), 1.0, small_dims)
-        overspent = replace(prepared, charge_fractions=(("a", 0.75), ("b", 0.5)))
+    def test_budget_abort(self, small_dims, monkeypatch):
+        # two full-budget rows, each covering half the slices, spend 2 epsilon
+        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
+        overspent = (SubRelease("a", (0, 1, 2), 1.0, 1), SubRelease("b", (3, 4, 5), 1.0, 1))
+        monkeypatch.setattr(mechanisms, "calibration_table", lambda config: overspent)
         with pytest.raises(BudgetExceededError):
-            finish_release(overspent, 1.0, 0.0, 1)
+            finish_release(prepared, 1.0, 0.0, 1)
 
     def test_deterministic(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 5)
-        prepared = prepare_joint_clipping(data, 4.0, small_dims)
+        prepared = prepare("joint_clipping", data, 4.0, small_dims)
         a = finish_release(prepared, 1.0, 2.0, 31)
         b = finish_release(prepared, 1.0, 2.0, 31)
         assert np.array_equal(a.released, b.released)
         assert a.suppressed_cells == b.suppressed_cells
 
     def test_ledger_snapshot_isolated(self, small_dims):
-        prepared = prepare_joint_clipping(make_dataset("w", []), 1.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
         a = finish_release(prepared, 1.0, 0.0, 1)
         b = finish_release(prepared, 1.0, 0.0, 2)
         assert a.ledger is not b.ledger  # every release owns its ledger

@@ -1,9 +1,10 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, _sha256, main
 from dpgb.datagen import generate, ground_truth, read_generator_spec
 from dpgb.dp_core import dense_laplace_noise
 from dpgb.evaluation import ScoringPlan, run_seed
@@ -77,6 +78,17 @@ class TestGenerate:
         assert "command = generate" in manifest
         assert "input_spec_sha256 = " in manifest
         assert "seed = 4" in manifest
+
+    def test_manifest_hash_spans_chunks(self, tmp_path):
+        # inputs are hashed in 1 MiB reads; a file of several reads and a
+        # partial last one must hash as the whole file does
+        path = tmp_path / "blob.bin"
+        payload = np.random.default_rng(3).bytes(2 * (1 << 20) + 12345)
+        path.write_bytes(payload)
+        assert _sha256(path) == hashlib.sha256(payload).hexdigest()
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert _sha256(empty) == hashlib.sha256(b"").hexdigest()
 
     def test_missing_spec_is_io_error(self, tmp_path):
         assert main(["generate", "--spec", str(tmp_path / "nope.cfg"),
@@ -228,7 +240,7 @@ class TestSweep:
         out_dir = tmp_path / "sweep"
         assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                      "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
-                     "--seed", "7", "--min-devices", "5", "--threads", "1",
+                     "--seed", "7", "--min-devices", "5",
                      "--mechanisms", "joint_clipping"]) == EXIT_OK
         assert (out_dir / "sweep.csv").exists()
         assert (out_dir / "sweep_agg.csv").exists()
@@ -268,8 +280,7 @@ class TestSweep:
         out_dir = tmp_path / "s"
         assert main(["sweep", "--data", str(data_path), "--out", str(out_dir),
                      "--unsafe-fit", "--epsilons", "2.0", "--repeats", "1",
-                     "--mechanisms", "joint_clipping", "--min-devices", "5",
-                     "--threads", "1"]) == EXIT_OK
+                     "--mechanisms", "joint_clipping", "--min-devices", "5"]) == EXIT_OK
 
     def test_sweep_config_file(self, workspace):
         tmp_path, _, data_path, proxy_path = workspace
@@ -278,8 +289,7 @@ class TestSweep:
                        "mechanisms = joint_clipping\n")
         out_dir = tmp_path / "s"
         assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
-                     "--out", str(out_dir), "--config", str(cfg),
-                     "--threads", "1"]) == EXIT_OK
+                     "--out", str(out_dir), "--config", str(cfg)]) == EXIT_OK
         text = (out_dir / "sweep_agg.csv").read_text()
         assert "joint_clipping,1.0," in text and "joint_clipping,2.0," in text
 
@@ -289,7 +299,22 @@ class TestSweep:
         assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                      "--out", str(out_dir), "--test-mode", "--epsilons", "2.0",
                      "--repeats", "1", "--mechanisms", "joint_clipping",
-                     "--min-devices", "5", "--threads", "1"]) == EXIT_OK
+                     "--min-devices", "5"]) == EXIT_OK
+
+
+    def test_manifest_does_not_depend_on_the_machine(self, workspace, monkeypatch):
+        tmp_path, _, data_path, proxy_path = workspace
+        manifests = []
+        for cpus, env in ((1, None), (64, None), (64, "3")):
+            monkeypatch.setattr("os.cpu_count", lambda: cpus)
+            if env is not None:
+                monkeypatch.setenv("DPGB_THREADS", env)
+            out_dir = tmp_path / "s"
+            assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
+                         "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
+                         "--mechanisms", "joint_clipping", "--min-devices", "5"]) == EXIT_OK
+            manifests.append((out_dir / "manifest").read_bytes())
+        assert manifests[0] == manifests[1] == manifests[2]
 
 
 class TestReport:
@@ -299,7 +324,7 @@ class TestReport:
         main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
               "--out", str(sweep_dir), "--epsilons", "1.0,2.0", "--repeats", "2",
               "--mechanisms", "joint_clipping,activity_metric_scaling",
-              "--min-devices", "5", "--threads", "1"])
+              "--min-devices", "5"])
         report_dir = tmp_path / "report"
         assert main(["report", "--sweep", str(sweep_dir / "sweep.csv"),
                      "--out", str(report_dir)]) == EXIT_OK
@@ -310,20 +335,28 @@ class TestReport:
         assert main(["report", "--sweep", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "r")]) == EXIT_IO
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("joint_clipping,2.0,0,num_trips,0.25",
+         "4: duplicate row ('joint_clipping', 2.0, 0, 'num_trips')"),
+        ("joint_clipping,2.0,1,num_trips", "4: expected 5 fields, got 4"),
+        ("joint_clipping,2.0,1,num_trips,abc", "4: could not convert string to float: 'abc'"),
+    ], ids=["duplicate", "short_row", "bad_wre"])
+    def test_bad_sweep_rows_name_their_line(self, tmp_path, capsys, bad_row, message):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text("mechanism,epsilon,repeat,metric,wre\n"
+                             "joint_clipping,2.0,0,num_trips,0.5\n"
+                             "joint_clipping,2.0,0,distance,0.5\n"
+                             f"{bad_row}\n"
+                             "joint_clipping,2.0,0,duration,0.5\n")
+        assert main(["report", "--sweep", str(sweep_csv),
+                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert f"error: {sweep_csv}:{message}" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "metric_table.txt").exists()
+
 
 def test_usage_error_exits_config(capsys):
     assert main(["frobnicate"]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
-
-
-def test_dpgb_threads_env(workspace, monkeypatch):
-    tmp_path, _, data_path, proxy_path = workspace
-    monkeypatch.setenv("DPGB_THREADS", "2")
-    out_dir = tmp_path / "s"
-    assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
-                 "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "2",
-                 "--mechanisms", "joint_clipping", "--min-devices", "5"]) == EXIT_OK
-    assert "threads = 2" in (out_dir / "manifest").read_text()
 
 
 def test_release_eval_sweep_build_no_sparse_release(workspace):
@@ -346,7 +379,7 @@ def test_release_eval_sweep_build_no_sparse_release(workspace):
     sweep_dir = tmp_path / "s"
     assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                  "--out", str(sweep_dir), "--epsilons", "2.0", "--repeats", "2",
-                 "--min-devices", "5", "--threads", "1"]) == EXIT_OK
+                 "--min-devices", "5"]) == EXIT_OK
     released = tmp_path / "released.csv"
     assert main(["release", "--data", str(data_path), "--config",
                  str(sweep_dir / "fitted_budget_split.cfg"), "--out", str(released)]) == EXIT_OK
@@ -375,7 +408,7 @@ def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsy
     monkeypatch.setattr("dpgb.evaluation.fit_hyperparameters", refuse)
     out_dir = tmp_path / "s"
     assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
-                 "--out", str(out_dir), "--repeats", "1", "--threads", "1"] + flags) == EXIT_CONFIG
+                 "--out", str(out_dir), "--repeats", "1"] + flags) == EXIT_CONFIG
     assert named in capsys.readouterr().err
     assert not (out_dir / "sweep.csv").exists()
 
@@ -404,7 +437,7 @@ def test_header_only_records(workspace, capsys):
 
     capsys.readouterr()
     assert main(["sweep", "--data", str(data_path), "--proxy", str(empty),
-                 "--out", str(tmp_path / "s"), "--epsilons", "2.0", "--repeats", "1",
-                 "--threads", "1"]) == EXIT_CONFIG
+                 "--out", str(tmp_path / "s"), "--epsilons", "2.0",
+                 "--repeats", "1"]) == EXIT_CONFIG
     assert "fit_clip needs a non-empty dataset" in capsys.readouterr().err
     assert not (tmp_path / "s" / "sweep.csv").exists()

@@ -6,13 +6,8 @@ import pytest
 from dpgb import schema
 from dpgb.client import client_work
 from dpgb.dp_core import l1_norms
-from dpgb.mechanisms import (
-    prepare_activity_metric_scaling,
-    prepare_budget_split,
-    prepare_joint_clipping,
-)
 from dpgb.schema import ConfigError, ScaleMatrix
-from conftest import one_user, random_dataset, random_records, raw_histogram
+from conftest import one_user, prepare, random_dataset, random_records, raw_histogram
 from sparse_reference import (
     SparseHistogram,
     TripRecord,
@@ -103,7 +98,7 @@ def test_invalid_record_abort_then_skip(small_dims):
     with pytest.raises(ValueError):
         clipped([good, bad], ones, 1.0, small_dims)
     with pytest.raises(ValueError):
-        prepare_joint_clipping(make_dataset("w", [("u", (good, bad))]), 1.0, small_dims)
+        prepare("joint_clipping", make_dataset("w", [("u", (good, bad))]), 1.0, small_dims)
     kept = [rec for rec in (good, bad) if rec.region < small_dims.num_regions]
     vector = clipped(kept, ones, 100.0, small_dims)
     assert vector.cells == raw_histogram([good], small_dims).cells
@@ -134,18 +129,19 @@ def test_fleet_preserves_user_order(small_dims, rng, monkeypatch):
     ones = ScaleMatrix.ones(small_dims.num_activities)
     clips = np.exp(rng.normal(1, 1, size=(small_dims.num_activities, 3)))
     cases = [
-        (lambda: prepare_activity_metric_scaling(data, scales, 4.0, small_dims),
+        (lambda: prepare("activity_metric_scaling", data, 4.0, small_dims, scales),
          [clip_l1(user_histogram(records, small_dims, scales), 4.0) for _, records in users]),
-        (lambda: prepare_joint_clipping(data, 30.0, small_dims),
+        (lambda: prepare("joint_clipping", data, 30.0, small_dims),
          [clip_l1(raw_histogram(records, small_dims), 30.0) for _, records in users]),
-        (lambda: prepare_budget_split(data, clips, small_dims),
+        (lambda: prepare("budget_split", data, clips, small_dims),
          [clip_slices(raw_histogram(records, small_dims), clips) for _, records in users]),
     ]
-    for prepare, vectors in cases:
+    for run, vectors in cases:
         expected = user_order_sum(vectors, small_dims)
         for block_records in (1 << 15, 50, 1):
             monkeypatch.setattr(schema, "_BLOCK_RECORDS", block_records)
-            prepared = prepare()
-            assert np.array_equal(prepared.pre_noise_dense, expected), prepared.mechanism_kind
+            prepared = run()
+            assert np.array_equal(prepared.pre_noise_dense, expected), \
+                prepared.config.mechanism_kind
         # the data is rich enough that another order changes some bits
         assert not np.array_equal(user_order_sum(vectors[::-1], small_dims), expected)

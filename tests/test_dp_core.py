@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpgb import mechanisms
 from dpgb.dp_core import (
     BudgetExceededError,
     ConfigError,
@@ -15,8 +16,8 @@ from dpgb.dp_core import (
     l1_norms,
     laplace_inverse_cdf,
 )
-from dpgb.mechanisms import finish_release, prepare_joint_clipping
-from conftest import random_dataset, random_histogram, raw_histogram
+from dpgb.mechanisms import SubRelease, finish_release
+from conftest import prepare, random_dataset, random_histogram, raw_histogram
 from sparse_reference import SparseHistogram, make_dataset, users_of
 
 
@@ -135,7 +136,7 @@ class TestLaplaceMechanism:
         data = random_dataset(rng, small_dims, 5)
         big_clip = max(raw_histogram(recs, small_dims).l1_norm()
                        for _, recs in users_of(data)) + 1
-        result = finish_release(prepare_joint_clipping(data, big_clip, small_dims),
+        result = finish_release(prepare("joint_clipping", data, big_clip, small_dims),
                                 1.0, 0.0, 1, test_mode=True)
         expected = SparseHistogram.empty(small_dims)
         for _, recs in users_of(data):
@@ -146,38 +147,40 @@ class TestLaplaceMechanism:
         clip = 4.0
         data = random_dataset(rng, small_dims, 6)
         without = make_dataset("w", users_of(data)[:-1])
-        distance = np.abs(prepare_joint_clipping(data, clip, small_dims).pre_noise_dense
-                          - prepare_joint_clipping(without, clip, small_dims).pre_noise_dense).sum()
+        distance = np.abs(
+            prepare("joint_clipping", data, clip, small_dims).pre_noise_dense
+            - prepare("joint_clipping", without, clip, small_dims).pre_noise_dense).sum()
         assert distance <= clip * (1 + 1e-9) + 1e-12
 
     def test_noise_scale_is_clip_over_epsilon(self, small_dims):
         # eps=2, C=10 must consume exactly the Lap(5) stream, bit for bit;
         # tau = 0 then releases its positive half
-        prepared = prepare_joint_clipping(make_dataset("w", []), 10.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset("w", []), 10.0, small_dims)
         result = finish_release(prepared, 2.0, 0.0, 1234)
         stream = dense_laplace_noise(5.0, 1234, small_dims.total_cells)
         assert np.array_equal(result.released, np.maximum(stream, 0.0))
 
     def test_every_cell_gets_noise(self, small_dims):
         # lift every cell far above the noise so that none is clamped
-        prepared = prepare_joint_clipping(make_dataset("w", []), 1.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
         lifted = replace(prepared, pre_noise_dense=np.full(small_dims.total_cells, 100.0))
         result = finish_release(lifted, 1.0, 0.0, 9)
         assert np.count_nonzero(result.released != 100.0) == small_dims.total_cells
 
-    def test_ledger_charged_and_abort(self, small_dims):
-        prepared = prepare_joint_clipping(make_dataset("w", []), 1.0, small_dims)
+    def test_ledger_charged_and_abort(self, small_dims, monkeypatch):
+        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
         assert finish_release(prepared, 1.0, 0.0, 1).ledger.total() == 1.0
-        overspent = replace(prepared, charge_fractions=(("a", 1.0), ("b", 0.5)))
+        overspent = (SubRelease("a", (0, 1, 2), 1.0, 1), SubRelease("b", (3, 4, 5), 1.0, 1))
+        monkeypatch.setattr(mechanisms, "calibration_table", lambda config: overspent)
         with pytest.raises(BudgetExceededError):
-            finish_release(overspent, 1.0, 0.0, 1)
+            finish_release(prepared, 1.0, 0.0, 1)
 
     def test_invalid_params(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 3)
         with pytest.raises(ConfigError):
-            finish_release(prepare_joint_clipping(data, 1.0, small_dims), 0.0, 0.0, 1)
+            finish_release(prepare("joint_clipping", data, 1.0, small_dims), 0.0, 0.0, 1)
         with pytest.raises(ConfigError):
-            prepare_joint_clipping(data, -1.0, small_dims)
+            prepare("joint_clipping", data, -1.0, small_dims)
 
 
 class TestPrivacyLedger:

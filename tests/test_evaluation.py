@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from dpgb.cli import EXIT_OK, main
 from dpgb.datagen import GeneratorSpec, generate, ground_truth, proxy_pair
 from dpgb.evaluation import (
     REFERENCE_WRE_EPS2,
@@ -19,9 +18,9 @@ from dpgb.evaluation import (
     write_sweep_agg_csv,
     write_sweep_csv,
 )
-from dpgb.mechanisms import finish_release, prepare_joint_clipping
-from dpgb.schema import Dimensions, write_records_csv
-from conftest import random_histogram
+from dpgb.mechanisms import finish_release
+from dpgb.schema import Dimensions
+from conftest import prepare, random_histogram
 from sparse_reference import SparseHistogram, as_ground_truth, reference_ground_truth
 from wre_oracle import brute_force_wre
 
@@ -179,7 +178,7 @@ class TestSweep:
         row = result.rows[0]
 
         fitted = fit_hyperparameters(proxy, dims)
-        prepared = prepare_joint_clipping(data, fitted.joint_clip, dims)
+        prepared = prepare("joint_clipping", data, fitted.joint_clip, dims)
         seed = run_seed(7, "joint_clipping", 2.0, 0)
         release = finish_release(prepared, 2.0, 0.0, seed)
         direct = weighted_relative_error(ScoringPlan.build(ground_truth(data, dims), 5),
@@ -195,23 +194,6 @@ class TestSweep:
         low, _ = result.mean_std("activity_metric_scaling", 0.5)
         high, _ = result.mean_std("activity_metric_scaling", 8.0)
         assert high < low
-
-    def test_threads_do_not_change_results(self, tmp_path):
-        # --threads is only recorded in the manifest; the sweep runs serially
-        data, proxy = desk_pair(num_users=150)
-        write_records_csv(tmp_path / "data.csv", data)
-        write_records_csv(tmp_path / "proxy.csv", proxy)
-        outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}"
-            assert main(["sweep", "--data", str(tmp_path / "data.csv"),
-                         "--proxy", str(tmp_path / "proxy.csv"), "--out", str(out),
-                         "--epsilons", "1,4", "--mechanisms", "joint_clipping,budget_split",
-                         "--repeats", "3", "--seed", "11", "--min-devices", "5",
-                         "--threads", threads]) == EXIT_OK
-            assert f"threads = {threads}" in (out / "manifest").read_text()
-            outputs.append((out / "sweep.csv").read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_run_seed_depends_on_all_parts(self):
         base = run_seed(1, "joint_clipping", 2.0, 0)
@@ -269,9 +251,9 @@ def test_fit_hyperparameters_uses_slice_quantiles():
     _, proxy = desk_pair(num_users=200)
     dims = Dimensions(num_activities=9, num_regions=8)
     fitted = fit_hyperparameters(proxy, dims)
-    assert np.array_equal(fitted.split_clips, fitted.scales.entries)
     assert fitted.ams_clip > 0 and fitted.joint_clip > 0
     cfg = fitted.config_for("activity_metric_scaling", 2.0, 0.0, 9)
     assert cfg.clip == fitted.ams_clip
     cfg = fitted.config_for("budget_split", 2.0, 0.0, 9)
-    assert np.array_equal(cfg.clip, fitted.split_clips)
+    assert np.array_equal(cfg.clip, fitted.scales.entries)
+    assert cfg.scales.is_ones()

@@ -4,20 +4,20 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dpgb import schema
+from dpgb import mechanisms, schema
 from dpgb.dp_core import dense_laplace_noise, exact_quantile
 from dpgb.mechanisms import (
+    SubRelease,
+    calibration_table,
     finish_release,
     fit_clip,
     fit_scales,
     manifest_line,
-    prepare_activity_metric_scaling,
-    prepare_budget_split,
-    prepare_joint_clipping,
     run_release,
+    slice_noise_scales,
 )
 from dpgb.schema import ConfigError, Dimensions, MechanismConfig, ScaleMatrix
-from conftest import random_dataset, raw_histogram
+from conftest import prepare, random_dataset, raw_histogram
 from sparse_reference import (
     SparseHistogram,
     TripRecord,
@@ -39,17 +39,17 @@ class TestBudgetSplit:
     def test_charges_split_equally(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 8)
         clips = np.full((small_dims.num_activities, 3), 5.0)
-        result = finish_release(prepare_budget_split(data, clips, small_dims), 2.0, 0.0, 3)
+        result = finish_release(prepare("budget_split", data, clips, small_dims), 2.0, 0.0, 3)
         split_count = small_dims.num_activities * 3
         charged = [eps for _, eps in result.ledger.charges]
         assert len(charged) == split_count
         assert all(eps == 2.0 / split_count for eps in charged)
-        assert result.total_epsilon == pytest.approx(2.0, abs=1e-12)
+        assert result.ledger.total() == pytest.approx(2.0, abs=1e-12)
 
     def test_single_activity_three_slices(self, rng):
         dims = Dimensions(num_activities=1, num_regions=4)
         data = random_dataset(rng, dims, 5)
-        result = finish_release(prepare_budget_split(data, np.full((1, 3), 2.0), dims),
+        result = finish_release(prepare("budget_split", data, np.full((1, 3), 2.0), dims),
                                 1.5, 0.0, 3)
         charged = [eps for _, eps in result.ledger.charges]
         assert len(charged) == 3
@@ -61,7 +61,7 @@ class TestBudgetSplit:
         clips = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
         epsilon, seed = 2.0, 271
         split_count = dims.num_activities * 3
-        result = finish_release(prepare_budget_split(make_dataset("w", []), clips, dims),
+        result = finish_release(prepare("budget_split", make_dataset("w", []), clips, dims),
                                 epsilon, 0.0, seed)
         unit = dense_laplace_noise(1.0, seed, dims.total_cells)
         b_flat = np.repeat((clips * split_count).reshape(-1), dims.num_regions * 3) / epsilon
@@ -73,7 +73,7 @@ class TestBudgetSplit:
     def test_test_mode_is_union_of_clipped_slices(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
         clips = np.full((small_dims.num_activities, 3), 3.0)
-        result = finish_release(prepare_budget_split(data, clips, small_dims),
+        result = finish_release(prepare("budget_split", data, clips, small_dims),
                                 1.0, 0.0, 1, test_mode=True)
         expected = SparseHistogram.empty(small_dims)
         for a in range(small_dims.num_activities):
@@ -88,15 +88,14 @@ class TestBudgetSplit:
 
     def test_grid_shape_validated(self, small_dims):
         with pytest.raises(ConfigError):
-            finish_release(prepare_budget_split(make_dataset("w", []), np.ones((1, 3)), small_dims),
-                           1.0, 0.0, 1)
+            prepare("budget_split", make_dataset("w", []), np.ones((1, 3)), small_dims)
 
 
 class TestJointClipping:
     def test_test_mode_exact_truth_when_clip_large(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
         big = max(raw_histogram(r, small_dims).l1_norm() for _, r in users_of(data)) + 1
-        result = finish_release(prepare_joint_clipping(data, big, small_dims),
+        result = finish_release(prepare("joint_clipping", data, big, small_dims),
                                 1.0, 0.0, 1, test_mode=True)
         assert np.array_equal(result.released,
                               merged_user_histograms(data, small_dims).to_dense())
@@ -104,8 +103,8 @@ class TestJointClipping:
     def test_is_all_ones_special_case_bit_identical(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 15)
         ones = ScaleMatrix.ones(small_dims.num_activities)
-        joint = finish_release(prepare_joint_clipping(data, 7.0, small_dims), 2.0, 0.0, 99)
-        ams = finish_release(prepare_activity_metric_scaling(data, ones, 7.0, small_dims),
+        joint = finish_release(prepare("joint_clipping", data, 7.0, small_dims), 2.0, 0.0, 99)
+        ams = finish_release(prepare("activity_metric_scaling", data, 7.0, small_dims, ones),
                              2.0, 0.0, 99)
         assert np.array_equal(joint.released, ams.released)
 
@@ -121,7 +120,8 @@ class TestJointClipping:
         magnitude_ratio = truth.get(duration_cell) / truth.get(count_cell)
         count_errors, duration_errors = [], []
         for seed in range(300):
-            result = finish_release(prepare_joint_clipping(data, 1e6, small_dims), 1.0, 0.0, seed)
+            result = finish_release(prepare("joint_clipping", data, 1e6, small_dims),
+                                    1.0, 0.0, seed)
             count_errors.append(
                 abs(result.released[count_flat] - truth.get(count_cell))
                 / truth.get(count_cell))
@@ -137,7 +137,7 @@ class TestActivityMetricScaling:
         data = random_dataset(rng, small_dims, 20)
         scales = fit_scales(data, small_dims)
         clip = fit_clip(data, scales, small_dims)
-        result = finish_release(prepare_activity_metric_scaling(data, scales, clip, small_dims),
+        result = finish_release(prepare("activity_metric_scaling", data, clip, small_dims, scales),
                                 1.0, 0.0, 5, test_mode=True)
         fleet = [clip_l1(user_histogram(recs, small_dims, scales), clip)
                  for _, recs in users_of(data)]
@@ -148,17 +148,17 @@ class TestActivityMetricScaling:
     def test_single_epsilon_charge(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 5)
         scales = ScaleMatrix.ones(small_dims.num_activities)
-        result = finish_release(prepare_activity_metric_scaling(data, scales, 5.0, small_dims),
+        result = finish_release(prepare("activity_metric_scaling", data, 5.0, small_dims, scales),
                                 2.0, 0.0, 1)
         assert len(result.ledger.charges) == 1
-        assert result.total_epsilon == 2.0
+        assert result.ledger.total() == 2.0
 
     def test_deterministic_same_seed(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 8)
         scales = ScaleMatrix.ones(small_dims.num_activities)
-        a = finish_release(prepare_activity_metric_scaling(data, scales, 5.0, small_dims),
+        a = finish_release(prepare("activity_metric_scaling", data, 5.0, small_dims, scales),
                            1.0, 0.0, 44)
-        b = finish_release(prepare_activity_metric_scaling(data, scales, 5.0, small_dims),
+        b = finish_release(prepare("activity_metric_scaling", data, 5.0, small_dims, scales),
                            1.0, 0.0, 44)
         assert np.array_equal(a.released, b.released)
 
@@ -173,13 +173,13 @@ class TestAdjacency:
             extra = random_dataset(rng, small_dims, 7)
             grown = make_dataset("w", users_of(data) + (("extra", users_of(extra)[6][1]),))
 
-            for prep in (lambda d: prepare_activity_metric_scaling(d, scales, clip, small_dims),
-                         lambda d: prepare_joint_clipping(d, clip, small_dims)):
+            for prep in (lambda d: prepare("activity_metric_scaling", d, clip, small_dims, scales),
+                         lambda d: prepare("joint_clipping", d, clip, small_dims)):
                 distance = np.abs(prep(grown).pre_noise_dense - prep(data).pre_noise_dense).sum()
                 assert distance <= clip * (1 + 1e-9) + 1e-12
 
-            delta = (prepare_budget_split(grown, clips, small_dims).pre_noise_dense
-                     - prepare_budget_split(data, clips, small_dims).pre_noise_dense)
+            delta = (prepare("budget_split", grown, clips, small_dims).pre_noise_dense
+                     - prepare("budget_split", data, clips, small_dims).pre_noise_dense)
             # each (activity, metric) slice is a contiguous run of the flat vector
             per_slice = np.abs(delta).reshape(clips.size, -1).sum(axis=1)
             assert np.all(per_slice <= clips.reshape(-1) * (1 + 1e-9) + 1e-12)
@@ -300,20 +300,20 @@ class TestRunRelease:
         ones = ScaleMatrix.ones(small_dims.num_activities)
         cfg = MechanismConfig(2.0, "joint_clipping", 4.0, ones, 0.0, 11)
         assert np.array_equal(run_release(cfg, data, small_dims).released,
-                              finish_release(prepare_joint_clipping(data, 4.0, small_dims),
+                              finish_release(prepare("joint_clipping", data, 4.0, small_dims),
                                              2.0, 0.0, 11).released)
 
         grid = np.full((small_dims.num_activities, 3), 2.0)
         cfg = MechanismConfig(2.0, "budget_split", grid, ones, 0.0, 11)
         assert np.array_equal(run_release(cfg, data, small_dims).released,
-                              finish_release(prepare_budget_split(data, grid, small_dims),
+                              finish_release(prepare("budget_split", data, grid, small_dims),
                                              2.0, 0.0, 11).released)
 
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), 2.0))
         cfg = MechanismConfig(2.0, "activity_metric_scaling", 4.0, scales, 1.0, 11)
         assert np.array_equal(
             run_release(cfg, data, small_dims).released,
-            finish_release(prepare_activity_metric_scaling(data, scales, 4.0, small_dims),
+            finish_release(prepare("activity_metric_scaling", data, 4.0, small_dims, scales),
                            2.0, 1.0, 11).released)
 
     def test_config_echo_and_manifest_line(self, small_dims, rng):
@@ -322,7 +322,8 @@ class TestRunRelease:
         cfg = MechanismConfig(2.0, "joint_clipping", 4.0, ones, 0.0, 11)
         result = run_release(cfg, data, small_dims)
         assert result.config_echo.epsilon == 2.0
-        assert result.total_epsilon == result.ledger.total()
+        assert result.config_echo.rng_seed == 11
+        assert result.ledger.total() == 2.0
         line = manifest_line(result)
         assert line.startswith("joint_clipping,2.0,4.0,11,")
         assert line.endswith(f",{result.suppressed_cells}")
@@ -330,6 +331,206 @@ class TestRunRelease:
 
 def test_finish_release_rejects_bad_epsilon(small_dims, rng):
     data = random_dataset(rng, small_dims, 3)
-    prep = prepare_joint_clipping(data, 2.0, small_dims)
+    prep = prepare("joint_clipping", data, 2.0, small_dims)
     with pytest.raises(ConfigError):
         finish_release(prep, 0.0, 0.0, 1)
+
+
+def _config(kind, clip, scales=None, epsilon=1.0, num_activities=2):
+    if scales is None:
+        scales = ScaleMatrix.ones(num_activities)
+    return MechanismConfig(epsilon, kind, clip, scales, 0.0, 0)
+
+
+class TestCalibrationTable:
+    """Noise scales and ledger charges both come from the rows of one table."""
+
+    def test_rows_per_mechanism(self):
+        scales = ScaleMatrix(np.array([[2.0, 3.0, 5.0], [7.0, 11.0, 13.0]]))
+        grid = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+        for kind, clip, s in (("joint_clipping", 4.0, None),
+                              ("activity_metric_scaling", 4.0, scales)):
+            assert calibration_table(_config(kind, clip, s)) == (
+                SubRelease("laplace_noise", (0, 1, 2, 3, 4, 5), 4.0, 1),)
+        assert calibration_table(_config("budget_split", grid)) == tuple(
+            SubRelease(f"slice_a{a}_{metric}", (3 * a + m,), grid[a, m], 6)
+            for a in range(2) for m, metric in enumerate(schema.METRIC_NAMES))
+
+    @pytest.mark.parametrize("slices", [
+        [(0, 1, 2), (3, 4)],          # slice 5 left out
+        [(0, 1, 2), (2, 3, 4, 5)],    # slice 2 twice
+        [(0, 1, 2, 3, 4, 5, 6)],      # a slice the domain does not have
+        [],
+    ])
+    def test_table_must_cover_each_slice_once(self, small_dims, monkeypatch, slices):
+        def refuse(*args, **kwargs):
+            raise AssertionError("noised or charged before the table was checked")
+        monkeypatch.setattr(mechanisms, "noise_descale_threshold", refuse)
+        monkeypatch.setattr(mechanisms.PrivacyLedger, "charge", refuse)
+        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
+        table = tuple(SubRelease(f"r{i}", cover, 1.0, len(slices))
+                      for i, cover in enumerate(slices))
+        monkeypatch.setattr(mechanisms, "calibration_table", lambda config: table)
+        with pytest.raises(ConfigError, match="exactly once"):
+            finish_release(prepared, 1.0, 0.0, 1)
+
+    @pytest.mark.parametrize("kind", schema.MECHANISM_KINDS)
+    def test_noise_scale_is_sensitivity_times_k_over_epsilon(self, rng, kind):
+        dims = Dimensions(num_activities=3, num_regions=2)
+        scales = ScaleMatrix(np.exp(rng.normal(0, 1, size=(3, 3))))
+        clip = np.exp(rng.normal(0, 1, size=(3, 3))) if kind == "budget_split" else 2.7
+        if kind != "activity_metric_scaling":
+            scales = None
+        prepared = prepare(kind, make_dataset("w", []), clip, dims, scales)
+        slice_scales = prepared.config.scales.entries.reshape(-1)
+        for epsilon in (0.25, 1.0 / 3.0, 2.0, 16.0):
+            result = finish_release(prepared, epsilon, 0.0, 8)
+            table = calibration_table(result.config_echo)
+            b = [0.0] * 9
+            for row in table:
+                for s in row.slices:
+                    b[s] = row.sensitivity * row.k / epsilon
+            assert slice_noise_scales(table, 9, epsilon).tolist() == b
+            assert result.ledger.charges == [(row.label, (1.0 / row.k) * epsilon)
+                                             for row in table]
+            noise = dense_laplace_noise(np.repeat(b, 6), 8, dims.total_cells)
+            descaled = (noise + 0.0) * np.repeat(slice_scales, 6)
+            assert np.array_equal(result.released, np.maximum(descaled, 0.0))
+
+
+# --- statistical privacy audit -------------------------------------------------
+#
+# Worst-case add-one-user neighbours on a tiny domain, noised many times with
+# the per-slice scales finish_release derives.  For each of two threshold
+# events, the ratio of its probabilities under the two neighbours must not
+# exceed e^epsilon; the audit reports a lower confidence bound on the larger
+# ratio (Clopper-Pearson intervals at level AUDIT_ALPHA), so a bound above
+# e^epsilon is evidence of a violation (after Ding et al., CCS 2018).
+
+AUDIT_EPSILON = 1.0
+AUDIT_DRAWS = 200_000
+AUDIT_ALPHA = 1e-3
+AUDIT_DIMS = Dimensions(num_activities=1, num_regions=2)
+
+
+def _betacf(a, b, x):
+    # continued fraction of the incomplete beta function, modified Lentz
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100_000):
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise RuntimeError("incomplete beta continued fraction did not converge")
+
+
+def _betainc(a, b, x):
+    """Regularized incomplete beta function I_x(a, b)."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0 if x <= 0.0 else 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def _beta_ppf(q, a, b):
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _betainc(a, b, mid) < q else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def clopper_pearson(k, n, alpha):
+    """Exact two-sided 1 - alpha confidence interval of a binomial proportion."""
+    lo = _beta_ppf(alpha / 2, k, n - k + 1) if k > 0 else 0.0
+    hi = _beta_ppf(1 - alpha / 2, k + 1, n - k) if k < n else 1.0
+    return lo, hi
+
+
+def audit_bound(pre, pre_grown, b_cell, seed):
+    """Lower confidence bound on the larger of the probability ratios of
+    {every differing cell >= its grown value} and {every differing cell <=
+    its base value}, each taken in the direction that exceeds 1."""
+    diff = np.flatnonzero(pre_grown != pre)
+    assert diff.size and np.all(pre_grown[diff] > pre[diff])
+    noise = dense_laplace_noise(b_cell[diff], seed, (2, AUDIT_DRAWS, diff.size))
+    outputs = (pre[diff] + noise[0], pre_grown[diff] + noise[1])
+    bound = 0.0
+    for event, likelier in ((lambda y: np.all(y >= pre_grown[diff], axis=1), 1),
+                            (lambda y: np.all(y <= pre[diff], axis=1), 0)):
+        counts = [int(np.count_nonzero(event(y))) for y in outputs]
+        low = clopper_pearson(counts[likelier], AUDIT_DRAWS, AUDIT_ALPHA)[0]
+        high = clopper_pearson(counts[1 - likelier], AUDIT_DRAWS, AUDIT_ALPHA)[1]
+        bound = max(bound, low / high)
+    return bound
+
+
+def audit_neighbours(kind):
+    """A config and its worst-case neighbours: the added user holds the clip
+    in one cell, or, under budget_split, each slice's grid entry in every
+    slice."""
+    ones = ScaleMatrix.ones(1)
+    config = {
+        "joint_clipping": _config("joint_clipping", 3.0, ones),
+        "activity_metric_scaling": _config(
+            "activity_metric_scaling", 3.0, ScaleMatrix(np.array([[2.0, 4.0, 300.0]]))),
+        "budget_split": _config("budget_split", np.array([[2.0, 10.0, 100.0]]), ones),
+    }[kind]
+    distance, duration = (50.0, 5000.0) if kind == "budget_split" else (0.0, 0.0)
+    base = random_dataset(np.random.default_rng(7), AUDIT_DIMS, 6)
+    worst = tuple(TripRecord(0, 0, 0, distance, duration) for _ in range(1000))
+    grown = make_dataset(base.week_id, users_of(base) + (("added", worst),))
+    pre, pre_grown = (mechanisms.prepare_release(config, data, AUDIT_DIMS).pre_noise_dense
+                      for data in (base, grown))
+    return config, pre, pre_grown
+
+
+def cell_scales(table):
+    return np.repeat(slice_noise_scales(table, 3, AUDIT_EPSILON), AUDIT_DIMS.num_regions * 3)
+
+
+class TestPrivacyAudit:
+    def test_clopper_pearson_closed_forms(self):
+        # k = 0 and k = n have closed forms; the interval is symmetric in k
+        assert clopper_pearson(0, 10, 0.05)[1] == pytest.approx(1 - 0.025 ** 0.1, rel=1e-12)
+        assert clopper_pearson(10, 10, 0.05)[0] == pytest.approx(0.025 ** 0.1, rel=1e-12)
+        lo, hi = clopper_pearson(3000, 200_000, 1e-3)
+        mirror = clopper_pearson(197_000, 200_000, 1e-3)
+        assert lo < 0.015 < hi
+        assert (lo, hi) == pytest.approx((1 - mirror[1], 1 - mirror[0]), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", schema.MECHANISM_KINDS)
+    def test_mechanism_passes(self, kind):
+        config, pre, pre_grown = audit_neighbours(kind)
+        b_cell = cell_scales(calibration_table(config))
+        # the audited scales are the ones a real release draws with
+        prepared = mechanisms.PreparedRelease(config, AUDIT_DIMS, np.zeros(pre.size))
+        released = finish_release(prepared, AUDIT_EPSILON, 0.0, 3).released
+        per_cell_scale = np.repeat(config.scales.entries.reshape(-1), AUDIT_DIMS.num_regions * 3)
+        noise = dense_laplace_noise(b_cell, 3, pre.size)
+        assert np.array_equal(released, np.maximum((noise + 0.0) * per_cell_scale, 0.0))
+
+        bound = audit_bound(pre, pre_grown, b_cell, seed=11)
+        assert bound <= math.exp(AUDIT_EPSILON)
+        # the neighbours are worst case: the ratio comes close to e^epsilon
+        assert bound >= math.exp(0.8 * AUDIT_EPSILON)
+
+    @pytest.mark.parametrize("kind, mutant", [
+        ("joint_clipping", lambda row: row._replace(sensitivity=row.sensitivity / 2)),
+        ("budget_split", lambda row: row._replace(k=1)),
+    ], ids=["half_scale", "budget_split_without_split_count"])
+    def test_miscalibrated_tables_are_flagged(self, kind, mutant):
+        config, pre, pre_grown = audit_neighbours(kind)
+        table = tuple(mutant(row) for row in calibration_table(config))
+        assert audit_bound(pre, pre_grown, cell_scales(table), seed=11) > math.exp(AUDIT_EPSILON)
