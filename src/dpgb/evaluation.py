@@ -12,6 +12,7 @@ path.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -412,6 +413,10 @@ def read_sweep_csv(path) -> tuple[tuple[SweepRow, ...], tuple[str, ...], tuple[f
                 kind, epsilon, repeat, wre = row[0], float(row[1]), int(row[2]), float(row[4])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            if repeat < 0:
+                raise ConfigError(f"{path}:{lineno}: repeat must be >= 0, got {repeat}")
+            if row[3] not in METRIC_NAMES:
+                raise ConfigError(f"{path}:{lineno}: unknown metric {row[3]!r}")
             metrics = grouped.setdefault((kind, epsilon, repeat), {})
             if row[3] in metrics:
                 raise ConfigError(
@@ -423,9 +428,12 @@ def read_sweep_csv(path) -> tuple[tuple[SweepRow, ...], tuple[str, ...], tuple[f
                 epsilons.append(epsilon)
     rows = []
     for (kind, epsilon, repeat), wre in grouped.items():
-        if sorted(wre) != sorted(METRIC_NAMES):
+        if len(wre) != len(METRIC_NAMES):
             raise ConfigError(f"{path}: incomplete metrics for {(kind, epsilon, repeat)}")
         rows.append(SweepRow(kind, epsilon, repeat, 0,
                              wre, float(np.mean([wre[n] for n in METRIC_NAMES]))))
     repeats = max(row.repeat for row in rows) + 1 if rows else 0
+    for cell in itertools.product(mechanisms, epsilons, range(repeats)):
+        if cell not in grouped:
+            raise ConfigError(f"{path}: no rows for {cell}")
     return tuple(rows), tuple(mechanisms), tuple(sorted(epsilons)), repeats

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -35,18 +34,20 @@ class ConfigError(ValueError):
     """Invalid configuration or malformed input data (CLI exit code 1)."""
 
 
+_METRIC_TOKENS = {**{name: m for m, name in enumerate(METRIC_NAMES)}, "0": 0, "1": 1, "2": 2}
+
+
 def metric_index(token: str) -> int:
-    """Accept a metric by name or by integer index."""
-    token = token.strip()
-    if token in METRIC_NAMES:
-        return METRIC_NAMES.index(token)
+    """A metric by its exact name or by index ``0``, ``1`` or ``2``."""
+    if token in _METRIC_TOKENS:
+        return _METRIC_TOKENS[token]
     try:
         m = int(token)
     except ValueError:
-        raise ConfigError(f"unknown metric {token!r}") from None
-    if not 0 <= m < 3:
-        raise ConfigError(f"metric index out of range: {m}")
-    return m
+        m = None
+    if m is None or str(m) != token:
+        raise ConfigError(f"unknown metric {token!r}")
+    raise ConfigError(f"metric index out of range: {m}")
 
 
 @dataclass(frozen=True)
@@ -402,13 +403,7 @@ def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
     if header != RECORD_CSV_HEADER:
         raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            # older numpy only warns, then truncates, when an index reads as a float
-            warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
-                                    DeprecationWarning)
-            table = np.loadtxt(path, dtype=_RECORD_DTYPE, delimiter=",", skiprows=1,
-                               quotechar='"', comments=None, ndmin=1, encoding="utf-8")
+        table = _loadtxt(path, _RECORD_DTYPE, skiprows=1)
         index: dict[str, int] = {}
         owner = np.fromiter((index.setdefault(uid, len(index)) for uid in table["user_id"]),
                             dtype=np.int64, count=table.size)
@@ -421,87 +416,136 @@ def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
         return WeekDataset(week_id if week_id is not None else Path(path).stem,
                            tuple(index), offsets, *columns)
     except ValueError as exc:
-        raise _bad_row_error(path, f"{path}: {exc}") from None
+        raise _first_bad_row(path, len(RECORD_CSV_HEADER), _check_record_row,
+                             f"{path}: {exc}") from None
 
 
-def _bad_row_error(path, fallback: str) -> ConfigError:
-    """The error naming the first bad row of a records file as
-    ``path:lineno: message``, lines counted as csv rows; ``fallback`` when
-    every row passes Python's own int() and float() and the record checks."""
+def _check_record_row(row: list[str]) -> None:
+    # the row as a one-record dataset, for the same checks
+    WeekDataset("", ("",), [0, 1], [int(row[1])], [int(row[2])], [int(row[3])],
+                [float(row[4])], [float(row[5])])
+
+
+def _loadtxt(source, dtype: np.dtype, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of comma-separated rows with csv quoting, as an array
+    of at least one dimension."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")  # blank rows
+        # older numpy only warns, then truncates, when an int reads as a float
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                          ndmin=1, encoding="utf-8", **kwargs)
+
+
+def _first_bad_row(path, num_fields: int, check, fallback: str) -> ConfigError:
+    """The error naming the first bad row of a CSV file as
+    ``path:lineno: message``, lines counted as csv rows and blank rows
+    skipped; ``fallback`` when every row has ``num_fields`` fields and
+    passes ``check``, which raises on a bad row with Python's own int()
+    and float()."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 6:
-                return ConfigError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:  # the row as a one-record dataset, for the same checks
-                WeekDataset("", ("",), [0, 1], [int(row[1])], [int(row[2])], [int(row[3])],
-                            [float(row[4])], [float(row[5])])
-            except (ValueError, OverflowError) as exc:
+            if len(row) != num_fields:
+                return ConfigError(f"{path}:{lineno}: expected {num_fields} fields, got {len(row)}")
+            try:
+                check(row)
+            except (ValueError, OverflowError, IndexError) as exc:
                 return ConfigError(f"{path}:{lineno}: {exc}")
     return ConfigError(fallback)
 
 
-# cells per block of the dense vector the histogram writer converts at once
-_WRITE_BLOCK_CELLS = 1 << 16
+# cells of one slice that the histogram writer joins into one string
+_WRITE_CHUNK_CELLS = 1 << 14
 
 
 def write_histogram_csv(path, dense: np.ndarray, dims: Dimensions) -> None:
     """One row per nonzero cell, in flat cell order; metric written by name.
 
-    The dense vector is converted in fixed-size blocks, so the writer never
-    holds more than one block of rows as Python objects.
+    A row is ``activity,metric,region,direction,repr(value)`` ended by
+    CRLF, the bytes ``csv.writer`` gives for the same rows.  Each
+    (activity, metric) slice is written as a few long strings, so the
+    writer holds at most one chunk of rows at a time.
     """
     if dense.shape != (dims.total_cells,):
         raise ValueError(f"dense array shape {dense.shape} does not match {dims}")
-    names = np.array(METRIC_NAMES, dtype=object)
+    cells = [f"{r},{d}," for r in range(dims.num_regions) for d in range(3)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTOGRAM_CSV_HEADER)
-        for start in range(0, dims.total_cells, _WRITE_BLOCK_CELLS):
-            block = dense[start:start + _WRITE_BLOCK_CELLS]
-            flat = np.flatnonzero(block)
-            values = block[flat].tolist()
-            rest, d = np.divmod(flat + start, 3)
-            rest, r = np.divmod(rest, dims.num_regions)
-            a, m = np.divmod(rest, 3)
-            writer.writerows(zip(a.tolist(), names[m].tolist(), r.tolist(), d.tolist(), values))
+        fh.write(",".join(HISTOGRAM_CSV_HEADER) + "\r\n")
+        for s, values in enumerate(dense.reshape(-1, len(cells))):
+            prefix = f"{s // 3},{METRIC_NAMES[s % 3]},"
+            for lo in range(0, len(cells), _WRITE_CHUNK_CELLS):
+                flat = np.flatnonzero(values[lo:lo + _WRITE_CHUNK_CELLS]) + lo
+                fh.write("".join([f"{prefix}{cells[i]}{v!r}\r\n"
+                                  for i, v in zip(flat.tolist(), values[flat].tolist())]))
+
+
+# rows per np.loadtxt block of the histogram reader
+_READ_BLOCK_ROWS = 1 << 15
+
+# one byte wider than the longest metric token, so a longer token reads as a
+# full-width one and never as a valid, truncated one
+_HISTOGRAM_DTYPE = np.dtype([("activity", np.int64),
+                             ("metric", f"S{max(map(len, METRIC_NAMES)) + 1}"),
+                             ("region", np.int64), ("direction", np.int64), ("value", float)])
 
 
 def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
     """Dense vector in flat cell order; absent and zero-valued cells read 0.
 
     A second row for a cell is an error, also when the first one held 0.
+    The rows are parsed by ``np.loadtxt`` in blocks and checked as arrays;
+    if a block does not parse or fails a check, the file is read again with
+    ``csv`` to name the first bad line.
     """
-    dense = array("d", bytes(8 * dims.total_cells))
-    seen = bytearray(dims.total_cells)
+    dense = np.zeros(dims.total_cells)
+    seen = np.zeros(dims.total_cells, dtype=bool)
+    num_seen = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != HISTOGRAM_CSV_HEADER:
             raise ConfigError(f"{path}: bad header {header!r}, expected {HISTOGRAM_CSV_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ConfigError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                cell = (int(row[0]), metric_index(row[1]), int(row[2]), int(row[3]))
-                value = float(row[4])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            try:
-                flat = dims.cell_index(*cell)
-            except IndexError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if seen[flat]:
-                raise ConfigError(f"{path}:{lineno}: duplicate cell {cell}")
-            seen[flat] = 1
-            if value != 0.0:
-                dense[flat] = value
-    return np.frombuffer(dense, dtype=float)
+        try:
+            while True:
+                rows = _loadtxt(fh, _HISTOGRAM_DTYPE, max_rows=_READ_BLOCK_ROWS)
+                a, r, d = rows["activity"], rows["region"], rows["direction"]
+                m = np.full(rows.size, -1)
+                for token, index in _METRIC_TOKENS.items():
+                    m[rows["metric"] == token.encode()] = index
+                if not np.all((m >= 0) & (a >= 0) & (a < dims.num_activities)
+                              & (r >= 0) & (r < dims.num_regions) & (d >= 0) & (d < 3)):
+                    raise ValueError("a row names no cell of the domain")
+                flat = ((a * 3 + m) * dims.num_regions + r) * 3 + d
+                seen[flat] = True
+                num_seen += flat.size
+                if np.count_nonzero(seen) != num_seen:
+                    raise ValueError("a cell has a second row")
+                nonzero = rows["value"] != 0.0
+                dense[flat[nonzero]] = rows["value"][nonzero]
+                if rows.size < _READ_BLOCK_ROWS:
+                    return dense
+        except ValueError as exc:
+            raise _first_bad_row(path, len(HISTOGRAM_CSV_HEADER), _histogram_row_check(dims),
+                                 f"{path}: {exc}") from None
+
+
+def _histogram_row_check(dims: Dimensions):
+    """Check one histogram row at a time, as the fast path checks a block."""
+    seen: set[int] = set()
+
+    def check(row: list[str]) -> None:
+        cell = (int(row[0]), metric_index(row[1]), int(row[2]), int(row[3]))
+        float(row[4])
+        flat = dims.cell_index(*cell)
+        if flat in seen:
+            raise ValueError(f"duplicate cell {cell}")
+        seen.add(flat)
+    return check
 
 
 def infer_dimensions(datasets, *, num_activities: int = 0, num_regions: int = 0) -> Dimensions:

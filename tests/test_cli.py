@@ -130,6 +130,28 @@ class TestRelease:
                      "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    # sha256 of released.csv and its ledger; a change that moves an output
+    # byte must be argued for, never slipped in with a speed-up
+    @pytest.mark.parametrize("kind, released_sha, ledger_sha", [
+        ("activity_metric_scaling",
+         "839309b951ee9f00d86d6b4b4a13968a162809f40f0617ea3f70f085ab65e4f4",
+         "9ec25f2f6055c7c9be2854368b312ac7e79c66ef3146b86f14b9d9fb64b85a25"),
+        ("joint_clipping",
+         "0dc6f51e6fb8e0fe5ec106f159f11da24bb2afe71627254bf38aa952ae1e47e6",
+         "9ec25f2f6055c7c9be2854368b312ac7e79c66ef3146b86f14b9d9fb64b85a25"),
+        ("budget_split",
+         "1564daeed0fa88673a238f33faaa5f0a4bcd7bf6a9e687c0a164a1a7c0aaabdc",
+         "9c6507a48ca14b35eee0628abc4935cd03a42e9ae52520561fed316fbe70ac29"),
+    ])
+    def test_release_bytes_are_pinned(self, workspace, kind, released_sha, ledger_sha):
+        tmp_path, _, data_path, _ = workspace
+        cfg_path = make_config(tmp_path, data_path, kind=kind)
+        out = tmp_path / "released.csv"
+        assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        ledger = tmp_path / "released.csv.ledger"
+        assert (_sha256(out), _sha256(ledger)) == (released_sha, ledger_sha)
+
     def test_seed_override_changes_output(self, workspace):
         tmp_path, _, data_path, _ = workspace
         cfg_path = make_config(tmp_path, data_path)
@@ -352,6 +374,37 @@ class TestReport:
                      "--out", str(tmp_path / "r")]) == EXIT_CONFIG
         assert f"error: {sweep_csv}:{message}" in capsys.readouterr().err
         assert not (tmp_path / "r" / "metric_table.txt").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        # repeats 0 and 2 of a cell: not a 3-repeat sweep averaged over two
+        ([("joint_clipping", "2.0", "0"), ("joint_clipping", "2.0", "2")],
+         ": no rows for ('joint_clipping', 2.0, 1)"),
+        # a mechanism swept at one epsilon only
+        ([("joint_clipping", "1.0", "0"), ("joint_clipping", "2.0", "0"),
+          ("budget_split", "2.0", "0")],
+         ": no rows for ('budget_split', 1.0, 0)"),
+        ([("joint_clipping", "2.0", "-1")], ":2: repeat must be >= 0, got -1"),
+    ], ids=["missing_repeat", "missing_epsilon", "negative_repeat"])
+    def test_missing_sweep_cells_are_named(self, tmp_path, capsys, rows, message):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text("mechanism,epsilon,repeat,metric,wre\n" + "".join(
+            f"{kind},{eps},{rep},{metric},0.5\n"
+            for kind, eps, rep in rows for metric in ("num_trips", "distance", "duration")))
+        assert main(["report", "--sweep", str(sweep_csv),
+                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert f"error: {sweep_csv}{message}" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "metric_table.txt").exists()
+
+    def test_unknown_sweep_metric_names_its_line(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text("mechanism,epsilon,repeat,metric,wre\n"
+                             "joint_clipping,2.0,0,num_trips,0.5\n"
+                             "joint_clipping,2.0,0,distance,0.5\n"
+                             "joint_clipping,2.0,0,foo,0.5\n"
+                             "joint_clipping,2.0,0,duration,0.5\n")
+        assert main(["report", "--sweep", str(sweep_csv),
+                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert f"error: {sweep_csv}:4: unknown metric 'foo'" in capsys.readouterr().err
 
 
 def test_usage_error_exits_config(capsys):

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ from sparse_reference import (
 
 RECORD_CSV_HEADER = ["user_id", "region", "activity", "direction", "distance_km", "duration_s"]
 NEGATIVE_ACTIVITY = "negative index in record (region=0, activity=-1, direction=0)"
+
+
+def csv_writer_histogram(path, dense, dims):
+    """The histogram file as ``csv.writer`` writes its rows: the reference
+    for ``write_histogram_csv``'s bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["activity", "metric", "region", "direction", "value"])
+        for flat in np.flatnonzero(dense).tolist():
+            a, m, r, d = dims.cell_tuple(flat)
+            writer.writerow([a, METRIC_NAMES[m], r, d, dense[flat].item()])
 
 
 def user_records(data):
@@ -477,7 +489,7 @@ class TestDenseHistogramFiles:
             assert back[flat] == value
 
     def test_rows_are_repr_formatted_in_flat_order(self, tmp_path, rng):
-        # more cells than one write block, so rows cross a block boundary
+        # rows in many slices, so they cross slice boundaries
         dims = Dimensions(num_activities=9, num_regions=2500)
         dense = np.zeros(dims.total_cells)
         flats = np.sort(rng.choice(dims.total_cells, size=300, replace=False))
@@ -494,6 +506,66 @@ class TestDenseHistogramFiles:
         with pytest.raises(ValueError):
             write_histogram_csv(tmp_path / "h.csv", np.zeros(5), small_dims)
 
+    @pytest.mark.parametrize("dims, cells", [
+        # every slice empty but the last
+        (Dimensions(num_activities=2, num_regions=4), {69: 2.5, 70: 1.0, 71: 0.1 + 0.2}),
+        # one region: three cells per slice
+        (Dimensions(num_activities=3, num_regions=1), {0: 1.0, 4: 7.25, 26: 3.0}),
+        (Dimensions(num_activities=2, num_regions=4),
+         {0: 5e-324, 5: 1e16, 17: 1e-5, 30: math.nan, 31: math.inf, 40: -1.5, 71: 1e300}),
+        (Dimensions(num_activities=2, num_regions=4), {}),
+    ], ids=["last_slice_only", "one_region", "edge_values", "empty"])
+    def test_writer_bytes_equal_csv_writer(self, tmp_path, dims, cells):
+        dense = np.zeros(dims.total_cells)
+        for flat, value in cells.items():
+            dense[flat] = value
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_histogram_csv(got, dense, dims)
+        csv_writer_histogram(want, dense, dims)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("chunk_cells", [1, 7, 1 << 14])
+    def test_writer_bytes_equal_csv_writer_at_random(self, tmp_path, rng, monkeypatch,
+                                                     chunk_cells):
+        monkeypatch.setattr(schema, "_WRITE_CHUNK_CELLS", chunk_cells)
+        dims = Dimensions(num_activities=3, num_regions=50)
+        dense = np.where(rng.random(dims.total_cells) < 0.5, 0.0,
+                         rng.lognormal(0.0, 8.0, size=dims.total_cells))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_histogram_csv(got, dense, dims)
+        csv_writer_histogram(want, dense, dims)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 7])
+    def test_roundtrip_in_read_blocks(self, tmp_path, rng, monkeypatch, block_rows):
+        monkeypatch.setattr(schema, "_READ_BLOCK_ROWS", block_rows)
+        dims = Dimensions(num_activities=2, num_regions=5)
+        for size in (0, 1, 6, 7, 8, 14, 15, dims.total_cells):
+            dense = np.zeros(dims.total_cells)
+            flats = rng.choice(dims.total_cells, size=size, replace=False)
+            dense[flats] = rng.lognormal(0.0, 3.0, size=size)
+            path = tmp_path / f"h{size}.csv"
+            write_histogram_csv(path, dense, dims)
+            assert read_histogram_csv(path, dims).tobytes() == dense.tobytes()
+
+    def test_reading_a_small_file_holds_one_dense_vector(self, tmp_path, rng):
+        # the dense vector (32.4 MB at 9 x 50,000 regions), its seen mask
+        # and one block of rows; not one Python object per cell
+        dims = Dimensions(num_activities=9, num_regions=50_000)
+        dense = np.zeros(dims.total_cells)
+        dense[rng.choice(dims.total_cells, size=100, replace=False)] = 1.5
+        path = tmp_path / "h.csv"
+        write_histogram_csv(path, dense, dims)
+        tracemalloc.start()
+        try:
+            back = read_histogram_csv(path, dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, dense)
+        assert peak < 40e6
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, 1 << 15])
     @pytest.mark.parametrize("body, lineno, message", [
         ("0,num_trips,0,0,1.0\n0,num_trips,1\n", 3, "expected 5 fields, got 3"),
         ("0,speed,0,0,1.0\n", 2, "unknown metric 'speed'"),
@@ -505,14 +577,43 @@ class TestDenseHistogramFiles:
          "num_metrics=3, num_directions=3)"),
         ("0,duration,1,2,1.0\n0,2,1,2,3.0\n", 3, "duplicate cell (0, 2, 1, 2)"),
         ("0,num_trips,0,0,0.0\n0,num_trips,0,0,5.0\n", 3, "duplicate cell (0, 0, 0, 0)"),
+        ("0,num_trips,0,0,1.0\n  \n", 3, "expected 5 fields, got 1"),
+        ("0,num_tripsXYZ,0,0,1.0\n", 2, "unknown metric 'num_tripsXYZ'"),
+        # the first row of the cell lies in an earlier read block
+        ("".join(f"0,num_trips,{r},{d},1.0\n" for r in range(4) for d in range(3))
+         + "0,num_trips,0,0,2.0\n", 14, "duplicate cell (0, 0, 0, 0)"),
+        # a blank row, then a bad row in a later read block
+        ("".join(f"1,distance,{r},{d},1.0\n" for r in range(4) for d in range(3))
+         + "\n0,num_trips,0,0,abc\n", 15, "could not convert string to float: 'abc'"),
     ])
     def test_reader_errors_keep_messages_and_line_numbers(
-            self, tmp_path, small_dims, body, lineno, message):
+            self, tmp_path, small_dims, monkeypatch, block_rows, body, lineno, message):
+        monkeypatch.setattr(schema, "_READ_BLOCK_ROWS", block_rows)
         path = tmp_path / "h.csv"
         path.write_text("activity,metric,region,direction,value\n" + body)
         with pytest.raises(ConfigError) as excinfo:
             read_histogram_csv(path, small_dims)
         assert str(excinfo.value) == f"{path}:{lineno}: {message}"
+
+    # inputs the row-by-row csv reader took: it stripped metric tokens and
+    # read every spelling Python's int() and float() accept
+    @pytest.mark.parametrize("row, message", [
+        ("0, num_trips,0,0,1.0", ":2: unknown metric ' num_trips'"),
+        ("0,num_trips ,0,0,1.0", ":2: unknown metric 'num_trips '"),
+        ("0, 1,0,0,1.0", ":2: unknown metric ' 1'"),
+        ("0,01,0,0,1.0", ":2: unknown metric '01'"),
+        ("0,+1,0,0,1.0", ":2: unknown metric '+1'"),
+        ("0,+7,0,0,1.0", ":2: unknown metric '+7'"),
+        ("0,num_trips,0,0,1_0", ": could not convert string '1_0' to float64"),
+        ("0,num_trips,0_1,0,1.0", ": could not convert string '0_1' to int64"),
+    ])
+    def test_reader_takes_exact_tokens_and_plain_numbers_only(
+            self, tmp_path, small_dims, row, message):
+        path = tmp_path / "h.csv"
+        path.write_text("activity,metric,region,direction,value\n" + row + "\n")
+        with pytest.raises(ConfigError) as excinfo:
+            read_histogram_csv(path, small_dims)
+        assert str(excinfo.value).startswith(f"{path}{message}")
 
     def test_reader_bad_header(self, tmp_path, small_dims):
         path = tmp_path / "h.csv"
