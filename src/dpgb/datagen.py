@@ -7,9 +7,17 @@ thousand), skewed region popularity, and outlier users whose extremes sit in
 different activities.
 
 Sampling uses only uniform draws from a per-user seeded PCG64 stream plus
-deterministic inverse-CDF transforms (normal quantile from the stdlib,
-sequential Poisson inversion, cumulative-table lookups), so a spec and seed
-pin the dataset bit-for-bit across platforms.
+deterministic inverse-CDF transforms (the standard library's AS241 normal
+quantile, Poisson inversion, cumulative-table lookups).  Each user's stream
+is drawn as one block of uniforms, and each transform runs over the users of
+a block at once, reading every user's uniforms in the order a one-draw-at-a-
+time generator would.  The arithmetic is IEEE double, which numpy and Python
+round alike, except the log and exp of the magnitudes: those come from the C
+library through ``math``, as they always have, because numpy's vectorised
+kernels may round differently in the last bit.  A spec and seed therefore
+pin the dataset byte for byte on one platform (the tests pin it on Python
+3.11, numpy 2.4.6 and glibc); another C library may move the last bit of
+some magnitudes.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
@@ -35,10 +42,12 @@ from .schema import (
     user_cells,
 )
 
-_NORMAL = NormalDist()
 _HOME_REGION_SHARE = 0.9  # remaining trips resample the region popularity table
 # exp(-lam) is a normal float below about 708.4, subnormal above, zero above about 745.1
 _POISSON_LOG_SPACE = 708.0
+_POISSON_CAP = 100_000  # the most trips one user draws for one activity
+# uniforms drawn at once for a block of users (8 MB)
+_BLOCK_DRAWS = 1 << 20
 
 PROFILE_CSV_HEADER = [
     "activity", "name", "weight",
@@ -59,6 +68,10 @@ class ActivityProfile:
     duration_log_sigma: float
 
     def __post_init__(self) -> None:
+        for key in PROFILE_CSV_HEADER[2:]:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(
+                    f"profile {self.name!r}: {key} must be finite, got {getattr(self, key)}")
         if self.weight < 0:
             raise ConfigError(f"profile {self.name!r}: weight must be >= 0")
         if self.distance_log_sigma < 0 or self.duration_log_sigma < 0:
@@ -80,6 +93,9 @@ class GeneratorSpec:
     week_id: str = "synthetic-week"
 
     def __post_init__(self) -> None:
+        for key in ("region_zipf_s", "trips_per_user", "outlier_fraction", "outlier_multiplier"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.num_users < 0:
             raise ConfigError(f"num_users must be >= 0, got {self.num_users}")
         if len(self.activity_profiles) != self.dims.num_activities:
@@ -148,82 +164,203 @@ def _zipf_cdf(num_regions: int, s: float) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
-def _pick(cdf: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+def _regions(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The region each uniform picks from a popularity table."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
-def _poisson_inverse(u: float, lam: float) -> int:
-    """Smallest k with P(X <= k) >= u for X ~ Poisson(lam), by sequential search.
+def _poisson_table(lam: float) -> tuple[np.ndarray, int]:
+    """The Poisson(lam) CDF as a sequential search meets it, and the count
+    of a uniform above every entry; see :func:`_poisson_counts`.
 
-    Below _POISSON_LOG_SPACE the pmf runs by the recurrence p *= lam / k from
-    exp(-lam), which is what every existing dataset was drawn with.  From
-    there on exp(-lam) loses precision to subnormal range (and then
-    underflows to zero), so each term is computed in log space instead, and
-    the search stops past the mode once a term no longer changes the running
-    sum.
+    Below _POISSON_LOG_SPACE the terms run by the recurrence p *= lam / k
+    from exp(-lam), which is what every existing dataset was drawn with.
+    From there on exp(-lam) loses precision to subnormal range (and then
+    underflows to zero), so each term is computed in log space instead.
+    The table ends at the first k past the mode whose term no longer changes
+    the running sum.  The log-space search stops there and draws that k; the
+    recurrence's terms only shrink from there, so its sum is final, and a
+    uniform above it searches on to the cap.
     """
-    if lam <= 0:
-        return 0
-    if lam >= _POISSON_LOG_SPACE:
-        log_lam = math.log(lam)
-        k, cdf = 0, math.exp(-lam)
-        while u > cdf and k < 100_000:
-            k += 1
-            p = math.exp(k * log_lam - lam - math.lgamma(k + 1))
-            if k > lam and cdf + p == cdf:
-                break
-            cdf += p
-        return k
-    k, p = 0, math.exp(-lam)
-    cdf = p
-    while u > cdf and k < 100_000:
-        k += 1
-        p *= lam / k
-        cdf += p
-    return k
+    log_space = lam >= _POISSON_LOG_SPACE
+    log_lam = math.log(lam) if log_space else 0.0
+    p = math.exp(-lam)
+    cdf = [p]
+    for k in range(1, _POISSON_CAP):
+        p = math.exp(k * log_lam - lam - math.lgamma(k + 1)) if log_space else p * (lam / k)
+        if k > lam and cdf[-1] + p == cdf[-1]:
+            break
+        cdf.append(cdf[-1] + p)
+    return np.array(cdf), len(cdf) if log_space else _POISSON_CAP
 
 
-def _lognormal(u: float, log_mean: float, log_sigma: float) -> float:
-    z = _NORMAL.inv_cdf(max(u, _U_FLOOR))
-    return math.exp(log_mean + log_sigma * z)
+def _poisson_counts(u: np.ndarray, table: tuple[np.ndarray, int]) -> np.ndarray:
+    """The smallest k with P(X <= k) >= u of each uniform, by inversion of a
+    :func:`_poisson_table`; no count exceeds _POISSON_CAP."""
+    cdf, beyond = table
+    k = np.searchsorted(cdf, u)
+    return np.where(k < cdf.size, k, beyond)
 
 
-def _user_trips(rng: np.random.Generator, spec: GeneratorSpec,
-                region_cdf: np.ndarray) -> list[tuple]:
-    """One user's (region, activity, direction, distance, duration) trips."""
-    home = _pick(region_cdf, rng.random())
-    outlier_activity = -1
-    if rng.random() < spec.outlier_fraction:
-        outlier_activity = min(
-            int(rng.random() * spec.dims.num_activities), spec.dims.num_activities - 1)
-    records: list[tuple] = []
-    for a, profile in enumerate(spec.activity_profiles):
-        count = _poisson_inverse(rng.random(), spec.trips_per_user * profile.weight)
-        boost = spec.outlier_multiplier if a == outlier_activity else 1.0
-        for _ in range(count):
-            region = home if rng.random() < _HOME_REGION_SHARE else _pick(region_cdf, rng.random())
-            direction = min(int(rng.random() * 3), 2)
-            distance = boost * _lognormal(
-                rng.random(), profile.distance_log_mean, profile.distance_log_sigma)
-            duration = boost * _lognormal(
-                rng.random(), profile.duration_log_mean, profile.duration_log_sigma)
-            records.append((region, a, direction, distance, duration))
-    return records
+# Wichura's AS241 (numerator, denominator) coefficients, highest power first,
+# as statistics.NormalDist evaluates them: for |p - 0.5| <= 0.425, then in
+# the tails for r = sqrt(-log(min(p, 1 - p))) up to 5 and above 5
+_AS241_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0))
+_AS241_NEAR = (
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0))
+_AS241_FAR = (
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0))
+
+
+def _horner(r: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+    acc = coefficients[0] * r + coefficients[1]
+    for c in coefficients[2:]:
+        acc = acc * r + c
+    return acc
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``math.log`` or ``math.exp`` of each element.  numpy's own kernels
+    may differ from the C library in the last bit, which would move
+    dataset bytes."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """``NormalDist().inv_cdf`` of each probability in (0, 1), operation
+    for operation (mu + x * sigma with mu = 0 and sigma = 1 is x, which is
+    never -0.0)."""
+    q = p - 0.5
+    x = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    x[central] = _horner(r, _AS241_CENTRAL[0]) * qc / _horner(r, _AS241_CENTRAL[1])
+    qt, pt = q[~central], p[~central]
+    r = np.sqrt(-_libm(math.log, np.where(qt <= 0.0, pt, 1.0 - pt)))
+    xt = np.empty_like(r)
+    for part, shift, (num, den) in ((r <= 5.0, 1.6, _AS241_NEAR), (r > 5.0, 5.0, _AS241_FAR)):
+        rs = r[part] - shift
+        xt[part] = _horner(rs, num) / _horner(rs, den)
+    x[~central] = np.where(qt < 0.0, -xt, xt)
+    return x
+
+
+def _lognormal(u: np.ndarray, log_mean: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
+    return _libm(math.exp, log_mean + log_sigma * _normal_quantile(np.maximum(u, _U_FLOOR)))
+
+
+def _draws_per_user(spec: GeneratorSpec) -> int:
+    """Uniforms drawn per user up front: home region, outlier flag and
+    activity, one count per activity, and five per trip for the mean trip
+    count plus six standard deviations (at most every activity's cap)."""
+    rate = spec.trips_per_user
+    trips = min(math.ceil(rate + 6.0 * math.sqrt(rate)), spec.dims.num_activities * _POISSON_CAP)
+    return 3 + spec.dims.num_activities + 5 * trips
+
+
+def _draw_users(spec: GeneratorSpec, seeds: list[int], width: int, region_cdf: np.ndarray,
+                tables: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, ...]:
+    """The trips of the users with these seeds as (user, region, activity,
+    direction, distance, duration) columns, by user and then in draw order.
+
+    Each user's stream is drawn as ``width`` uniforms at once, and every
+    step below reads the next uniforms of all users together, in the order
+    a user's draws consume them: home region, outlier flag, the outlier
+    activity if flagged, then per activity a count followed by that many
+    trips of four uniforms (home or away, direction, distance, duration),
+    five for an away trip, whose region takes one more.  A user who may
+    need more than ``width`` is drawn again from the start, twice as wide.
+    """
+    u = np.empty((len(seeds), width))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row)
+    num_activities = spec.dims.num_activities
+    home = _regions(region_cdf, u[:, 0])
+    outlier = u[:, 1] < spec.outlier_fraction
+    outlier_activity = np.where(
+        outlier, np.minimum((u[:, 2] * num_activities).astype(np.int64), num_activities - 1), -1)
+    pos = 2 + outlier.astype(np.int64)  # each user's next uniform
+    short = np.zeros(len(seeds), dtype=bool)  # users who may run past the width
+    users, starts, activities = [], [], []
+    for a, table in enumerate(tables):
+        short |= pos + 5 > width  # a count or a trip reads at most five uniforms
+        drawing = np.flatnonzero(~short)
+        counts = np.zeros(len(seeds), dtype=np.int64)
+        counts[drawing] = _poisson_counts(u[drawing, pos[drawing]], table)
+        pos += 1
+        live, taken = np.flatnonzero(counts), 0
+        while live.size:  # trip number `taken` of activity a for each live user
+            at = pos[live]
+            fits = at + 5 <= width
+            short[live[~fits]] = True
+            live, at = live[fits], at[fits]
+            users.append(live)
+            starts.append(at)
+            activities.append(np.full(live.size, a))
+            pos[live] = at + 4 + (u[live, at] >= _HOME_REGION_SHARE)
+            taken += 1
+            live = live[counts[live] > taken]
+    user, at, activity = (np.concatenate([np.zeros(0, dtype=np.int64)] + col)
+                          for col in (users, starts, activities))
+    order = np.argsort(user, kind="stable")
+    order = order[~short[user[order]]]
+    user, at, activity = user[order], at[order], activity[order]
+    away = u[user, at] >= _HOME_REGION_SHARE
+    region = np.where(away, _regions(region_cdf, u[user, at + 1]), home[user])
+    at += 1 + away
+    direction = np.minimum((u[user, at] * 3).astype(np.int64), 2)
+    boost = np.where(activity == outlier_activity[user], spec.outlier_multiplier, 1.0)
+    params = np.array([(p.distance_log_mean, p.distance_log_sigma,
+                        p.duration_log_mean, p.duration_log_sigma)
+                       for p in spec.activity_profiles])[activity]
+    distance = boost * _lognormal(u[user, at + 1], params[:, 0], params[:, 1])
+    duration = boost * _lognormal(u[user, at + 2], params[:, 2], params[:, 3])
+    columns = (user, region, activity, direction, distance, duration)
+    redo = np.flatnonzero(short)
+    if redo.size:
+        again = _draw_users(spec, [seeds[i] for i in redo], 2 * width, region_cdf, tables)
+        merged = [np.concatenate(pair) for pair in zip(columns, (redo[again[0]], *again[1:]))]
+        order = np.argsort(merged[0], kind="stable")
+        columns = tuple(col[order] for col in merged)
+    return columns
 
 
 def generate(spec: GeneratorSpec) -> WeekDataset:
     """Sample one synthetic week, fully deterministic from the spec.
 
     Each user gets an independently derived seed, so generation order (or a
-    parallel implementation) cannot change the data.
+    parallel implementation) cannot change the data.  Users are drawn in
+    blocks of about _BLOCK_DRAWS uniforms.
     """
     region_cdf = _zipf_cdf(spec.dims.num_regions, spec.region_zipf_s)
+    tables = [_poisson_table(spec.trips_per_user * p.weight) for p in spec.activity_profiles]
     user_ids = tuple(f"u{i:06d}" for i in range(spec.num_users))
-    trips = [_user_trips(np.random.default_rng(derive_seed(spec.seed, uid)), spec, region_cdf)
-             for uid in user_ids]
-    # small indices and every float convert to float64 and back exactly
-    columns = np.array([t for user in trips for t in user], dtype=float).reshape(-1, 5).T
-    offsets = np.cumsum([0] + [len(user) for user in trips])
+    width = _draws_per_user(spec)
+    block = max(1, _BLOCK_DRAWS // width)
+    parts = [(np.zeros(0, dtype=np.int64),) * 4 + (np.zeros(0),) * 2]
+    for lo in range(0, spec.num_users, block):
+        seeds = [derive_seed(spec.seed, uid) for uid in user_ids[lo:lo + block]]
+        user, *columns = _draw_users(spec, seeds, width, region_cdf, tables)
+        parts.append((user + lo, *columns))
+    user, *columns = (np.concatenate(col) for col in zip(*parts))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(user, minlength=spec.num_users))))
     return WeekDataset(spec.week_id, user_ids, offsets, *columns)
 
 

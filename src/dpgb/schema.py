@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -376,14 +377,29 @@ def write_mechanism_config(path, config: MechanismConfig) -> None:
     write_kv_file(path, kv)
 
 
+# records the records writer joins into one string
+_WRITE_CHUNK_RECORDS = 1 << 14
+
+
 def write_records_csv(path, data: WeekDataset) -> None:
-    owners = np.repeat(np.array(data.user_ids, dtype=object), np.diff(data.offsets))
+    """One row per record, users in order; the bytes ``csv.writer`` gives.
+
+    Each user id is quoted by ``csv`` once, as the first of several fields,
+    and the rows are joined from f-strings with ``repr`` floats and CRLF
+    endings, a chunk of records at a time.
+    """
+    lines: list[str] = []  # one write per row
+    csv.writer(SimpleNamespace(write=lines.append)).writerows((uid, "") for uid in data.user_ids)
+    tokens = [line[:-2] for line in lines]  # "uid," without the "\r\n"
+    owners = np.repeat(np.arange(data.num_users), np.diff(data.offsets))
+    columns = (owners, data.region, data.activity, data.direction,
+               data.distance_km, data.duration_s)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_CSV_HEADER)
-        writer.writerows(zip(owners.tolist(), data.region.tolist(), data.activity.tolist(),
-                             data.direction.tolist(), data.distance_km.tolist(),
-                             data.duration_s.tolist()))
+        fh.write(",".join(RECORD_CSV_HEADER) + "\r\n")
+        for lo in range(0, data.num_records, _WRITE_CHUNK_RECORDS):
+            chunk = (col[lo:lo + _WRITE_CHUNK_RECORDS].tolist() for col in columns)
+            fh.write("".join([f"{tokens[u]}{r},{a},{d},{x!r},{y!r}\r\n"
+                              for u, r, a, d, x, y in zip(*chunk)]))
 
 
 _RECORD_DTYPE = np.dtype([("user_id", object), ("region", np.int64), ("activity", np.int64),

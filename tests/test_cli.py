@@ -94,6 +94,22 @@ class TestGenerate:
         assert main(["generate", "--spec", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "d.csv")]) == EXIT_IO
 
+    @pytest.mark.parametrize("line", [
+        "trips_per_user = nan", "trips_per_user = inf", "region_zipf_s = nan",
+        "outlier_multiplier = inf", "profiles = nan_weight.csv"])
+    def test_non_finite_spec_is_config_error(self, tmp_path, capsys, line):
+        (tmp_path / "nan_weight.csv").write_text(
+            "activity,name,weight,distance_log_mean,distance_log_sigma,"
+            "duration_log_mean,duration_log_sigma\n"
+            "0,slow,nan,0.0,0.1,5.0,0.1\n"
+            "1,fast,1.0,5.0,0.1,8.0,0.1\n")
+        spec_path = tmp_path / "gen.cfg"
+        spec_path.write_text(f"num_users = 5\nnum_regions = 3\nseed = 1\n{line}\n")
+        out = tmp_path / "d.csv"
+        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_desk_scale_generation_under_ten_seconds(self, tmp_path):
         import time
         spec_path = tmp_path / "gen.cfg"

@@ -15,9 +15,12 @@ from dpgb.datagen import (
     load_profiles,
     proxy_pair,
     read_generator_spec,
-    _poisson_inverse,
+    _poisson_counts,
+    _poisson_table,
 )
+from dpgb import datagen
 from dpgb.schema import ConfigError, Dimensions, write_records_csv
+from generator_reference import poisson_inverse, reference_generate
 from sparse_reference import (
     TripRecord,
     make_dataset,
@@ -64,6 +67,97 @@ class TestGeneratorSpec:
         bad_weights = profiles[:-1] + (replace(profiles[-1], weight=0.5),)
         with pytest.raises(ConfigError):
             GeneratorSpec(num_users=1, dims=dims, activity_profiles=bad_weights)
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key in ("region_zipf_s", "trips_per_user", "outlier_fraction",
+                                 "outlier_multiplier")
+        for value in (math.nan, math.inf)])
+    def test_spec_floats_must_be_finite(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+            small_spec(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("weight", math.nan),
+        ("distance_log_mean", math.nan), ("distance_log_mean", math.inf),
+        ("distance_log_mean", -math.inf),
+        ("distance_log_sigma", math.nan), ("distance_log_sigma", math.inf),
+        ("duration_log_mean", math.nan), ("duration_log_mean", math.inf),
+        ("duration_log_mean", -math.inf),
+        ("duration_log_sigma", math.nan), ("duration_log_sigma", math.inf)])
+    def test_profile_floats_must_be_finite(self, key, value):
+        with pytest.raises(ConfigError,
+                           match=f"^profile 'walk': {key} must be finite, got {value}$"):
+            replace(default_profiles()[0], name="walk", **{key: value})
+
+
+def same_columns(a, b):
+    """Every column of two datasets holds the same bytes in the same dtype."""
+    return a.week_id == b.week_id and a.user_ids == b.user_ids and all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("offsets", "region", "activity", "direction", "distance_km", "duration_s"))
+
+
+def two_profiles(weight):
+    """Two activities with distinct magnitudes, the first of this weight."""
+    return (ActivityProfile("slow", weight, 0.5, 0.7, 6.0, 0.4),
+            ActivityProfile("fast", 1.0 - weight, 4.0, 1.3, 8.0, 1.1))
+
+
+def edge_spec(name):
+    dims2 = Dimensions(num_activities=2, num_regions=30)
+    return {
+        "no users": small_spec(num_users=0),
+        "one user": small_spec(num_users=1, seed=3),
+        "one region": small_spec(num_regions=1),
+        "no trips": small_spec(trips_per_user=0.0),
+        "no outliers": small_spec(outlier_fraction=0.0),
+        "zero-weight profile": GeneratorSpec(
+            num_users=200, dims=dims2, activity_profiles=two_profiles(0.0), seed=4),
+        "log-space rate": GeneratorSpec(
+            num_users=3, dims=dims2, activity_profiles=two_profiles(0.9), seed=4,
+            trips_per_user=1000.0, outlier_fraction=0.5),
+        "overflowing user": small_spec(num_users=2000, trips_per_user=0.2, outlier_fraction=0.3),
+        "custom profiles": GeneratorSpec(
+            num_users=400, dims=dims2, activity_profiles=two_profiles(0.3), seed=9,
+            region_zipf_s=0.7, trips_per_user=9.5, outlier_fraction=0.25,
+            outlier_multiplier=3.5, week_id="custom"),
+        "desk": GeneratorSpec.default(num_users=1000, num_regions=100, seed=7),
+    }[name]
+
+
+class TestReferenceGenerator:
+    """The columnar generator against the scalar one, column for column."""
+
+    @pytest.mark.parametrize("name", [
+        "no users", "one user", "one region", "no trips", "no outliers", "zero-weight profile",
+        "log-space rate", "overflowing user", "custom profiles", "desk"])
+    def test_columns_equal_the_reference(self, name):
+        spec = edge_spec(name)
+        assert same_columns(generate(spec), reference_generate(spec))
+
+    def test_the_edge_specs_reach_their_edges(self, monkeypatch):
+        spec = edge_spec("log-space rate")
+        assert max(spec.trips_per_user * p.weight for p in spec.activity_profiles) >= 708.0
+        assert generate(edge_spec("zero-weight profile")).activity.min() == 1
+        widths = []
+        draw_users = datagen._draw_users
+
+        def spy(spec, seeds, width, *args):
+            widths.append((len(seeds), width))
+            return draw_users(spec, seeds, width, *args)
+        monkeypatch.setattr(datagen, "_draw_users", spy)
+        generate(edge_spec("overflowing user"))
+        assert widths == [(2000, 27), (2, 54)]  # two users drawn again, twice as wide
+
+    @pytest.mark.parametrize("width, block_draws", [(12, 1 << 20), (13, 40), (40, 1)])
+    def test_narrow_buffers_and_small_blocks(self, monkeypatch, width, block_draws):
+        # most users overflow a buffer of 12 or 13 uniforms and are drawn
+        # again one or more times, in blocks of one or a few users
+        spec = small_spec(num_users=150)
+        monkeypatch.setattr(datagen, "_draws_per_user", lambda spec: width)
+        monkeypatch.setattr(datagen, "_BLOCK_DRAWS", block_draws)
+        assert same_columns(generate(spec), reference_generate(spec))
 
 
 class TestGenerate:
@@ -151,15 +245,27 @@ class TestPoissonInverse:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "132a5272d0ec0be205bb2809c93070670d57cf7204f106297fc6e6b4ec2a0149")
 
+    @pytest.mark.parametrize("num_users, num_regions, digest", [
+        (10_000, 50_000, "590d32ba62f7202f7863dd3d0e09eafb6681ebd4db07de59263a8985b02df0cb"),
+        (20_000, 100, "15d26c8a5ca7c72f5e98b70e3e9252bc13947612007dccb29dac9d345ce28fd4"),
+    ], ids=["production", "desk-20k"])
+    def test_dataset_bytes_unchanged_at_more_shapes(self, tmp_path, num_users, num_regions,
+                                                    digest):
+        # the dpgb generate output of the scalar generator these were recorded from
+        spec = GeneratorSpec.default(num_users=num_users, num_regions=num_regions, seed=7)
+        path = tmp_path / "data.csv"
+        write_records_csv(path, generate(spec))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("lam", [745.0, 746.0, 1000.0, 5000.0])
     def test_large_rates(self, lam):
         rng = np.random.default_rng(int(lam))
         us = np.concatenate([[2.0 ** -54, 1e-12], np.sort(rng.random(199)),
                              [1.0 - 2.0 ** -53]])
-        draws = [_poisson_inverse(float(u), lam) for u in us]
+        draws = _poisson_counts(us, _poisson_table(lam)).tolist()
         assert all(lo <= hi for lo, hi in zip(draws, draws[1:]))  # monotone in u
         assert abs(float(np.median(draws)) - lam) <= 5.0 * math.sqrt(lam)
-        assert abs(_poisson_inverse(0.5, lam) - lam) <= 5.0 * math.sqrt(lam)
+        assert abs(_poisson_counts(0.5, _poisson_table(lam)) - lam) <= 5.0 * math.sqrt(lam)
         assert draws[-1] < lam + 20.0 * math.sqrt(lam)
 
     def test_median_within_known_bounds_across_the_switch(self):
@@ -167,8 +273,24 @@ class TestPoissonInverse:
         # drifted below it once exp(-lam) went subnormal
         for step in range(601):
             lam = 700.0 + step / 10
-            median = _poisson_inverse(0.5, lam)
+            median = _poisson_counts(0.5, _poisson_table(lam))
             assert lam - math.log(2) <= median <= lam + 1 / 3, (lam, median)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-300, 0.3, 4.5, 15.0, 250.0, 707.9, 708.0, 745.0,
+                                     1000.0])
+    def test_table_equals_the_sequential_search(self, lam):
+        # uniforms at, between and beside the table's own entries, plus the
+        # extremes, which may lie above every entry
+        cdf, _ = _poisson_table(lam)
+        rng = np.random.default_rng(3)
+        us = np.unique(np.concatenate([
+            cdf[cdf < 1.0], np.nextafter(cdf[cdf < 1.0], 0.0), rng.random(300),
+            [0.0, 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]]))
+        us = us[(us >= 0.0) & (us < 1.0)]
+        if lam > 0.0:  # at lam = 0 every uniform draws 0
+            us = np.concatenate([us[:200], us[-200:]])
+        assert _poisson_counts(us, _poisson_table(lam)).tolist() == [
+            poisson_inverse(u, lam) for u in us.tolist()]
 
     def test_large_trips_per_user_spec(self):
         data = generate(small_spec(num_users=2, trips_per_user=20_000.0))

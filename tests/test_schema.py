@@ -48,6 +48,16 @@ def csv_writer_histogram(path, dense, dims):
             writer.writerow([a, METRIC_NAMES[m], r, d, dense[flat].item()])
 
 
+def csv_writer_records(path, data):
+    """The records file as ``csv.writer`` writes its rows: the reference
+    for ``write_records_csv``'s bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_CSV_HEADER)
+        for uid, records in users_of(data):
+            writer.writerows((uid, *rec) for rec in records)
+
+
 def user_records(data):
     return [(uid, [tuple(rec) for rec in records]) for uid, records in users_of(data)]
 
@@ -408,6 +418,38 @@ class TestFileFormats:
         text = first.read_bytes().decode("utf-8")
         assert '"a,b",' in text and '"say ""hi""",' in text and '"é,""q""",' in text
         assert f"\r\n{long_id},1,0,2,0.0,0.0\r\n" in text
+
+    @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("users", [
+        [("a,b", 2), ('say "hi"', 0), ("", 3), ("x", 1), ("line\r\nbreak", 2), ("é", 0)],
+        [("u0", 0), ("u1", 0)],
+        [],
+    ], ids=["quoted_ids", "no_records", "no_users"])
+    def test_records_writer_bytes_equal_csv_writer(self, tmp_path, monkeypatch, chunk_records,
+                                                   users):
+        monkeypatch.setattr(schema, "_WRITE_CHUNK_RECORDS", chunk_records)
+        values = iter([5e-324, 1e16, 1e-5, 0.1 + 0.2, 0.0, 1e300, 7.0, 2.5, 123456.789, 1.0,
+                       3.0, 4.0, 9.75, 0.5, 6.0, 8.0])
+        data = make_dataset("w", [
+            (uid, [TripRecord(i % 5, i % 3, i % 3, next(values), next(values))
+                   for i in range(n)]) for uid, n in users])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_records_csv(got, data)
+        csv_writer_records(want, data)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 14])
+    def test_records_writer_round_trip(self, tmp_path, rng, monkeypatch, small_dims,
+                                       chunk_records):
+        # users without records are not in the file, so they do not come back
+        monkeypatch.setattr(schema, "_WRITE_CHUNK_RECORDS", chunk_records)
+        users = [(uid, tuple(random_records(rng, small_dims, n)))
+                 for uid, n in (("a,b", 3), ("", 2), ("none", 0), ('q"', 9), ("z", 1))]
+        users.append(("edge", (TripRecord(0, 1, 2, 5e-324, 1e16), TripRecord(3, 0, 1, 1e-5, 0.0))))
+        path = tmp_path / "records.csv"
+        write_records_csv(path, make_dataset("w", users))
+        assert same_dataset(read_records_csv(path, week_id="w"),
+                            make_dataset("w", [user for user in users if user[1]]))
 
     def test_histogram_roundtrip(self, tmp_path, small_dims, rng):
         hist = random_histogram(rng, small_dims)
