@@ -402,35 +402,43 @@ def write_records_csv(path, data: WeekDataset) -> None:
                               for u, r, a, d, x, y in zip(*chunk)]))
 
 
-_RECORD_DTYPE = np.dtype([("user_id", object), ("region", np.int64), ("activity", np.int64),
-                          ("direction", np.int64), ("distance_km", float), ("duration_s", float)])
+_NUMBERS = list(zip(RECORD_CSV_HEADER[1:], (np.int64,) * 3 + (float,) * 2))
 
 
 def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
     """Read trips grouped by user, users in order of first appearance and
     each user's records in file order.
 
-    One ``np.loadtxt`` pass parses the file.  If a row does not parse or
-    fails the record checks, the file is read again with ``csv`` to name
-    the first bad line and what is wrong with it.
+    One ``np.loadtxt`` pass parses the file as latin-1, user ids as bytes.
+    If a row does not parse or fails the record checks, the file is read
+    again with ``csv`` to name the first bad line and what is wrong with it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         header = next(csv.reader(fh), None)
     if header != RECORD_CSV_HEADER:
         raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
     try:
-        table = _loadtxt(path, _RECORD_DTYPE, skiprows=1)
-        index: dict[str, int] = {}
-        owner = np.fromiter((index.setdefault(uid, len(index)) for uid in table["user_id"]),
-                            dtype=np.int64, count=table.size)
-        table["user_id"] = None  # the dataset keeps one string per user, not per row
+        with open(path, newline="", encoding="utf-8") as fh:  # bytes drop an id's trailing NULs
+            if any("\0" in text for text in iter(lambda: fh.read(1 << 20), "")):
+                raise ValueError("NUL byte")
+        width, full = 16, True
+        while full:  # an id that fills the column may be cut: parse again, wider
+            table = ids = None  # the narrower table goes before the wider one comes
+            table = _loadtxt(path, [("user_id", f"S{width}"), *_NUMBERS], "latin-1", skiprows=1)
+            ids = table["user_id"]  # users are runs of equal ids: find their first rows
+            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))[:ids.size]
+            full, width = np.any(np.char.str_len(ids[starts]) == width), 4 * width
+        keys, first, inverse = np.unique(ids[starts], return_index=True, return_inverse=True)
+        by_first = np.argsort(first)  # the users in order of first appearance
+        owner = np.repeat(np.argsort(by_first)[inverse], np.diff(np.append(starts, ids.size)))
         columns = [table[name] for name in RECORD_CSV_HEADER[1:]]
         if np.any(owner[1:] < owner[:-1]):  # users interleaved: group them, stably
             order = np.argsort(owner, kind="stable")
             columns = [col[order] for col in columns]
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(index)))))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=keys.size))))
         return WeekDataset(week_id if week_id is not None else Path(path).stem,
-                           tuple(index), offsets, *columns)
+                           tuple(uid.decode("utf-8") for uid in keys[by_first].tolist()),
+                           offsets, *columns)
     except ValueError as exc:
         raise _first_bad_row(path, len(RECORD_CSV_HEADER), _check_record_row,
                              f"{path}: {exc}") from None
@@ -442,7 +450,7 @@ def _check_record_row(row: list[str]) -> None:
                 [float(row[4])], [float(row[5])])
 
 
-def _loadtxt(source, dtype: np.dtype, **kwargs) -> np.ndarray:
+def _loadtxt(source, dtype: np.dtype, encoding: str = "utf-8", **kwargs) -> np.ndarray:
     """``np.loadtxt`` of comma-separated rows with csv quoting, as an array
     of at least one dimension."""
     with warnings.catch_warnings():
@@ -452,24 +460,26 @@ def _loadtxt(source, dtype: np.dtype, **kwargs) -> np.ndarray:
         warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
                                 DeprecationWarning)
         return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                          ndmin=1, encoding="utf-8", **kwargs)
+                          ndmin=1, encoding=encoding, **kwargs)
 
 
 def _first_bad_row(path, num_fields: int, check, fallback: str) -> ConfigError:
     """The error naming the first bad row of a CSV file as
     ``path:lineno: message``, lines counted as csv rows and blank rows
-    skipped; ``fallback`` when every row has ``num_fields`` fields and
-    passes ``check``, which raises on a bad row with Python's own int()
-    and float()."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    skipped; ``fallback`` when every row is UTF-8 with no NUL byte, has
+    ``num_fields`` fields and passes ``check``, which raises on a bad row
+    with Python's own int() and float()."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != num_fields:
-                return ConfigError(f"{path}:{lineno}: expected {num_fields} fields, got {len(row)}")
             try:
+                if "\0" in ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8"):
+                    raise ValueError("NUL byte")
+                if len(row) != num_fields:
+                    raise ValueError(f"expected {num_fields} fields, got {len(row)}")
                 check(row)
             except (ValueError, OverflowError, IndexError) as exc:
                 return ConfigError(f"{path}:{lineno}: {exc}")
@@ -522,7 +532,7 @@ def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
     dense = np.zeros(dims.total_cells)
     seen = np.zeros(dims.total_cells, dtype=bool)
     num_seen = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         header = next(csv.reader(fh), None)
         if header != HISTOGRAM_CSV_HEADER:
             raise ConfigError(f"{path}: bad header {header!r}, expected {HISTOGRAM_CSV_HEADER}")

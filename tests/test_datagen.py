@@ -221,15 +221,24 @@ class TestGenerate:
         spec = GeneratorSpec.default(num_users=10_000, num_regions=50, seed=31)
         data, proxy = proxy_pair(spec)
         assert not same_dataset(data, proxy)
+
+        def distance_sums(ds):
+            """math.fsum of each user's distances per activity, (users, activities)."""
+            owner = np.repeat(np.arange(ds.num_users), np.diff(ds.offsets))
+            key = owner * spec.dims.num_activities + ds.activity
+            order = np.argsort(key, kind="stable")
+            keys, starts = np.unique(key[order], return_index=True)
+            distances = ds.distance_km[order].tolist()
+            edges = starts.tolist() + [len(distances)]
+            sums = np.zeros((ds.num_users, spec.dims.num_activities))
+            sums.reshape(-1)[keys] = [math.fsum(distances[lo:hi])
+                                      for lo, hi in zip(edges, edges[1:])]
+            return sums
+
+        sums_data, sums_proxy = distance_sums(data), distance_sums(proxy)
         for a in range(spec.dims.num_activities):
-            def norms(ds):
-                out = []
-                for _, records in users_of(ds):
-                    total = math.fsum(r.distance_km for r in records if r.activity == a)
-                    if total > 0:
-                        out.append(total)
-                return out
-            na, nb = norms(data), norms(proxy)
+            na = sums_data[:, a][sums_data[:, a] > 0]
+            nb = sums_proxy[:, a][sums_proxy[:, a] > 0]
             assert min(len(na), len(nb)) > 100
             assert ks_distance(na, nb) < 0.05
 

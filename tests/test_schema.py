@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpgb import schema
+from dpgb.datagen import GeneratorSpec, generate
 from dpgb.schema import (
     METRIC_NAMES,
     ConfigError,
@@ -367,6 +368,12 @@ class TestFileFormats:
         with pytest.raises(ConfigError) as excinfo:
             read_records_csv(path)
         assert str(excinfo.value).startswith(f"{path}:3: ")
+        # the parse reads the file as latin-1, so whitespace outside ASCII
+        # around a number is no whitespace to it
+        path.write_text(header + "u1,0,0,0,1.0　,2.0\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            read_records_csv(path)
+        assert str(excinfo.value).startswith(f"{path}: could not convert string")
 
     @pytest.mark.parametrize("text, header", [
         ("nope\nu1,0,0,0,1.0,2.0\n", ["nope"]),
@@ -418,6 +425,68 @@ class TestFileFormats:
         text = first.read_bytes().decode("utf-8")
         assert '"a,b",' in text and '"say ""hi""",' in text and '"é,""q""",' in text
         assert f"\r\n{long_id},1,0,2,0.0,0.0\r\n" in text
+
+    def test_user_ids_keep_their_bytes(self, tmp_path):
+        # ids outside latin-1; of 15, 16, 17, 40 and 70 UTF-8 bytes (the
+        # bytes column starts 16 wide); sharing their first 16 or 39 bytes;
+        # empty; with a comma, a quote, a line break or spaces
+        ids = ["€uro", "中文", "😀", "a" * 15, "b" * 16, "c" * 17, "d" * 40, "z" * 70,
+               "p" * 16 + "x", "p" * 16 + "y", "d" * 39 + "e", "é" * 8, "é" * 7 + "e",
+               "", "a,b", 'q"', "line\nbreak", " pad "]
+        picks = [0, 1, 0, 2, 3, 1] + list(range(len(ids))) + [5, 4, 3, 12, 0]  # interleaved
+        rows = [(ids[k], i % 4, i % 2, i % 3, 0.5 * i, 10.0 + i) for i, k in enumerate(picks)]
+        path = tmp_path / "ids.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([RECORD_CSV_HEADER, *rows])
+        data = read_records_csv(path)
+        order = list(dict.fromkeys(row[0] for row in rows))
+        assert data.user_ids == tuple(order) and len(order) == len(ids)
+        assert user_records(data) == [(uid, [row[1:] for row in rows if row[0] == uid])
+                                      for uid in order]
+
+    @pytest.mark.parametrize("first, second", [("a\0", "a"), ("\0", ""), ("a\0b", "ab")])
+    def test_records_reader_rejects_nul_in_user_ids(self, tmp_path, first, second):
+        # a fixed-width bytes column cannot tell "a\0" from "a": never merge them
+        path = tmp_path / "records.csv"
+        path.write_text(",".join(RECORD_CSV_HEADER) + "\nu,0,0,0,1.0,2.0\n\n"
+                        f"{second},0,0,0,1.0,2.0\n{first},0,0,0,1.0,2.0\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            read_records_csv(path)
+        assert str(excinfo.value) == f"{path}:5: NUL byte"
+
+    @pytest.mark.parametrize("lines_before", [1, 2000])  # in the header's read, and past it
+    @pytest.mark.parametrize("row, message", [
+        (b"\xff\xfe,0,0,0,1.0,2.0", "byte 0xff in position 0: invalid start byte"),
+        # a latin-1 no-break space, which the parse would take as whitespace
+        (b"u2,0,0,0,1.0\xa0,2.0", "byte 0xa0 in position 12: invalid start byte"),
+    ])
+    def test_records_reader_names_the_line_of_bytes_that_are_not_utf8(
+            self, tmp_path, lines_before, row, message):
+        path = tmp_path / "records.csv"
+        path.write_bytes((",".join(RECORD_CSV_HEADER) + "\n").encode()
+                         + b"u1,0,0,0,1.0,2.0\n" * lines_before + row + b"\nu2,0,0,0,1.0,2.0\n")
+        with pytest.raises(ConfigError) as excinfo:
+            read_records_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}:{lines_before + 2}: 'utf-8' codec can't decode {message}")
+
+    def test_reading_records_holds_no_object_per_row(self, tmp_path):
+        # the reader's peak is the parsed table (the returned columns, ids
+        # and a parse buffer), not one Python string per row
+        data = generate(GeneratorSpec.default(num_users=7000, num_regions=100, seed=1))
+        path = tmp_path / "records.csv"
+        write_records_csv(path, data)
+        del data
+        tracemalloc.start()
+        try:
+            back = read_records_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.num_records > 100_000
+        columns = (back.offsets, back.region, back.activity, back.direction,
+                   back.distance_km, back.duration_s)
+        assert peak < 2.4 * sum(col.nbytes for col in columns)
 
     @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 14])
     @pytest.mark.parametrize("users", [
@@ -656,6 +725,21 @@ class TestDenseHistogramFiles:
         with pytest.raises(ConfigError) as excinfo:
             read_histogram_csv(path, small_dims)
         assert str(excinfo.value).startswith(f"{path}{message}")
+
+    @pytest.mark.parametrize("block_rows", [1, 1 << 15])
+    @pytest.mark.parametrize("rows_before", [1, 2000])  # in the header's read, and past it
+    def test_reader_names_the_line_of_bytes_that_are_not_utf8(
+            self, tmp_path, monkeypatch, block_rows, rows_before):
+        monkeypatch.setattr(schema, "_READ_BLOCK_ROWS", block_rows)
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"activity,metric,region,direction,value\n"
+                         + b"".join(b"0,num_trips,%d,%d,1.0\n" % divmod(i, 3)
+                                    for i in range(rows_before))
+                         + b"1,num_trips\xff,0,0,1.0\n")
+        with pytest.raises(ConfigError) as excinfo:
+            read_histogram_csv(path, Dimensions(num_activities=2, num_regions=700))
+        assert str(excinfo.value) == (f"{path}:{rows_before + 2}: 'utf-8' codec can't decode "
+                                      "byte 0xff in position 11: invalid start byte")
 
     def test_reader_bad_header(self, tmp_path, small_dims):
         path = tmp_path / "h.csv"
