@@ -6,7 +6,8 @@ the whole cell domain, descaling back to original units, and the
 threshold-and-clamp post-process that discards cells dominated by noise.
 
 Raw per-user data and the pre-noise aggregate exist only inside a run; a
-release carries only the noised, descaled and thresholded vector.
+release carries only the noised, descaled and thresholded vector, which a
+one-shot release writes over the aggregate itself.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ def secure_sum(blocks, dims: Dimensions) -> np.ndarray:
     return total
 
 
-# cells per block of slices the noise pass holds at once
-_NOISE_BLOCK_CELLS = 1 << 20
+# cells per block of slices the noise pass holds at once: one slice of the
+# 50,000-region production domain, the whole of a 100-region one
+_NOISE_BLOCK_CELLS = 1 << 17
 
 
 def noise_descale_threshold(
@@ -48,28 +50,41 @@ def noise_descale_threshold(
     seed: int,
     *,
     test_mode: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Server tail: dense noise, descale, threshold, clamp.
 
     ``slice_scales`` and ``slice_noise_b`` hold one descale factor S and one
     Laplace scale b per (activity, metric) slice, shape (A, 3).  The flat
     vector is viewed as (A * 3, R * 3), one row per slice, and noised in
-    blocks of whole rows so that only the output is domain-sized.  Noise is
-    one seeded stream over the full domain in flat cell order, whatever the
-    block size.  A cell is suppressed when its descaled value falls below
-    tau * b * S; surviving negatives are clamped to zero (a no-op whenever
-    tau >= 0, kept for safety).
+    blocks of whole rows, so that beyond the output only one block's scratch
+    is held.  Noise is one seeded stream over the full domain in flat cell
+    order, whatever the block size.  A cell is suppressed when its descaled
+    value falls below tau * b * S; surviving negatives are clamped to zero
+    (a no-op whenever tau >= 0, kept for safety).
+
+    The release is written to ``out``, a C-contiguous float64 vector of the
+    input's shape, or to a new one when it is None.  Each block is read
+    before it is written, so ``out`` may be ``pre_noise_dense`` itself: the
+    aggregate is then noised in place and no second domain-sized vector is
+    made.
 
     Returns (released_dense, suppressed_count) where suppressed counts cells
     with a nonzero descaled value that failed the threshold.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ConfigError(f"threshold_tau must be finite and >= 0, got {tau}")
+    if out is None:
+        out = np.empty_like(pre_noise_dense)
+    elif (out.shape != pre_noise_dense.shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{pre_noise_dense.shape}, got {out.dtype} {out.shape}")
     per_slice = pre_noise_dense.reshape(slice_scales.size, -1)
+    released = out.reshape(per_slice.shape)
     b = slice_noise_b.reshape(-1, 1)
     scales = slice_scales.reshape(-1, 1)
     threshold = tau * b * scales
-    released = np.empty_like(per_slice)
     rng = np.random.default_rng(seed)
     rows = max(1, _NOISE_BLOCK_CELLS // per_slice.shape[1])
     suppressed = 0
@@ -85,7 +100,7 @@ def noise_descale_threshold(
         suppressed += int(np.count_nonzero(~keep & (descaled != 0.0)))
         np.maximum(descaled, 0.0, out=released[block])
         released[block][~keep] = 0.0
-    return released.reshape(-1), suppressed
+    return out, suppressed
 
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:

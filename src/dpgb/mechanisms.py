@@ -124,12 +124,16 @@ def finish_release(
     seed: int,
     *,
     test_mode: bool = False,
+    out: np.ndarray | None = None,
 ) -> ReleaseResult:
     """Noise, descale, and threshold a prepared aggregate at one budget.
 
     Every slice's noise scale and every ledger charge come from the rows of
     the config's calibration table; a table that does not cover every slice
-    exactly once raises before any noise is drawn.
+    exactly once raises before any noise is drawn.  ``out`` is passed to
+    ``noise_descale_threshold``: None leaves the aggregate intact for
+    another budget or seed, while ``prepared.pre_noise_dense`` noises it in
+    place and uses it up.
     """
     config = replace(prepared.config, epsilon=epsilon, threshold_tau=tau, rng_seed=seed)
     table = calibration_table(config)
@@ -138,17 +142,19 @@ def finish_release(
     for row in table:
         ledger.charge(row.label, math.inf if test_mode else (1.0 / row.k) * epsilon)
     released, suppressed = noise_descale_threshold(
-        prepared.pre_noise_dense, config.scales.entries, b, tau, seed, test_mode=test_mode)
+        prepared.pre_noise_dense, config.scales.entries, b, tau, seed,
+        test_mode=test_mode, out=out)
     return ReleaseResult(released, config, suppressed, ledger)
 
 
 def run_release(
     config: MechanismConfig, data: WeekDataset, dims: Dimensions, *, test_mode: bool = False,
 ) -> ReleaseResult:
-    """Run the mechanism a config fully describes."""
-    return finish_release(
-        prepare_release(config, data, dims),
-        config.epsilon, config.threshold_tau, config.rng_seed, test_mode=test_mode)
+    """Run the mechanism a config fully describes, noising its aggregate in
+    place: the run holds one domain-sized vector."""
+    prepared = prepare_release(config, data, dims)
+    return finish_release(prepared, config.epsilon, config.threshold_tau, config.rng_seed,
+                          test_mode=test_mode, out=prepared.pre_noise_dense)
 
 
 def fit_scales(data: WeekDataset, dims: Dimensions, q: float = 0.95) -> ScaleMatrix:

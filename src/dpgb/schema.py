@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple
@@ -404,24 +405,35 @@ def write_records_csv(path, data: WeekDataset) -> None:
 
 _NUMBERS = list(zip(RECORD_CSV_HEADER[1:], (np.int64,) * 3 + (float,) * 2))
 
+# rows whose user ids set the starting width of the records reader's id column
+_WIDTH_ROWS = 1 << 10
+
 
 def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
     """Read trips grouped by user, users in order of first appearance and
     each user's records in file order.
 
-    One ``np.loadtxt`` pass parses the file as latin-1, user ids as bytes.
+    One ``np.loadtxt`` pass parses the file as latin-1, user ids as bytes in
+    a column one byte wider than the longest id of the first rows, and at
+    least 16 wide; a longer id further on makes the pass run again, wider.
     If a row does not parse or fails the record checks, the file is read
     again with ``csv`` to name the first bad line and what is wrong with it.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        header = next(csv.reader(fh), None)
-    if header != RECORD_CSV_HEADER:
-        raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != RECORD_CSV_HEADER:
+            raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
+        try:
+            width = max([16] + [len(row[0].encode("utf-8", "surrogateescape")) + 1
+                                for row in islice(reader, _WIDTH_ROWS) if row])
+        except csv.Error:  # a field past csv's size limit: the parse widens to it
+            width = 16
     try:
         with open(path, newline="", encoding="utf-8") as fh:  # bytes drop an id's trailing NULs
             if any("\0" in text for text in iter(lambda: fh.read(1 << 20), "")):
                 raise ValueError("NUL byte")
-        width, full = 16, True
+        full = True
         while full:  # an id that fills the column may be cut: parse again, wider
             table = ids = None  # the narrower table goes before the wider one comes
             table = _loadtxt(path, [("user_id", f"S{width}"), *_NUMBERS], "latin-1", skiprows=1)
@@ -524,7 +536,8 @@ _HISTOGRAM_DTYPE = np.dtype([("activity", np.int64),
 def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
     """Dense vector in flat cell order; absent and zero-valued cells read 0.
 
-    A second row for a cell is an error, also when the first one held 0.
+    A second row for a cell is an error, also when the first one held 0, and
+    so is a NUL byte anywhere in the file, which a parsed token would drop.
     The rows are parsed by ``np.loadtxt`` in blocks and checked as arrays;
     if a block does not parse or fails a check, the file is read again with
     ``csv`` to name the first bad line.
@@ -537,6 +550,11 @@ def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
         if header != HISTOGRAM_CSV_HEADER:
             raise ConfigError(f"{path}: bad header {header!r}, expected {HISTOGRAM_CSV_HEADER}")
         try:
+            chunk = bytearray(1 << 16)
+            with open(path, "rb") as raw:  # numpy drops a token's trailing NULs
+                while size := raw.readinto(chunk):
+                    if chunk.find(b"\0", 0, size) >= 0:
+                        raise ValueError("NUL byte")
             while True:
                 rows = _loadtxt(fh, _HISTOGRAM_DTYPE, max_rows=_READ_BLOCK_ROWS)
                 a, r, d = rows["activity"], rows["region"], rows["direction"]

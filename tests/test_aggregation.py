@@ -178,11 +178,14 @@ def test_write_ledger(tmp_path):
     assert "total,2.0" in text
 
 
+@pytest.mark.parametrize("in_place", [False, True])
 @pytest.mark.parametrize("test_mode", [False, True])
-@pytest.mark.parametrize("block_cells", [4 * 15, 2 * 15 + 1, 7])
-def test_noise_blocks_do_not_change_the_release(monkeypatch, rng, test_mode, block_cells):
-    # 6 slice rows of 15 cells: blocks of 4 rows (4 + 2), 2 rows (2 + 2 + 2)
-    # and, below one row, 1 row, against the default single block
+@pytest.mark.parametrize("block_cells", [6 * 15, 4 * 15, 2 * 15 + 1, 7])
+def test_noise_blocks_do_not_change_the_release(monkeypatch, rng, in_place, test_mode,
+                                                block_cells):
+    # 6 slice rows of 15 cells: one block, blocks of 4 rows (4 + 2), 2 rows
+    # (2 + 2 + 2) and, below one row, 1 row, against the default single
+    # block writing a new vector; in place, the input is the output
     dims = Dimensions(num_activities=2, num_regions=5)
     pre = rng.lognormal(0.0, 2.0, size=dims.total_cells)
     pre[rng.random(dims.total_cells) < 0.4] = 0.0
@@ -192,8 +195,22 @@ def test_noise_blocks_do_not_change_the_release(monkeypatch, rng, test_mode, blo
     whole, whole_suppressed = aggregation.noise_descale_threshold(
         pre, scales, noise_b, 0.5, 41, test_mode=test_mode)
     monkeypatch.setattr(aggregation, "_NOISE_BLOCK_CELLS", block_cells)
+    source = pre.copy()
+    out = source if in_place else None
     blocked, blocked_suppressed = aggregation.noise_descale_threshold(
-        pre, scales, noise_b, 0.5, 41, test_mode=test_mode)
+        source, scales, noise_b, 0.5, 41, test_mode=test_mode, out=out)
+    assert (blocked is source) == in_place
     assert blocked.tobytes() == whole.tobytes()
     assert blocked_suppressed == whole_suppressed
     assert whole_suppressed > 0 and np.count_nonzero(whole) > 0
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros(89), np.zeros(90, dtype=np.float32), np.zeros(180)[::2],
+], ids=["short", "float32", "strided"])
+def test_noise_out_must_match_the_aggregate(out):
+    # a strided or narrower out would take a copy or a rounding of the release
+    dims = Dimensions(num_activities=2, num_regions=5)
+    with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+        aggregation.noise_descale_threshold(
+            np.zeros(dims.total_cells), np.ones((2, 3)), np.ones((2, 3)), 0.0, 1, out=out)

@@ -8,12 +8,13 @@ from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, _sha256, main
 from dpgb.datagen import generate, ground_truth, read_generator_spec
 from dpgb.dp_core import dense_laplace_noise
 from dpgb.evaluation import ScoringPlan, run_seed
-from dpgb.mechanisms import fit_clip, fit_scales
+from dpgb.mechanisms import fit_clip, fit_scales, run_release
 from dpgb.schema import (
     Dimensions,
     MechanismConfig,
     ScaleMatrix,
     read_histogram_csv,
+    read_mechanism_config,
     read_records_csv,
     write_mechanism_config,
 )
@@ -290,8 +291,6 @@ class TestSweep:
         # the single sweep cell must equal release + eval composed by hand
         from dpgb.datagen import ground_truth
         from dpgb.evaluation import ScoringPlan, weighted_relative_error
-        from dpgb.mechanisms import run_release
-        from dpgb.schema import read_mechanism_config
         import csv
         cfg = read_mechanism_config(fitted_cfg)
         data = read_records_csv(data_path)
@@ -454,6 +453,24 @@ def test_release_eval_sweep_build_no_sparse_release(workspace):
                  str(sweep_dir / "fitted_budget_split.cfg"), "--out", str(released)]) == EXIT_OK
     assert main(["eval", "--data", str(data_path), "--released", str(released),
                  "--out", str(tmp_path / "eval"), "--min-devices", "5"]) == EXIT_OK
+
+
+def test_release_holds_one_dense_vector(workspace):
+    """A release at the production domain noises its aggregate in place, one
+    slice at a time: beside the one dense vector it holds only slice-sized
+    scratch and the data of 120 users."""
+    tmp_path, _, data_path, _ = workspace
+    config = read_mechanism_config(make_config(tmp_path, data_path))
+    data = read_records_csv(data_path)
+    dims = Dimensions(num_activities=9, num_regions=50_000)
+    tracemalloc.start()
+    try:
+        result = run_release(config, data, dims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.released.size == dims.total_cells and np.count_nonzero(result.released) > 0
+    assert peak < 1.5 * dims.total_cells * 8
 
 
 @pytest.mark.parametrize("flags, named", [
