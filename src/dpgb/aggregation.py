@@ -50,7 +50,7 @@ def noise_descale_threshold(
     seed: int,
     *,
     test_mode: bool = False,
-    out: np.ndarray | None = None,
+    in_place: bool = False,
 ) -> tuple[np.ndarray, int]:
     """Server tail: dense noise, descale, threshold, clamp.
 
@@ -63,25 +63,17 @@ def noise_descale_threshold(
     value falls below tau * b * S; surviving negatives are clamped to zero
     (a no-op whenever tau >= 0, kept for safety).
 
-    The release is written to ``out``, a C-contiguous float64 vector of the
-    input's shape, or to a new one when it is None.  Each block is read
-    before it is written, so ``out`` may be ``pre_noise_dense`` itself: the
-    aggregate is then noised in place and no second domain-sized vector is
-    made.
+    Each block is read before it is written, so with ``in_place`` the
+    release is written over ``pre_noise_dense`` itself and no second
+    domain-sized vector is made.
 
     Returns (released_dense, suppressed_count) where suppressed counts cells
     with a nonzero descaled value that failed the threshold.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ConfigError(f"threshold_tau must be finite and >= 0, got {tau}")
-    if out is None:
-        out = np.empty_like(pre_noise_dense)
-    elif (out.shape != pre_noise_dense.shape or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape "
-                         f"{pre_noise_dense.shape}, got {out.dtype} {out.shape}")
     per_slice = pre_noise_dense.reshape(slice_scales.size, -1)
-    released = out.reshape(per_slice.shape)
+    released = per_slice if in_place else np.empty_like(per_slice)
     b = slice_noise_b.reshape(-1, 1)
     scales = slice_scales.reshape(-1, 1)
     threshold = tau * b * scales
@@ -100,7 +92,7 @@ def noise_descale_threshold(
         suppressed += int(np.count_nonzero(~keep & (descaled != 0.0)))
         np.maximum(descaled, 0.0, out=released[block])
         released[block][~keep] = 0.0
-    return out, suppressed
+    return released.reshape(-1), suppressed
 
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:

@@ -124,16 +124,15 @@ def finish_release(
     seed: int,
     *,
     test_mode: bool = False,
-    out: np.ndarray | None = None,
+    in_place: bool = False,
 ) -> ReleaseResult:
     """Noise, descale, and threshold a prepared aggregate at one budget.
 
     Every slice's noise scale and every ledger charge come from the rows of
     the config's calibration table; a table that does not cover every slice
-    exactly once raises before any noise is drawn.  ``out`` is passed to
-    ``noise_descale_threshold``: None leaves the aggregate intact for
-    another budget or seed, while ``prepared.pre_noise_dense`` noises it in
-    place and uses it up.
+    exactly once raises before any noise is drawn.  ``in_place`` writes the
+    release over ``prepared.pre_noise_dense`` and uses the aggregate up;
+    without it the aggregate stays intact for another budget or seed.
     """
     config = replace(prepared.config, epsilon=epsilon, threshold_tau=tau, rng_seed=seed)
     table = calibration_table(config)
@@ -143,7 +142,7 @@ def finish_release(
         ledger.charge(row.label, math.inf if test_mode else (1.0 / row.k) * epsilon)
     released, suppressed = noise_descale_threshold(
         prepared.pre_noise_dense, config.scales.entries, b, tau, seed,
-        test_mode=test_mode, out=out)
+        test_mode=test_mode, in_place=in_place)
     return ReleaseResult(released, config, suppressed, ledger)
 
 
@@ -152,9 +151,10 @@ def run_release(
 ) -> ReleaseResult:
     """Run the mechanism a config fully describes, noising its aggregate in
     place: the run holds one domain-sized vector."""
-    prepared = prepare_release(config, data, dims)
-    return finish_release(prepared, config.epsilon, config.threshold_tau, config.rng_seed,
-                          test_mode=test_mode, out=prepared.pre_noise_dense)
+    return finish_release(
+        prepare_release(config, data, dims),
+        config.epsilon, config.threshold_tau, config.rng_seed,
+        test_mode=test_mode, in_place=True)
 
 
 def fit_scales(data: WeekDataset, dims: Dimensions, q: float = 0.95) -> ScaleMatrix:

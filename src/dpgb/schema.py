@@ -8,11 +8,11 @@ kilometers, total duration in seconds.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple
@@ -405,35 +405,22 @@ def write_records_csv(path, data: WeekDataset) -> None:
 
 _NUMBERS = list(zip(RECORD_CSV_HEADER[1:], (np.int64,) * 3 + (float,) * 2))
 
-# rows whose user ids set the starting width of the records reader's id column
-_WIDTH_ROWS = 1 << 10
-
 
 def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
     """Read trips grouped by user, users in order of first appearance and
     each user's records in file order.
 
-    One ``np.loadtxt`` pass parses the file as latin-1, user ids as bytes in
-    a column one byte wider than the longest id of the first rows, and at
-    least 16 wide; a longer id further on makes the pass run again, wider.
+    One ``np.loadtxt`` pass parses the file as latin-1, user ids as bytes.
     If a row does not parse or fails the record checks, the file is read
     again with ``csv`` to name the first bad line and what is wrong with it.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RECORD_CSV_HEADER:
-            raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
-        try:
-            width = max([16] + [len(row[0].encode("utf-8", "surrogateescape")) + 1
-                                for row in islice(reader, _WIDTH_ROWS) if row])
-        except csv.Error:  # a field past csv's size limit: the parse widens to it
-            width = 16
+        header = next(csv.reader(fh), None)
+    if header != RECORD_CSV_HEADER:
+        raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:  # bytes drop an id's trailing NULs
-            if any("\0" in text for text in iter(lambda: fh.read(1 << 20), "")):
-                raise ValueError("NUL byte")
-        full = True
+        _reject_nul(path)
+        width, full = 16, True
         while full:  # an id that fills the column may be cut: parse again, wider
             table = ids = None  # the narrower table goes before the wider one comes
             table = _loadtxt(path, [("user_id", f"S{width}"), *_NUMBERS], "latin-1", skiprows=1)
@@ -460,6 +447,18 @@ def _check_record_row(row: list[str]) -> None:
     # the row as a one-record dataset, for the same checks
     WeekDataset("", ("",), [0, 1], [int(row[1])], [int(row[2])], [int(row[3])],
                 [float(row[4])], [float(row[5])])
+
+
+def _reject_nul(path) -> None:
+    """Raise ValueError on a NUL byte anywhere in the file, which a parsed
+    bytes token would drop, or on bytes that are not UTF-8."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if b"\0" in chunk:
+                raise ValueError("NUL byte")
+            decoder.decode(chunk)
+    decoder.decode(b"", final=True)
 
 
 def _loadtxt(source, dtype: np.dtype, encoding: str = "utf-8", **kwargs) -> np.ndarray:
@@ -550,11 +549,7 @@ def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
         if header != HISTOGRAM_CSV_HEADER:
             raise ConfigError(f"{path}: bad header {header!r}, expected {HISTOGRAM_CSV_HEADER}")
         try:
-            chunk = bytearray(1 << 16)
-            with open(path, "rb") as raw:  # numpy drops a token's trailing NULs
-                while size := raw.readinto(chunk):
-                    if chunk.find(b"\0", 0, size) >= 0:
-                        raise ValueError("NUL byte")
+            _reject_nul(path)
             while True:
                 rows = _loadtxt(fh, _HISTOGRAM_DTYPE, max_rows=_READ_BLOCK_ROWS)
                 a, r, d = rows["activity"], rows["region"], rows["direction"]

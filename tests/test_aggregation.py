@@ -196,21 +196,9 @@ def test_noise_blocks_do_not_change_the_release(monkeypatch, rng, in_place, test
         pre, scales, noise_b, 0.5, 41, test_mode=test_mode)
     monkeypatch.setattr(aggregation, "_NOISE_BLOCK_CELLS", block_cells)
     source = pre.copy()
-    out = source if in_place else None
     blocked, blocked_suppressed = aggregation.noise_descale_threshold(
-        source, scales, noise_b, 0.5, 41, test_mode=test_mode, out=out)
-    assert (blocked is source) == in_place
+        source, scales, noise_b, 0.5, 41, test_mode=test_mode, in_place=in_place)
+    assert np.shares_memory(blocked, source) == in_place
     assert blocked.tobytes() == whole.tobytes()
     assert blocked_suppressed == whole_suppressed
     assert whole_suppressed > 0 and np.count_nonzero(whole) > 0
-
-
-@pytest.mark.parametrize("out", [
-    np.zeros(89), np.zeros(90, dtype=np.float32), np.zeros(180)[::2],
-], ids=["short", "float32", "strided"])
-def test_noise_out_must_match_the_aggregate(out):
-    # a strided or narrower out would take a copy or a rounding of the release
-    dims = Dimensions(num_activities=2, num_regions=5)
-    with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
-        aggregation.noise_descale_threshold(
-            np.zeros(dims.total_cells), np.ones((2, 3)), np.ones((2, 3)), 0.0, 1, out=out)

@@ -426,13 +426,10 @@ class TestFileFormats:
         assert '"a,b",' in text and '"say ""hi""",' in text and '"é,""q""",' in text
         assert f"\r\n{long_id},1,0,2,0.0,0.0\r\n" in text
 
-    @pytest.mark.parametrize("width_rows", [1, 1 << 10])  # widened by the parse, or sized first
-    def test_user_ids_keep_their_bytes(self, tmp_path, monkeypatch, width_rows):
+    def test_user_ids_keep_their_bytes(self, tmp_path):
         # ids outside latin-1; of 15, 16, 17, 40 and 70 UTF-8 bytes (the
-        # bytes column starts 16 wide when one row sets it); sharing their
-        # first 16 or 39 bytes; empty; with a comma, a quote, a line break or
-        # spaces
-        monkeypatch.setattr(schema, "_WIDTH_ROWS", width_rows)
+        # bytes column starts 16 wide); sharing their first 16 or 39 bytes;
+        # empty; with a comma, a quote, a line break or spaces
         ids = ["€uro", "中文", "😀", "a" * 15, "b" * 16, "c" * 17, "d" * 40, "z" * 70,
                "p" * 16 + "x", "p" * 16 + "y", "d" * 39 + "e", "é" * 8, "é" * 7 + "e",
                "", "a,b", 'q"', "line\nbreak", " pad "]
@@ -446,34 +443,6 @@ class TestFileFormats:
         assert data.user_ids == tuple(order) and len(order) == len(ids)
         assert user_records(data) == [(uid, [row[1:] for row in rows if row[0] == uid])
                                       for uid in order]
-
-    @pytest.mark.parametrize("ids, width_rows, widths", [
-        ([f"u{i:06d}" for i in range(40)], 1 << 10, ["S16"]),  # the generator's ids
-        ([f"{i:08x}-0000-4000-8000-{i:012x}" for i in range(40)], 1 << 10, ["S37"]),  # UUIDs
-        # a long id past the first rows: the parse runs again, wider
-        ([f"u{i:06d}" for i in range(20)] + ["x" * 36] + [f"v{i}" for i in range(19)], 8,
-         ["S16", "S64"]),
-        # an id past csv's field size limit: the parse widens to it
-        (["x" * 140_000, "u1"], 1 << 10, [f"S{16 * 4 ** k}" for k in range(8)]),
-    ], ids=["short", "uuid", "late_long_id", "huge_id"])
-    def test_records_reader_sizes_the_id_column_from_the_first_rows(
-            self, tmp_path, monkeypatch, ids, width_rows, widths):
-        rows = [(uid, i % 4, i % 2, i % 3, 0.5 * i, 10.0 + i) for i, uid in enumerate(ids)]
-        path = tmp_path / "ids.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([RECORD_CSV_HEADER, *rows])
-        parses = []
-        loadtxt = schema._loadtxt
-
-        def counted(source, dtype, *args, **kwargs):
-            parses.append(dtype[0][1])
-            return loadtxt(source, dtype, *args, **kwargs)
-        monkeypatch.setattr(schema, "_loadtxt", counted)
-        monkeypatch.setattr(schema, "_WIDTH_ROWS", width_rows)
-        data = read_records_csv(path)
-        assert parses == widths
-        assert data.user_ids == tuple(ids)
-        assert user_records(data) == [(row[0], [row[1:]]) for row in rows]
 
     @pytest.mark.parametrize("first, second", [("a\0", "a"), ("\0", ""), ("a\0b", "ab")])
     def test_records_reader_rejects_nul_in_user_ids(self, tmp_path, first, second):
