@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -196,7 +197,10 @@ def cmd_sweep(args, argv) -> int:
     fit_q = _setting(None, "fit_quantile", 0.95, float)
 
     data = read_records_csv(args.data)
-    proxy = data if args.unsafe_fit else read_records_csv(args.proxy)
+    if args.unsafe_fit or os.path.samefile(args.data, args.proxy):
+        proxy = data  # one file, parsed once
+    else:
+        proxy = read_records_csv(args.proxy)
     dims = infer_dimensions(
         [data, proxy], num_activities=args.num_activities, num_regions=args.num_regions)
 

@@ -165,7 +165,7 @@ class UserCells(NamedTuple):
 
 
 # records per block of whole users that user_cells turns into rows at once
-_BLOCK_RECORDS = 1 << 15
+_BLOCK_RECORDS = 1 << 13
 
 
 def user_cells(data: WeekDataset, dims: Dimensions, scales: ScaleMatrix) -> Iterator[UserCells]:
@@ -429,12 +429,13 @@ def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
             full, width = np.any(np.char.str_len(ids[starts]) == width), 4 * width
         keys, first, inverse = np.unique(ids[starts], return_index=True, return_inverse=True)
         by_first = np.argsort(first)  # the users in order of first appearance
-        owner = np.repeat(np.argsort(by_first)[inverse], np.diff(np.append(starts, ids.size)))
         columns = [table[name] for name in RECORD_CSV_HEADER[1:]]
-        if np.any(owner[1:] < owner[:-1]):  # users interleaved: group them, stably
+        offsets = np.append(starts, ids.size)
+        if keys.size < starts.size:  # a user in more than one run: group its runs, stably
+            owner = np.repeat(np.argsort(by_first)[inverse], np.diff(offsets))
             order = np.argsort(owner, kind="stable")
             columns = [col[order] for col in columns]
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=keys.size))))
+            offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=keys.size))))
         return WeekDataset(week_id if week_id is not None else Path(path).stem,
                            tuple(uid.decode("utf-8") for uid in keys[by_first].tolist()),
                            offsets, *columns)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dpgb import cli
 from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, _sha256, main
 from dpgb.datagen import generate, ground_truth, read_generator_spec
 from dpgb.dp_core import dense_laplace_noise
@@ -318,6 +319,30 @@ class TestSweep:
         assert main(["sweep", "--data", str(data_path), "--out", str(out_dir),
                      "--unsafe-fit", "--epsilons", "2.0", "--repeats", "1",
                      "--mechanisms", "joint_clipping", "--min-devices", "5"]) == EXIT_OK
+
+    def test_sweep_parses_a_proxy_that_is_the_data_once(self, workspace, monkeypatch):
+        tmp_path, _, _, proxy_path = workspace
+        copy_path = tmp_path / "proxy_copy.csv"
+        copy_path.write_bytes(proxy_path.read_bytes())
+        reads = []
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return read_records_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_records_csv", counted)
+        outputs = {}
+        for proxy, expected_reads in ((proxy_path, 1), (copy_path, 2)):
+            out_dir = tmp_path / f"s_{proxy.stem}"
+            reads.clear()
+            assert main(["sweep", "--data", str(proxy_path), "--proxy", str(proxy),
+                         "--out", str(out_dir), "--epsilons", "1.0,2.0", "--repeats", "2",
+                         "--min-devices", "5"]) == EXIT_OK
+            assert len(reads) == expected_reads
+            outputs[proxy] = {path.name: path.read_bytes() for path in out_dir.iterdir()
+                              if path.name != "manifest"}
+        assert len(outputs[proxy_path]) == 7
+        assert outputs[proxy_path] == outputs[copy_path]
 
     def test_sweep_config_file(self, workspace):
         tmp_path, _, data_path, proxy_path = workspace

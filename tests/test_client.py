@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpgb import schema
+from dpgb.aggregation import secure_sum
 from dpgb.client import client_work
+from dpgb.datagen import GeneratorSpec, default_profiles, generate, ground_truth
 from dpgb.dp_core import l1_norms
-from dpgb.schema import ConfigError, ScaleMatrix
+from dpgb.schema import ConfigError, Dimensions, ScaleMatrix
 from conftest import one_user, prepare, random_dataset, random_records, raw_histogram
 from sparse_reference import (
     SparseHistogram,
@@ -138,10 +141,41 @@ def test_fleet_preserves_user_order(small_dims, rng, monkeypatch):
     ]
     for run, vectors in cases:
         expected = user_order_sum(vectors, small_dims)
-        for block_records in (1 << 15, 50, 1):
+        for block_records in (1 << 15, 1 << 13, 50, 1):
             monkeypatch.setattr(schema, "_BLOCK_RECORDS", block_records)
             prepared = run()
             assert np.array_equal(prepared.pre_noise_dense, expected), \
                 prepared.config.mechanism_kind
         # the data is rich enough that another order changes some bits
         assert not np.array_equal(user_order_sum(vectors[::-1], small_dims), expected)
+
+
+def test_per_user_passes_hold_one_block_of_scratch():
+    # beyond its output, a pass over the users holds a few addend-sized
+    # arrays of one block (three float64 per record), however many blocks
+    dims = Dimensions(num_activities=9, num_regions=100)
+    scales = ScaleMatrix(np.full((dims.num_activities, 3), 2.0))
+    passes = (lambda data: secure_sum(client_work(data, scales, 5.0, dims), dims),
+              lambda data: ground_truth(data, dims))
+
+    def dataset(num_users):
+        return generate(GeneratorSpec(num_users=num_users, dims=dims,
+                                      activity_profiles=default_profiles(), seed=1))
+
+    for run in passes:  # the first calls allocate once per process
+        run(dataset(50))
+    peaks = []
+    for num_users in (6000, 12000):
+        data = dataset(num_users)
+        assert data.num_records >= 8 * schema._BLOCK_RECORDS
+        for run in passes:
+            tracemalloc.start()
+            try:
+                run(data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    block_bytes = schema._BLOCK_RECORDS * 3 * 8
+    for peak, doubled in zip(peaks[:2], peaks[2:]):
+        assert max(peak, doubled) < 32 * block_bytes
+        assert doubled < 1.25 * peak

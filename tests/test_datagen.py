@@ -338,7 +338,7 @@ class TestGroundTruth:
                  for i, (uid, recs) in enumerate(users_of(data))]
         data = make_dataset("w", users)
         expected, devices = reference_ground_truth(data, spec.dims)
-        for block_records in (1 << 15, 100, 1):
+        for block_records in (1 << 15, 1 << 13, 100, 1):
             monkeypatch.setattr(schema, "_BLOCK_RECORDS", block_records)
             truth = ground_truth(data, spec.dims)
             assert list(truth_cells(truth).items()) == [

@@ -227,7 +227,7 @@ class TestFitScales:
         expected = np.ones((small_dims.num_activities, 3))
         for (a, m), values in norms.items():
             expected[a, m] = exact_quantile(values, 0.9)
-        for block_records in (1 << 15, 37):
+        for block_records in (1 << 15, 1 << 13, 37):
             monkeypatch.setattr(schema, "_BLOCK_RECORDS", block_records)
             assert fit_scales(data, small_dims, 0.9).entries.tobytes() == expected.tobytes()
 
