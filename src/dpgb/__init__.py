@@ -25,7 +25,7 @@ from .dp_core import (
 )
 from .client import client_work
 from .aggregation import secure_sum
-from .mechanisms import ReleaseResult, fit_clip, fit_scales, run_release
+from .mechanisms import ReleaseResult, finish_release, fit_clip, fit_scales, prepare_release
 from .datagen import ActivityProfile, GeneratorSpec, GroundTruth, generate, ground_truth
 from .evaluation import EvalReport, ScoringPlan, sweep, weighted_relative_error
 
@@ -36,7 +36,7 @@ __all__ = [
     "clip_l1", "exact_quantile", "l1_norms",
     "client_work",
     "secure_sum",
-    "ReleaseResult", "fit_clip", "fit_scales", "run_release",
+    "ReleaseResult", "finish_release", "fit_clip", "fit_scales", "prepare_release",
     "ActivityProfile", "GeneratorSpec", "GroundTruth", "generate", "ground_truth",
     "EvalReport", "ScoringPlan", "sweep", "weighted_relative_error",
 ]

@@ -10,7 +10,6 @@ bit-for-bit.  Exit codes are stable API: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import os
 import sys
@@ -38,12 +37,13 @@ from .evaluation import (
     write_sweep_agg_csv,
     write_sweep_csv,
 )
-from .mechanisms import manifest_line, run_release
+from .mechanisms import finish_release, manifest_line, prepare_release
 from .schema import (
     ConfigError,
+    DURATION,
+    Dimensions,
     infer_dimensions,
     read_histogram_csv,
-    read_kv_file,
     read_mechanism_config,
     read_records_csv,
     write_histogram_csv,
@@ -103,11 +103,14 @@ def cmd_release(args, argv) -> int:
     config = read_mechanism_config(args.config)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
+    # the domain comes from the config and the flag, never from the records
+    dims = Dimensions(config.scales.num_activities, args.num_regions)
     data = read_records_csv(args.data)
-    dims = infer_dimensions(
-        [data], num_activities=config.scales.num_activities, num_regions=args.num_regions)
-    # the release path never runs with noise disabled; there is no flag to do so
-    result = run_release(config, data, dims, test_mode=False)
+    # the release path never runs with noise disabled, and noises its
+    # aggregate in place: the run holds one domain-sized vector
+    result = finish_release(
+        prepare_release(config, data, dims),
+        config.epsilon, config.threshold_tau, config.rng_seed, in_place=True)
     write_histogram_csv(args.out, result.released, dims)
     ledger_path = str(args.out) + ".ledger"
     write_ledger(ledger_path, result.ledger)
@@ -143,15 +146,20 @@ def cmd_eval(args, argv) -> int:
             f"suppressed_eligible = {report.suppressed_eligible[name]}")
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    with open(cells_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "activity", "region", "direction",
-                         "true", "released", "rel_error", "weight", "devices"])
-        for cell in report.cells:
-            div = duration_div if cell.metric == "duration" else 1.0
-            writer.writerow([cell.metric, cell.activity, cell.region, cell.direction,
-                             cell.truth / div, cell.released / div, cell.rel_error,
-                             cell.weight, cell.devices])
+    # one row per eligible cell, metric by metric in truth order, with the
+    # bytes csv.writer gives: floats as repr, rows ended by \r\n
+    regions = dims.num_regions
+    with open(cells_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("metric,activity,region,direction,true,released,rel_error,weight,devices\r\n")
+        for m, name in enumerate(METRIC_NAMES):
+            div = duration_div if m == DURATION else 1.0
+            flat = plan.flat[m]
+            columns = (flat // (regions * 9), flat // 3 % regions, flat % 3,
+                       plan.truth[m] / div, report.estimates[m] / div, report.errors[m],
+                       plan.weights[m], plan.devices[m])
+            fh.write("".join(
+                f"{name},{a},{r},{d},{t!r},{e!r},{err!r},{w!r},{n}\r\n"
+                for a, r, d, t, e, err, w, n in zip(*(col.tolist() for col in columns))))
 
     _write_manifest(
         out_dir / "manifest", "eval", argv,
@@ -168,34 +176,6 @@ def cmd_sweep(args, argv) -> int:
     if not args.unsafe_fit and args.proxy is None:
         raise ConfigError("sweep needs --proxy (or the explicit --unsafe-fit)")
 
-    overrides = {}
-    if args.config is not None:
-        overrides = read_kv_file(args.config)
-        known = {"epsilons", "mechanisms", "repeats", "seed", "min_devices",
-                 "threshold_tau", "fit_quantile"}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
-
-    def _setting(flag_value, key, default, parse):
-        if flag_value is not None:
-            return flag_value
-        if key in overrides:
-            return parse(overrides[key])
-        return default
-
-    epsilons = _setting(
-        args.epsilons, "epsilons", DEFAULT_EPSILON_GRID,
-        lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()))
-    mechanisms = _setting(
-        args.mechanisms, "mechanisms", DEFAULT_MECHANISMS,
-        lambda raw: tuple(tok.strip() for tok in raw.split(",") if tok.strip()))
-    repeats = _setting(args.repeats, "repeats", 20, int)
-    seed = _setting(args.seed, "seed", 1, int)
-    min_devices = _setting(args.min_devices, "min_devices", DEFAULT_MIN_DEVICES, int)
-    tau = _setting(args.tau, "threshold_tau", 0.0, float)
-    fit_q = _setting(None, "fit_quantile", 0.95, float)
-
     data = read_records_csv(args.data)
     if args.unsafe_fit or os.path.samefile(args.data, args.proxy):
         proxy = data  # one file, parsed once
@@ -204,9 +184,8 @@ def cmd_sweep(args, argv) -> int:
     dims = infer_dimensions(
         [data, proxy], num_activities=args.num_activities, num_regions=args.num_regions)
 
-    result = sweep(data, proxy, epsilons, mechanisms, repeats, seed, dims,
-                   min_devices=min_devices, tau=tau, fit_q=fit_q,
-                   test_mode=args.test_mode)
+    result = sweep(data, proxy, args.epsilons, args.mechanisms, args.repeats, args.seed, dims,
+                   min_devices=args.min_devices, tau=args.tau, test_mode=args.test_mode)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -217,14 +196,13 @@ def cmd_sweep(args, argv) -> int:
     write_sweep_csv(sweep_path, result)
     write_sweep_agg_csv(agg_path, result)
     write_curve_data(curve_path, result)
-    table_eps = args.table_epsilon if args.table_epsilon is not None else 2.0
-    table_path.write_text(render_metric_table(result, table_eps), encoding="utf-8")
+    table_path.write_text(render_metric_table(result, args.table_epsilon), encoding="utf-8")
 
     # fitted configs, so `dpgb release` can be run with proxy-tuned settings
     config_paths = []
-    config_eps = min(epsilons, key=lambda e: abs(e - 2.0))
-    for kind in mechanisms:
-        cfg = result.fitted.config_for(kind, config_eps, tau, seed)
+    config_eps = min(result.epsilons, key=lambda e: abs(e - 2.0))
+    for kind in result.mechanisms:
+        cfg = result.fitted.config_for(kind, config_eps, args.tau, args.seed)
         cfg_path = out_dir / f"fitted_{kind}.cfg"
         write_mechanism_config(cfg_path, cfg)
         config_paths.append(cfg_path)
@@ -232,17 +210,15 @@ def cmd_sweep(args, argv) -> int:
     inputs = {"data": args.data}
     if not args.unsafe_fit:
         inputs["proxy"] = args.proxy
-    if args.config is not None:
-        inputs["config"] = args.config
     _write_manifest(
         out_dir / "manifest", "sweep", argv, inputs,
         [sweep_path, agg_path, curve_path, table_path] + config_paths,
-        {"seed": seed, "repeats": repeats, "min_devices": min_devices,
-         "threshold_tau": repr(tau),
-         "epsilons": ",".join(repr(e) for e in epsilons),
-         "mechanisms": ",".join(mechanisms),
+        {"seed": args.seed, "repeats": args.repeats, "min_devices": args.min_devices,
+         "threshold_tau": repr(args.tau),
+         "epsilons": ",".join(repr(e) for e in result.epsilons),
+         "mechanisms": ",".join(result.mechanisms),
          "test_mode": args.test_mode, "unsafe_fit": args.unsafe_fit})
-    print(render_metric_table(result, table_eps), end="")
+    print(render_metric_table(result, args.table_epsilon), end="")
     print(f"wrote sweep outputs to {out_dir}")
     return EXIT_OK
 
@@ -280,8 +256,8 @@ def build_parser() -> _Parser:
     p_rel.add_argument("--config", required=True)
     p_rel.add_argument("--out", required=True)
     p_rel.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_rel.add_argument("--num-regions", type=int, default=0, dest="num_regions",
-                       help="region universe size (default: inferred from the data)")
+    p_rel.add_argument("--num-regions", type=int, required=True, dest="num_regions",
+                       help="region universe size; the release domain never comes from the data")
     p_rel.set_defaults(func=cmd_release)
 
     p_eval = sub.add_parser("eval", help="score a released histogram against exact totals")
@@ -302,18 +278,18 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--proxy", default=None,
                          help="held-out dataset for hyperparameter fitting")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--config", default=None, help="optional key-value sweep settings")
     p_sweep.add_argument("--epsilons", type=lambda raw: tuple(
-        float(tok) for tok in raw.split(",") if tok.strip()), default=None)
+        float(tok) for tok in raw.split(",") if tok.strip()), default=DEFAULT_EPSILON_GRID)
     p_sweep.add_argument("--mechanisms", type=lambda raw: tuple(
-        tok.strip() for tok in raw.split(",") if tok.strip()), default=None)
-    p_sweep.add_argument("--repeats", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--min-devices", type=int, default=None, dest="min_devices")
+        tok.strip() for tok in raw.split(",") if tok.strip()), default=DEFAULT_MECHANISMS)
+    p_sweep.add_argument("--repeats", type=int, default=20)
+    p_sweep.add_argument("--seed", type=int, default=1)
+    p_sweep.add_argument("--min-devices", type=int, default=DEFAULT_MIN_DEVICES,
+                         dest="min_devices")
     p_sweep.add_argument("--num-regions", type=int, default=0, dest="num_regions")
     p_sweep.add_argument("--num-activities", type=int, default=0, dest="num_activities")
-    p_sweep.add_argument("--tau", type=float, default=None)
-    p_sweep.add_argument("--table-epsilon", type=float, default=None, dest="table_epsilon")
+    p_sweep.add_argument("--tau", type=float, default=0.0)
+    p_sweep.add_argument("--table-epsilon", type=float, default=2.0, dest="table_epsilon")
     p_sweep.add_argument("--test-mode", action="store_true", dest="test_mode",
                          help="zero noise, for pipeline debugging only (never a DP release)")
     p_sweep.add_argument("--unsafe-fit", action="store_true", dest="unsafe_fit",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -365,12 +365,6 @@ def generate(spec: GeneratorSpec) -> WeekDataset:
     return WeekDataset(spec.week_id, user_ids, offsets, *columns)
 
 
-def proxy_pair(spec: GeneratorSpec) -> tuple[WeekDataset, WeekDataset]:
-    """Evaluation dataset plus a same-shape proxy from a shifted seed."""
-    proxy_spec = replace(spec, seed=spec.seed + 1, week_id=spec.week_id + "-proxy")
-    return generate(spec), generate(proxy_spec)
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Exact unclipped totals of the cells some user's vector reaches.
@@ -432,7 +426,7 @@ def ground_truth(data: WeekDataset, dims: Dimensions) -> GroundTruth:
 
 # --- generator spec file -----------------------------------------------------
 
-def read_generator_spec(path, profiles_base=None) -> GeneratorSpec:
+def read_generator_spec(path) -> GeneratorSpec:
     """Key-value spec file; the profile table defaults to the packaged one."""
     kv = read_kv_file(path)
     known = {"num_users", "num_regions", "region_zipf_s", "trips_per_user",
@@ -444,8 +438,7 @@ def read_generator_spec(path, profiles_base=None) -> GeneratorSpec:
         if key not in kv:
             raise ConfigError(f"{path}: missing mandatory key {key!r}")
     if "profiles" in kv:
-        base = Path(profiles_base) if profiles_base is not None else Path(path).parent
-        profiles = load_profiles(base / kv["profiles"])
+        profiles = load_profiles(Path(path).parent / kv["profiles"])
     else:
         profiles = default_profiles()
     optional_floats = {

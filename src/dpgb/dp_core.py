@@ -60,7 +60,6 @@ class PrivacyLedger:
 
     budget: float
     charges: list[tuple[str, float]] = field(default_factory=list)
-    adjacency: str = ADJACENCY
 
     def charge(self, label: str, epsilon: float) -> None:
         if epsilon < 0 or math.isnan(epsilon):
@@ -78,7 +77,7 @@ class PrivacyLedger:
         return math.fsum(eps for _, eps in self.charges)
 
     def summary(self) -> str:
-        lines = [f"# adjacency: {self.adjacency}"]
+        lines = [f"# adjacency: {ADJACENCY}"]
         lines += [f"{label},{eps!r}" for label, eps in self.charges]
         lines.append(f"total,{self.total()!r}")
         return "\n".join(lines)

@@ -108,22 +108,11 @@ class ScoringPlan:
         )
 
 
-@dataclass(frozen=True)
-class CellScore:
-    metric: str
-    activity: int
-    region: int
-    direction: int
-    truth: float
-    released: float
-    rel_error: float
-    weight: float
-    devices: int
-
-
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Per-metric weighted relative error plus per-cell diagnostics."""
+    """Per-metric weighted relative error plus, for metric m, the estimate
+    ``estimates[m]`` and relative error ``errors[m]`` of each eligible cell
+    of ``plan``."""
 
     wre: dict[str, float]
     eligible: dict[str, int]
@@ -139,21 +128,6 @@ class EvalReport:
     @property
     def has_eligible_cells(self) -> bool:
         return any(self.eligible[name] > 0 for name in METRIC_NAMES)
-
-    @property
-    def cells(self) -> tuple[CellScore, ...]:
-        """One score per eligible cell, metric by metric, in truth order."""
-        plan = self.plan
-        scores = []
-        for m, name in enumerate(METRIC_NAMES):
-            for flat, true_value, estimate, error, weight, count in zip(
-                    plan.flat[m].tolist(), plan.truth[m].tolist(),
-                    self.estimates[m].tolist(), self.errors[m].tolist(),
-                    plan.weights[m].tolist(), plan.devices[m].tolist()):
-                a, _, r, d = plan.dims.cell_tuple(flat)
-                scores.append(CellScore(name, a, r, d, true_value, estimate, error,
-                                        weight, count))
-        return tuple(scores)
 
 
 def _running_total(values: np.ndarray) -> float:
@@ -192,12 +166,11 @@ def weighted_relative_error(plan: ScoringPlan, released: np.ndarray) -> EvalRepo
 
 @dataclass(frozen=True)
 class FittedHyperparameters:
-    """Scale and clip choices fitted on proxy data at one quantile."""
+    """Scale and clip choices fitted on proxy data at the 0.95 quantile."""
 
     scales: ScaleMatrix
     ams_clip: float
     joint_clip: float
-    quantile: float
 
     def config_for(self, kind: str, epsilon: float, tau: float, seed: int) -> MechanismConfig:
         if kind == "budget_split":
@@ -214,21 +187,19 @@ class FittedHyperparameters:
         return MechanismConfig(epsilon, kind, clip, scales, tau, seed)
 
 
-def fit_hyperparameters(proxy: WeekDataset, dims: Dimensions,
-                        q: float = 0.95) -> FittedHyperparameters:
+def fit_hyperparameters(proxy: WeekDataset, dims: Dimensions) -> FittedHyperparameters:
     """Fit everything the three mechanisms need, on proxy data only.
 
     The per-slice clip grid for budget_split reuses the per-(activity, metric)
     norm quantiles, which is exactly what tuning each slice's clip separately
     means.
     """
-    scales = fit_scales(proxy, dims, q)
+    scales = fit_scales(proxy, dims)
     ones = ScaleMatrix.ones(dims.num_activities)
     return FittedHyperparameters(
         scales=scales,
-        ams_clip=fit_clip(proxy, scales, dims, q),
-        joint_clip=fit_clip(proxy, ones, dims, q),
-        quantile=q,
+        ams_clip=fit_clip(proxy, scales, dims),
+        joint_clip=fit_clip(proxy, ones, dims),
     )
 
 
@@ -284,7 +255,6 @@ def sweep(
     *,
     min_devices: int = DEFAULT_MIN_DEVICES,
     tau: float = 0.0,
-    fit_q: float = 0.95,
     test_mode: bool = False,
 ) -> SweepResult:
     """Fit on the proxy, then release and score every (mechanism, eps, repeat).
@@ -309,7 +279,7 @@ def sweep(
     if not (math.isfinite(tau) and tau >= 0):
         raise ConfigError(f"threshold_tau must be finite and >= 0, got {tau!r}")
 
-    fitted = fit_hyperparameters(proxy, dims, fit_q)
+    fitted = fit_hyperparameters(proxy, dims)
     plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
     rows = []
     for kind in mechanisms:

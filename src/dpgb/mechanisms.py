@@ -146,17 +146,6 @@ def finish_release(
     return ReleaseResult(released, config, suppressed, ledger)
 
 
-def run_release(
-    config: MechanismConfig, data: WeekDataset, dims: Dimensions, *, test_mode: bool = False,
-) -> ReleaseResult:
-    """Run the mechanism a config fully describes, noising its aggregate in
-    place: the run holds one domain-sized vector."""
-    return finish_release(
-        prepare_release(config, data, dims),
-        config.epsilon, config.threshold_tau, config.rng_seed,
-        test_mode=test_mode, in_place=True)
-
-
 def fit_scales(data: WeekDataset, dims: Dimensions, q: float = 0.95) -> ScaleMatrix:
     """Per-(activity, metric) quantile of per-user slice L1 norms.
 

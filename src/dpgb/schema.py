@@ -63,12 +63,8 @@ class Dimensions:
 
     num_activities: int = 9
     num_regions: int = 100
-    num_metrics: int = 3
-    num_directions: int = 3
 
     def __post_init__(self) -> None:
-        if self.num_metrics != 3 or self.num_directions != 3:
-            raise ConfigError("num_metrics and num_directions are fixed at 3")
         if self.num_activities < 1 or self.num_regions < 1:
             raise ConfigError("num_activities and num_regions must be >= 1")
 

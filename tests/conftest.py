@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # wre_oracle, sparse_reference imports
 
+from dpgb.datagen import generate
 from dpgb.mechanisms import prepare_release
 from dpgb.schema import Dimensions, MechanismConfig, ScaleMatrix
 from sparse_reference import SparseHistogram, TripRecord, make_dataset, raw_histogram  # noqa: F401
@@ -64,3 +66,9 @@ def prepare(kind, data, clip, dims, scales=None):
     if scales is None:
         scales = ScaleMatrix.ones(dims.num_activities)
     return prepare_release(MechanismConfig(1.0, kind, clip, scales, 0.0, 0), data, dims)
+
+
+def proxy_pair(spec):
+    """Evaluation dataset plus a same-shape proxy from the next seed."""
+    return generate(spec), generate(replace(spec, seed=spec.seed + 1,
+                                            week_id=spec.week_id + "-proxy"))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dpgb.cli import EXIT_OK, main
-from dpgb.datagen import GeneratorSpec, proxy_pair
+from dpgb.datagen import GeneratorSpec
 from dpgb.dp_core import clip_l1, dense_laplace_noise
 from dpgb.evaluation import (
     DEFAULT_EPSILON_GRID,
@@ -24,7 +24,7 @@ from dpgb.evaluation import (
 )
 from dpgb.mechanisms import finish_release
 from dpgb.schema import Dimensions, ScaleMatrix, write_records_csv
-from conftest import prepare, random_dataset, raw_histogram
+from conftest import prepare, proxy_pair, random_dataset, raw_histogram
 from sparse_reference import (
     SparseHistogram,
     as_ground_truth,

@@ -1,5 +1,8 @@
 import hashlib
+import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, _sha256, main
 from dpgb.datagen import generate, ground_truth, read_generator_spec
 from dpgb.dp_core import dense_laplace_noise
 from dpgb.evaluation import ScoringPlan, run_seed
-from dpgb.mechanisms import fit_clip, fit_scales, run_release
+from dpgb.mechanisms import finish_release, fit_clip, fit_scales, prepare_release
 from dpgb.schema import (
     Dimensions,
     MechanismConfig,
@@ -21,6 +24,7 @@ from dpgb.schema import (
 )
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 GEN_CFG = "num_users = 120\nnum_regions = 6\nseed = 4\ntrips_per_user = 6.0\n"
 
 
@@ -128,7 +132,7 @@ class TestRelease:
         cfg_path = make_config(tmp_path, data_path)
         out = tmp_path / "released.csv"
         assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
-                     "--out", str(out)]) == EXIT_OK
+                     "--out", str(out), "--num-regions", "6"]) == EXIT_OK
         dims = Dimensions(num_activities=9, num_regions=6)
         hist = read_histogram_csv(out, dims)
         assert np.count_nonzero(hist) > 0
@@ -143,9 +147,9 @@ class TestRelease:
         cfg_path = make_config(tmp_path, data_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
-                     "--out", str(a)]) == EXIT_OK
+                     "--out", str(a), "--num-regions", "6"]) == EXIT_OK
         assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
-                     "--out", str(b)]) == EXIT_OK
+                     "--out", str(b), "--num-regions", "6"]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
     # sha256 of released.csv and its ledger; a change that moves an output
@@ -166,7 +170,7 @@ class TestRelease:
         cfg_path = make_config(tmp_path, data_path, kind=kind)
         out = tmp_path / "released.csv"
         assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
-                     "--out", str(out)]) == EXIT_OK
+                     "--out", str(out), "--num-regions", "6"]) == EXIT_OK
         ledger = tmp_path / "released.csv.ledger"
         assert (_sha256(out), _sha256(ledger)) == (released_sha, ledger_sha)
 
@@ -174,9 +178,10 @@ class TestRelease:
         tmp_path, _, data_path, _ = workspace
         cfg_path = make_config(tmp_path, data_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["release", "--data", str(data_path), "--config", str(cfg_path), "--out", str(a)])
+        main(["release", "--data", str(data_path), "--config", str(cfg_path), "--out", str(a),
+              "--num-regions", "6"])
         main(["release", "--data", str(data_path), "--config", str(cfg_path), "--out", str(b),
-              "--seed", "123"])
+              "--seed", "123", "--num-regions", "6"])
         assert a.read_bytes() != b.read_bytes()
 
     def test_unknown_mechanism_kind_exits_config(self, workspace):
@@ -185,13 +190,14 @@ class TestRelease:
         bad.write_text("mechanism_kind = secret\nepsilon = 1\nclip = 1\n"
                        "scales = 1,1,1\nthreshold_tau = 0\nrng_seed = 1\n")
         assert main(["release", "--data", str(data_path), "--config", str(bad),
-                     "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+                     "--out", str(tmp_path / "o.csv"), "--num-regions", "6"]) == EXIT_CONFIG
 
     def test_no_test_mode_flag_on_release(self, workspace):
         tmp_path, _, data_path, _ = workspace
         cfg_path = make_config(tmp_path, data_path)
         assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
-                     "--out", str(tmp_path / "o.csv"), "--test-mode"]) == EXIT_CONFIG
+                     "--out", str(tmp_path / "o.csv"), "--num-regions", "6",
+                     "--test-mode"]) == EXIT_CONFIG
 
     def test_budget_abort_maps_to_exit_3(self, workspace, monkeypatch):
         tmp_path, _, data_path, _ = workspace
@@ -201,9 +207,9 @@ class TestRelease:
 
         def explode(*args, **kwargs):
             raise BudgetExceededError("boom", PrivacyLedger(budget=1.0))
-        monkeypatch.setattr(cli_mod, "run_release", explode)
+        monkeypatch.setattr(cli_mod, "finish_release", explode)
         assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
-                     "--out", str(tmp_path / "o.csv")]) == EXIT_BUDGET
+                     "--out", str(tmp_path / "o.csv"), "--num-regions", "6"]) == EXIT_BUDGET
 
 
     @pytest.mark.parametrize("kind", ["activity_metric_scaling", "joint_clipping",
@@ -219,6 +225,48 @@ class TestRelease:
         assert "out of bounds" in err
         assert "skipped" not in err
         assert not out.exists()
+
+    def test_release_needs_num_regions(self, workspace, capsys):
+        # the release domain never comes from the private records
+        tmp_path, _, data_path, _ = workspace
+        cfg_path = make_config(tmp_path, data_path)
+        out = tmp_path / "o.csv"
+        assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "--num-regions" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_user_cannot_grow_the_release_domain(self, tmp_path, capsys):
+        """Neighbouring datasets: 300 users on 40 regions, and the same plus
+        one user with a single record in region 75.  From one config, each
+        release covers the same 40-region domain, or the run exits 1 and
+        publishes nothing."""
+        spec_path = tmp_path / "gen.cfg"
+        spec_path.write_text("num_users = 300\nnum_regions = 40\nseed = 9\n")
+        data_path = tmp_path / "data.csv"
+        assert main(["generate", "--spec", str(spec_path), "--out", str(data_path)]) == EXIT_OK
+        neighbour_path = tmp_path / "neighbour.csv"
+        neighbour_path.write_bytes(data_path.read_bytes() + b"extra_user,75,0,0,1.5,300.0\n")
+        cfg_path = tmp_path / "joint.cfg"
+        write_mechanism_config(cfg_path, MechanismConfig(
+            2.0, "joint_clipping", 50.0, ScaleMatrix.ones(9), 0.0, 5))
+        dims = Dimensions(num_activities=9, num_regions=40)
+        released = []
+        for records in (data_path, neighbour_path):
+            out = tmp_path / f"released_{records.stem}.csv"
+            capsys.readouterr()
+            code = main(["release", "--data", str(records), "--config", str(cfg_path),
+                         "--out", str(out), "--num-regions", "40"])
+            if code == EXIT_CONFIG:
+                assert "out of bounds" in capsys.readouterr().err
+                assert not out.exists()
+                released.append(None)
+            else:
+                assert code == EXIT_OK
+                # raises on a row outside the 40-region domain
+                released.append(np.flatnonzero(read_histogram_csv(out, dims)))
+        assert released[0] is not None and released[0].size > 0
+        assert released[1] is None or np.array_equal(released[0], released[1])
 
 
 class TestEval:
@@ -274,6 +322,26 @@ class TestEval:
         assert seconds and np.allclose(np.asarray(seconds) / 60.0, minutes)
 
 
+    # sha256 of eval's cells.csv for an activity_metric_scaling release; the
+    # rows are written from the scoring arrays, so this pins their float
+    # text, their order and the \r\n line ends
+    @pytest.mark.parametrize("unit, cells_sha", [
+        ("seconds", "fb809b4b4ee2dde5d8cb3c04abb7bea32a994e534182b049d28b87b2bdecfc6d"),
+        ("minutes", "ca8b487492c188b43f5847b598be6677eb57737187a971b6c89501ca2564695e"),
+    ])
+    def test_cells_bytes_are_pinned(self, workspace, unit, cells_sha):
+        tmp_path, _, data_path, _ = workspace
+        cfg_path = make_config(tmp_path, data_path)
+        released = tmp_path / "released.csv"
+        assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
+                     "--out", str(released), "--num-regions", "6"]) == EXIT_OK
+        out_dir = tmp_path / "eval"
+        assert main(["eval", "--data", str(data_path), "--released", str(released),
+                     "--out", str(out_dir), "--min-devices", "5",
+                     "--duration-unit", unit]) == EXIT_OK
+        assert "eligible = 48," in (out_dir / "report.txt").read_text()
+        assert _sha256(out_dir / "cells.csv") == cells_sha
+
 class TestSweep:
     def test_sweep_outputs_and_consistency_with_release(self, workspace):
         tmp_path, _, data_path, proxy_path = workspace
@@ -297,8 +365,8 @@ class TestSweep:
         data = read_records_csv(data_path)
         dims = Dimensions(num_activities=9, num_regions=6)
         seed = run_seed(7, "joint_clipping", 2.0, 0)
-        from dataclasses import replace
-        result = run_release(replace(cfg, rng_seed=seed), data, dims)
+        result = finish_release(prepare_release(cfg, data, dims), cfg.epsilon,
+                                cfg.threshold_tau, seed, in_place=True)
         report = weighted_relative_error(ScoringPlan.build(ground_truth(data, dims), 5),
                                          result.released)
         with open(out_dir / "sweep.csv", newline="") as fh:
@@ -344,16 +412,16 @@ class TestSweep:
         assert len(outputs[proxy_path]) == 7
         assert outputs[proxy_path] == outputs[copy_path]
 
-    def test_sweep_config_file(self, workspace):
+    def test_sweep_config_flag_is_a_usage_error(self, workspace, capsys):
+        # the settings are flags only; there is no key-value settings file
         tmp_path, _, data_path, proxy_path = workspace
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("epsilons = 1.0,2.0\nrepeats = 1\nseed = 3\nmin_devices = 5\n"
-                       "mechanisms = joint_clipping\n")
+        cfg.write_text("epsilons = 1.0,2.0\nrepeats = 1\n")
         out_dir = tmp_path / "s"
         assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
-                     "--out", str(out_dir), "--config", str(cfg)]) == EXIT_OK
-        text = (out_dir / "sweep_agg.csv").read_text()
-        assert "joint_clipping,1.0," in text and "joint_clipping,2.0," in text
+                     "--out", str(out_dir), "--config", str(cfg)]) == EXIT_CONFIG
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_test_mode_sweep_allowed(self, workspace):
         tmp_path, _, data_path, proxy_path = workspace
@@ -452,6 +520,24 @@ def test_usage_error_exits_config(capsys):
     assert main([]) == EXIT_CONFIG
 
 
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Every `dpgb` command of the README's Quick start parses and exits 0,
+    on the spec its heredoc writes with a few hundred users."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```", 2)[1]
+    heredoc = re.search(r"cat > (\S+) <<'EOF'\n(.*?\n)EOF\n", block, re.S)
+    spec, edits = re.subn(r"num_users = \d+", "num_users = 300", heredoc.group(2))
+    assert edits == 1
+    (tmp_path / heredoc.group(1)).write_text(spec, encoding="utf-8")
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("dpgb ")]
+    assert {"generate", "sweep", "release", "eval"} <= {argv[1] for argv in commands}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv[1:]) == EXIT_OK, (argv, capsys.readouterr().err)
+
+
 def test_release_eval_sweep_build_no_sparse_release(workspace):
     """The commands hold the data as columns and the truth as the cells some
     user reached: at the production domain (4.05M cells, 32 MB per dense
@@ -475,27 +561,35 @@ def test_release_eval_sweep_build_no_sparse_release(workspace):
                  "--min-devices", "5"]) == EXIT_OK
     released = tmp_path / "released.csv"
     assert main(["release", "--data", str(data_path), "--config",
-                 str(sweep_dir / "fitted_budget_split.cfg"), "--out", str(released)]) == EXIT_OK
+                 str(sweep_dir / "fitted_budget_split.cfg"), "--out", str(released),
+                 "--num-regions", "6"]) == EXIT_OK
     assert main(["eval", "--data", str(data_path), "--released", str(released),
                  "--out", str(tmp_path / "eval"), "--min-devices", "5"]) == EXIT_OK
 
 
-def test_release_holds_one_dense_vector(workspace):
-    """A release at the production domain noises its aggregate in place, one
-    slice at a time: beside the one dense vector it holds only slice-sized
-    scratch and the data of 120 users."""
+def test_release_holds_one_dense_vector(workspace, monkeypatch):
+    """`dpgb release` at the production domain noises its aggregate in
+    place, one slice at a time: up to the CSV write it holds, beside the one
+    dense vector, only slice-sized scratch and the data of 120 users."""
     tmp_path, _, data_path, _ = workspace
-    config = read_mechanism_config(make_config(tmp_path, data_path))
-    data = read_records_csv(data_path)
+    cfg_path = make_config(tmp_path, data_path)
     dims = Dimensions(num_activities=9, num_regions=50_000)
+    seen = {}
+
+    def measure(path, dense, _):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["dense"] = dense
+    monkeypatch.setattr(cli, "write_histogram_csv", measure)
     tracemalloc.start()
     try:
-        result = run_release(config, data, dims)
-        _, peak = tracemalloc.get_traced_memory()
+        assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "released.csv"),
+                     "--num-regions", str(dims.num_regions)]) == EXIT_OK
     finally:
         tracemalloc.stop()
-    assert result.released.size == dims.total_cells and np.count_nonzero(result.released) > 0
-    assert peak < 1.5 * dims.total_cells * 8
+    released = seen["dense"]
+    assert released.size == dims.total_cells and np.count_nonzero(released) > 0
+    assert seen["peak"] < 1.5 * dims.total_cells * 8
 
 
 @pytest.mark.parametrize("flags, named", [

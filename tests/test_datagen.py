@@ -13,13 +13,13 @@ from dpgb.datagen import (
     generate,
     ground_truth,
     load_profiles,
-    proxy_pair,
     read_generator_spec,
     _poisson_counts,
     _poisson_table,
 )
 from dpgb import datagen
 from dpgb.schema import ConfigError, Dimensions, write_records_csv
+from conftest import proxy_pair
 from generator_reference import poisson_inverse, reference_generate
 from sparse_reference import (
     TripRecord,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpgb.datagen import GeneratorSpec, generate, ground_truth, proxy_pair
+from dpgb.datagen import GeneratorSpec, generate, ground_truth
 from dpgb.evaluation import (
     REFERENCE_WRE_EPS2,
     TARGET_WRE,
@@ -20,7 +20,7 @@ from dpgb.evaluation import (
 )
 from dpgb.mechanisms import finish_release
 from dpgb.schema import Dimensions
-from conftest import prepare, random_histogram
+from conftest import prepare, proxy_pair, random_histogram
 from sparse_reference import SparseHistogram, as_ground_truth, reference_ground_truth
 from wre_oracle import brute_force_wre
 
@@ -84,8 +84,7 @@ class TestWeightedRelativeError:
         devices = {(0, 0, 0, 0): 5, (1, 0, 1, 0): 50}
         report = score(truth, devices, SparseHistogram.empty(small_dims), min_devices=10)
         assert report.eligible["num_trips"] == 1
-        cells = [c for c in report.cells if c.metric == "num_trips"]
-        assert len(cells) == 1 and cells[0].devices == 50
+        assert report.plan.devices[0].tolist() == [50]
 
     def test_no_eligible_cells_flagged(self, small_dims):
         truth = SparseHistogram(small_dims, {(0, 0, 0, 0): 10.0})

@@ -13,7 +13,7 @@ from dpgb.mechanisms import (
     fit_clip,
     fit_scales,
     manifest_line,
-    run_release,
+    prepare_release,
     slice_noise_scales,
 )
 from dpgb.schema import ConfigError, Dimensions, MechanismConfig, ScaleMatrix
@@ -294,25 +294,32 @@ class TestFitClip:
                      small_dims)
 
 
-class TestRunRelease:
+def release(cfg, data, dims):
+    """The run ``dpgb release`` makes of a config: prepare, then finish in
+    place at the config's budget, threshold and seed."""
+    return finish_release(prepare_release(cfg, data, dims), cfg.epsilon, cfg.threshold_tau,
+                          cfg.rng_seed, in_place=True)
+
+
+class TestPrepareThenFinish:
     def test_dispatch_matches_direct_runs(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
         ones = ScaleMatrix.ones(small_dims.num_activities)
         cfg = MechanismConfig(2.0, "joint_clipping", 4.0, ones, 0.0, 11)
-        assert np.array_equal(run_release(cfg, data, small_dims).released,
+        assert np.array_equal(release(cfg, data, small_dims).released,
                               finish_release(prepare("joint_clipping", data, 4.0, small_dims),
                                              2.0, 0.0, 11).released)
 
         grid = np.full((small_dims.num_activities, 3), 2.0)
         cfg = MechanismConfig(2.0, "budget_split", grid, ones, 0.0, 11)
-        assert np.array_equal(run_release(cfg, data, small_dims).released,
+        assert np.array_equal(release(cfg, data, small_dims).released,
                               finish_release(prepare("budget_split", data, grid, small_dims),
                                              2.0, 0.0, 11).released)
 
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), 2.0))
         cfg = MechanismConfig(2.0, "activity_metric_scaling", 4.0, scales, 1.0, 11)
         assert np.array_equal(
-            run_release(cfg, data, small_dims).released,
+            release(cfg, data, small_dims).released,
             finish_release(prepare("activity_metric_scaling", data, 4.0, small_dims, scales),
                            2.0, 1.0, 11).released)
 
@@ -320,7 +327,7 @@ class TestRunRelease:
         data = random_dataset(rng, small_dims, 4)
         ones = ScaleMatrix.ones(small_dims.num_activities)
         cfg = MechanismConfig(2.0, "joint_clipping", 4.0, ones, 0.0, 11)
-        result = run_release(cfg, data, small_dims)
+        result = release(cfg, data, small_dims)
         assert result.config_echo.epsilon == 2.0
         assert result.config_echo.rng_seed == 11
         assert result.ledger.total() == 2.0

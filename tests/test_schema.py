@@ -73,10 +73,6 @@ def vector(records, dims, scales=None):
 class TestDimensions:
     def test_fixed_axes_enforced(self):
         with pytest.raises(ConfigError):
-            Dimensions(num_metrics=4)
-        with pytest.raises(ConfigError):
-            Dimensions(num_directions=2)
-        with pytest.raises(ConfigError):
             Dimensions(num_activities=0)
 
     def test_total_cells(self):
@@ -684,8 +680,7 @@ class TestDenseHistogramFiles:
         ("0,num_trips,x,0,1.0\n", 2, "invalid literal for int() with base 10: 'x'"),
         ("0,num_trips,0,0,abc\n", 2, "could not convert string to float: 'abc'"),
         ("\n1,distance,2,1,4.0\n5,num_trips,0,0,1.0\n", 4,
-         "cell (5, 0, 0, 0) out of bounds for Dimensions(num_activities=2, num_regions=4, "
-         "num_metrics=3, num_directions=3)"),
+         "cell (5, 0, 0, 0) out of bounds for Dimensions(num_activities=2, num_regions=4)"),
         ("0,duration,1,2,1.0\n0,2,1,2,3.0\n", 3, "duplicate cell (0, 2, 1, 2)"),
         ("0,num_trips,0,0,0.0\n0,num_trips,0,0,5.0\n", 3, "duplicate cell (0, 0, 0, 0)"),
         ("0,num_trips,0,0,1.0\n  \n", 3, "expected 5 fields, got 1"),
