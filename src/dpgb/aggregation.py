@@ -12,11 +12,9 @@ one-shot release writes over the aggregate itself.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .dp_core import ConfigError, PrivacyLedger, dense_laplace_noise
+from .dp_core import PrivacyLedger, dense_laplace_noise
 from .schema import Dimensions
 
 
@@ -49,7 +47,6 @@ def noise_descale_threshold(
     tau: float,
     seed: int,
     *,
-    test_mode: bool = False,
     in_place: bool = False,
 ) -> tuple[np.ndarray, int]:
     """Server tail: dense noise, descale, threshold, clamp.
@@ -61,7 +58,8 @@ def noise_descale_threshold(
     is held.  Noise is one seeded stream over the full domain in flat cell
     order, whatever the block size.  A cell is suppressed when its descaled
     value falls below tau * b * S; surviving negatives are clamped to zero
-    (a no-op whenever tau >= 0, kept for safety).
+    (a no-op whenever tau >= 0, kept for safety).  ``tau`` arrives checked:
+    ``finish_release`` validates it through ``MechanismConfig``.
 
     Each block is read before it is written, so with ``in_place`` the
     release is written over ``pre_noise_dense`` itself and no second
@@ -70,8 +68,6 @@ def noise_descale_threshold(
     Returns (released_dense, suppressed_count) where suppressed counts cells
     with a nonzero descaled value that failed the threshold.
     """
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ConfigError(f"threshold_tau must be finite and >= 0, got {tau}")
     per_slice = pre_noise_dense.reshape(slice_scales.size, -1)
     released = per_slice if in_place else np.empty_like(per_slice)
     b = slice_noise_b.reshape(-1, 1)
@@ -82,11 +78,8 @@ def noise_descale_threshold(
     suppressed = 0
     for start in range(0, per_slice.shape[0], rows):
         block = slice(start, start + rows)
-        if test_mode:
-            descaled = per_slice[block] + 0.0
-        else:
-            descaled = dense_laplace_noise(b[block], rng, per_slice[block].shape)
-            descaled += per_slice[block]
+        descaled = dense_laplace_noise(b[block], rng, per_slice[block].shape)
+        descaled += per_slice[block]
         descaled *= scales[block]
         keep = descaled >= threshold[block]
         suppressed += int(np.count_nonzero(~keep & (descaled != 0.0)))

@@ -106,8 +106,8 @@ def cmd_release(args, argv) -> int:
     # the domain comes from the config and the flag, never from the records
     dims = Dimensions(config.scales.num_activities, args.num_regions)
     data = read_records_csv(args.data)
-    # the release path never runs with noise disabled, and noises its
-    # aggregate in place: the run holds one domain-sized vector
+    # the release noises its aggregate in place: the run holds one
+    # domain-sized vector
     result = finish_release(
         prepare_release(config, data, dims),
         config.epsilon, config.threshold_tau, config.rng_seed, in_place=True)
@@ -185,7 +185,7 @@ def cmd_sweep(args, argv) -> int:
         [data, proxy], num_activities=args.num_activities, num_regions=args.num_regions)
 
     result = sweep(data, proxy, args.epsilons, args.mechanisms, args.repeats, args.seed, dims,
-                   min_devices=args.min_devices, tau=args.tau, test_mode=args.test_mode)
+                   min_devices=args.min_devices, tau=args.tau)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -217,7 +217,7 @@ def cmd_sweep(args, argv) -> int:
          "threshold_tau": repr(args.tau),
          "epsilons": ",".join(repr(e) for e in result.epsilons),
          "mechanisms": ",".join(result.mechanisms),
-         "test_mode": args.test_mode, "unsafe_fit": args.unsafe_fit})
+         "unsafe_fit": args.unsafe_fit})
     print(render_metric_table(result, args.table_epsilon), end="")
     print(f"wrote sweep outputs to {out_dir}")
     return EXIT_OK
@@ -227,7 +227,7 @@ def cmd_report(args, argv) -> int:
     rows, mechanisms, epsilons, repeats = read_sweep_csv(args.sweep)
     if not rows:
         raise ConfigError(f"{args.sweep}: no sweep rows")
-    result = SweepResult(rows, mechanisms, epsilons, repeats, min_devices=-1, tau=0.0)
+    result = SweepResult(rows, mechanisms, epsilons, repeats, min_devices=-1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "curve.dat"
@@ -290,8 +290,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--num-activities", type=int, default=0, dest="num_activities")
     p_sweep.add_argument("--tau", type=float, default=0.0)
     p_sweep.add_argument("--table-epsilon", type=float, default=2.0, dest="table_epsilon")
-    p_sweep.add_argument("--test-mode", action="store_true", dest="test_mode",
-                         help="zero noise, for pipeline debugging only (never a DP release)")
     p_sweep.add_argument("--unsafe-fit", action="store_true", dest="unsafe_fit",
                          help="fit hyperparameters on the evaluation data itself")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -115,18 +115,6 @@ class GeneratorSpec:
         if self.outlier_multiplier < 1:
             raise ConfigError(f"outlier_multiplier must be >= 1, got {self.outlier_multiplier}")
 
-    @classmethod
-    def default(cls, num_users: int = 10_000, num_regions: int = 100,
-                seed: int = 0, **overrides) -> "GeneratorSpec":
-        profiles = default_profiles()
-        return cls(
-            num_users=num_users,
-            dims=Dimensions(num_activities=len(profiles), num_regions=num_regions),
-            activity_profiles=profiles,
-            seed=seed,
-            **overrides,
-        )
-
 
 def load_profiles(path_or_file) -> tuple[ActivityProfile, ...]:
     """Profile table CSV; rows must be the dense activity indices 0..A-1."""
@@ -427,7 +415,8 @@ def ground_truth(data: WeekDataset, dims: Dimensions) -> GroundTruth:
 # --- generator spec file -----------------------------------------------------
 
 def read_generator_spec(path) -> GeneratorSpec:
-    """Key-value spec file; the profile table defaults to the packaged one."""
+    """Key-value spec file; the profile table defaults to the packaged one
+    and every other optional key to its ``GeneratorSpec`` default."""
     kv = read_kv_file(path)
     known = {"num_users", "num_regions", "region_zipf_s", "trips_per_user",
              "outlier_fraction", "outlier_multiplier", "seed", "week_id", "profiles"}
@@ -441,22 +430,15 @@ def read_generator_spec(path) -> GeneratorSpec:
         profiles = load_profiles(Path(path).parent / kv["profiles"])
     else:
         profiles = default_profiles()
-    optional_floats = {
-        "region_zipf_s": 1.2,
-        "trips_per_user": 15.0,
-        "outlier_fraction": 0.1,
-        "outlier_multiplier": 10.0,
-    }
-    values = {
-        key: (_parse_float(kv[key], key) if key in kv else default)
-        for key, default in optional_floats.items()
-    }
+    optional = {key: _parse_float(kv[key], key) for key in (
+        "region_zipf_s", "trips_per_user", "outlier_fraction", "outlier_multiplier") if key in kv}
+    if "week_id" in kv:
+        optional["week_id"] = kv["week_id"]
     return GeneratorSpec(
         num_users=_parse_int(kv["num_users"], "num_users"),
         dims=Dimensions(num_activities=len(profiles),
                         num_regions=_parse_int(kv["num_regions"], "num_regions")),
         activity_profiles=profiles,
         seed=_parse_int(kv["seed"], "seed"),
-        week_id=kv.get("week_id", "synthetic-week"),
-        **values,
+        **optional,
     )

@@ -62,7 +62,6 @@ class ScoringPlan:
     """
 
     dims: Dimensions
-    min_devices: int
     flat: tuple[np.ndarray, ...]
     truth: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
@@ -100,7 +99,6 @@ class ScoringPlan:
         picks = [np.flatnonzero(eligible & (metric == m)) for m in range(len(METRIC_NAMES))]
         return cls(
             dims=dims,
-            min_devices=min_devices,
             flat=tuple(flat[pick] for pick in picks),
             truth=tuple(totals[pick] for pick in picks),
             weights=tuple(weights[pick] for pick in picks),
@@ -227,7 +225,6 @@ class SweepResult:
     epsilons: tuple[float, ...]
     repeats: int
     min_devices: int
-    tau: float
     fitted: FittedHyperparameters | None = None
 
     def mean_std(self, mechanism: str, epsilon: float) -> tuple[float, float]:
@@ -255,7 +252,6 @@ def sweep(
     *,
     min_devices: int = DEFAULT_MIN_DEVICES,
     tau: float = 0.0,
-    test_mode: bool = False,
 ) -> SweepResult:
     """Fit on the proxy, then release and score every (mechanism, eps, repeat).
 
@@ -266,6 +262,8 @@ def sweep(
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     epsilons = tuple(float(e) for e in epsilons)
     mechanisms = tuple(mechanisms)
     _check_distinct("mechanism", mechanisms)
@@ -287,11 +285,11 @@ def sweep(
         for epsilon in epsilons:
             for repeat in range(repeats):
                 cell_seed = run_seed(seed, kind, epsilon, repeat)
-                result = finish_release(prepared, epsilon, tau, cell_seed, test_mode=test_mode)
+                result = finish_release(prepared, epsilon, tau, cell_seed)
                 report = weighted_relative_error(plan, result.released)
                 rows.append(SweepRow(kind, epsilon, repeat, cell_seed, dict(report.wre),
                                      report.overall))
-    return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, tau, fitted)
+    return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, fitted)
 
 
 def _check_distinct(name: str, values: tuple) -> None:

@@ -17,7 +17,6 @@ budgets and seeds pays the aggregation cost once per mechanism.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -35,6 +34,8 @@ from .schema import (
     WeekDataset,
     user_cells,
 )
+
+FIT_QUANTILE = 0.95  # of the per-user norms that fit_scales and fit_clip take
 
 
 @dataclass(frozen=True)
@@ -123,39 +124,36 @@ def finish_release(
     tau: float,
     seed: int,
     *,
-    test_mode: bool = False,
     in_place: bool = False,
 ) -> ReleaseResult:
     """Noise, descale, and threshold a prepared aggregate at one budget.
 
     Every slice's noise scale and every ledger charge come from the rows of
-    the config's calibration table; a table that does not cover every slice
-    exactly once raises before any noise is drawn.  ``in_place`` writes the
-    release over ``prepared.pre_noise_dense`` and uses the aggregate up;
-    without it the aggregate stays intact for another budget or seed.
+    the config's calibration table.  A tau or seed the config rejects, or a
+    table that does not cover every slice exactly once, raises before any
+    noise is drawn.  ``in_place`` writes the release over
+    ``prepared.pre_noise_dense`` and uses the aggregate up; without it the
+    aggregate stays intact for another budget or seed.
     """
     config = replace(prepared.config, epsilon=epsilon, threshold_tau=tau, rng_seed=seed)
     table = calibration_table(config)
     b = slice_noise_scales(table, prepared.dims.num_activities * 3, epsilon)
-    ledger = PrivacyLedger(budget=math.inf if test_mode else epsilon)
+    ledger = PrivacyLedger(budget=epsilon)
     for row in table:
-        ledger.charge(row.label, math.inf if test_mode else (1.0 / row.k) * epsilon)
+        ledger.charge(row.label, (1.0 / row.k) * epsilon)
     released, suppressed = noise_descale_threshold(
-        prepared.pre_noise_dense, config.scales.entries, b, tau, seed,
-        test_mode=test_mode, in_place=in_place)
+        prepared.pre_noise_dense, config.scales.entries, b, tau, seed, in_place=in_place)
     return ReleaseResult(released, config, suppressed, ledger)
 
 
-def fit_scales(data: WeekDataset, dims: Dimensions, q: float = 0.95) -> ScaleMatrix:
-    """Per-(activity, metric) quantile of per-user slice L1 norms.
+def fit_scales(data: WeekDataset, dims: Dimensions) -> ScaleMatrix:
+    """Per-(activity, metric) ``FIT_QUANTILE`` of per-user slice L1 norms.
 
     Users with a zero slice are excluded from that slice's quantile (a user
     who never cycles should not drag the cycling scale toward zero); slices
     nobody populates default to 1 so descaling stays defined.  A slice norm
     adds the user's cells in the order of their first addend.
     """
-    if not 0 < q < 1:
-        raise ConfigError(f"q must be in (0, 1), got {q}")
     num_slices = dims.num_activities * 3
     slices, norms = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for rows in user_cells(data, dims, ScaleMatrix.ones(dims.num_activities)):
@@ -167,17 +165,18 @@ def fit_scales(data: WeekDataset, dims: Dimensions, q: float = 0.95) -> ScaleMat
     slices, norms = np.concatenate(slices), np.concatenate(norms)
     entries = np.ones(num_slices)
     for s in np.unique(slices).tolist():
-        entries[s] = exact_quantile(norms[slices == s], q)
+        entries[s] = exact_quantile(norms[slices == s], FIT_QUANTILE)
     return ScaleMatrix(entries.reshape(-1, 3))
 
 
-def fit_clip(data: WeekDataset, scales: ScaleMatrix, dims: Dimensions, q: float = 0.95) -> float:
-    """Quantile of per-user scaled pre-clip norms ||v_i||_1, users with no
-    records included."""
+def fit_clip(data: WeekDataset, scales: ScaleMatrix, dims: Dimensions) -> float:
+    """``FIT_QUANTILE`` of per-user scaled pre-clip norms ||v_i||_1, users
+    with no records included."""
     if not data.num_users:
         raise ConfigError("fit_clip needs a non-empty dataset")
     return exact_quantile(np.concatenate(
-        [l1_norms(rows.value, rows.starts) for rows in user_cells(data, dims, scales)]), q)
+        [l1_norms(rows.value, rows.starts) for rows in user_cells(data, dims, scales)]),
+        FIT_QUANTILE)
 
 
 def manifest_line(result: ReleaseResult) -> str:

@@ -260,6 +260,8 @@ class MechanismConfig:
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not (math.isfinite(self.threshold_tau) and self.threshold_tau >= 0):
             raise ConfigError(f"threshold_tau must be finite and >= 0, got {self.threshold_tau}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.mechanism_kind == "budget_split":
             grid = np.asarray(self.clip, dtype=float)
             if grid.shape != (self.scales.num_activities, 3):
@@ -402,9 +404,9 @@ def write_records_csv(path, data: WeekDataset) -> None:
 _NUMBERS = list(zip(RECORD_CSV_HEADER[1:], (np.int64,) * 3 + (float,) * 2))
 
 
-def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
+def read_records_csv(path) -> WeekDataset:
     """Read trips grouped by user, users in order of first appearance and
-    each user's records in file order.
+    each user's records in file order; the week label is the file stem.
 
     One ``np.loadtxt`` pass parses the file as latin-1, user ids as bytes.
     If a row does not parse or fails the record checks, the file is read
@@ -432,7 +434,7 @@ def read_records_csv(path, week_id: str | None = None) -> WeekDataset:
             order = np.argsort(owner, kind="stable")
             columns = [col[order] for col in columns]
             offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=keys.size))))
-        return WeekDataset(week_id if week_id is not None else Path(path).stem,
+        return WeekDataset(Path(path).stem,
                            tuple(uid.decode("utf-8") for uid in keys[by_first].tolist()),
                            offsets, *columns)
     except ValueError as exc:

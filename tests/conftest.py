@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # wre_oracle, sparse_reference imports
 
-from dpgb.datagen import generate
+from dpgb.datagen import GeneratorSpec, default_profiles, generate
 from dpgb.mechanisms import prepare_release
 from dpgb.schema import Dimensions, MechanismConfig, ScaleMatrix
 from sparse_reference import SparseHistogram, TripRecord, make_dataset, raw_histogram  # noqa: F401
@@ -66,6 +66,18 @@ def prepare(kind, data, clip, dims, scales=None):
     if scales is None:
         scales = ScaleMatrix.ones(dims.num_activities)
     return prepare_release(MechanismConfig(1.0, kind, clip, scales, 0.0, 0), data, dims)
+
+
+def default_spec(num_users=10_000, num_regions=100, seed=0, **overrides):
+    """A generator spec over the packaged activity profiles."""
+    profiles = default_profiles()
+    return GeneratorSpec(
+        num_users=num_users,
+        dims=Dimensions(num_activities=len(profiles), num_regions=num_regions),
+        activity_profiles=profiles,
+        seed=seed,
+        **overrides,
+    )
 
 
 def proxy_pair(spec):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dpgb.cli import EXIT_OK, main
-from dpgb.datagen import GeneratorSpec
 from dpgb.dp_core import clip_l1, dense_laplace_noise
 from dpgb.evaluation import (
     DEFAULT_EPSILON_GRID,
@@ -24,7 +23,7 @@ from dpgb.evaluation import (
 )
 from dpgb.mechanisms import finish_release
 from dpgb.schema import Dimensions, ScaleMatrix, write_records_csv
-from conftest import prepare, proxy_pair, random_dataset, raw_histogram
+from conftest import default_spec, prepare, proxy_pair, random_dataset, raw_histogram
 from sparse_reference import (
     SparseHistogram,
     as_ground_truth,
@@ -48,7 +47,7 @@ def report_line(criterion: int, passed: bool, detail: str) -> bool:
 @pytest.fixture(scope="module")
 def desk():
     """Default desk dataset pair: 10^4 users, 100 regions, heavy tails, outliers."""
-    spec = GeneratorSpec.default(num_users=10_000, num_regions=100, seed=DESK_SEED)
+    spec = default_spec(num_users=10_000, num_regions=100, seed=DESK_SEED)
     data, proxy = proxy_pair(spec)
     return spec, data, proxy
 
@@ -168,12 +167,12 @@ def test_criterion_5_pipeline_identities(rng):
     raw_norms = [raw_histogram(recs, dims).l1_norm() for _, recs in users_of(data)]
     clip = float(np.median([n for n in raw_norms if n > 0]))  # clipping really bites
 
-    exact = finish_release(prepare("joint_clipping", data, clip, dims), 1.0, 0.0, 5, test_mode=True)
+    exact = prepare("joint_clipping", data, clip, dims).pre_noise_dense
     expected = reduce(lambda x, y: x.add(y),
                       [reference_clip_l1(raw_histogram(recs, dims), clip)
                        for _, recs in users_of(data)],
                       SparseHistogram.empty(dims))
-    identity_a = np.array_equal(exact.released, expected.to_dense())
+    identity_a = np.array_equal(exact, expected.to_dense())
 
     joint = finish_release(prepare("joint_clipping", data, clip, dims), 2.0, 0.0, 99)
     ams = finish_release(prepare("activity_metric_scaling", data, clip, dims, ones), 2.0, 0.0, 99)
@@ -181,7 +180,7 @@ def test_criterion_5_pipeline_identities(rng):
 
     ok = identity_a and identity_b
     assert report_line(5, ok,
-                       f"test-mode release == clipped truth bit-exact: {identity_a}; "
+                       f"pre-noise aggregate == clipped truth bit-exact: {identity_a}; "
                        f"S==1 scaling == joint clipping bit-identical: {identity_b}")
 
 

@@ -61,18 +61,17 @@ class TestServerWork:
     """The server tail, finish_release on a prepared aggregate: noise every
     cell, descale by one multiplication, threshold and clamp."""
 
-    def test_test_mode_identity_pipeline(self, small_dims, rng):
+    def test_pre_noise_identity_pipeline(self, small_dims, rng):
+        # all-ones scales: the pre-noise aggregate is the clipped sum bit for bit
         data = random_dataset(rng, small_dims, 12)
         clip = 6.0
         prepared = prepare("joint_clipping", data, clip, small_dims)
-        result = finish_release(prepared, 1.0, 0.0, 5, test_mode=True)
-        assert np.array_equal(result.released, prepared.pre_noise_dense)  # bit-exact
         expected = reduce(
             lambda x, y: x.add(y),
             [clip_l1(raw_histogram(recs, small_dims), clip) for _, recs in users_of(data)],
             SparseHistogram.empty(small_dims))
-        assert np.array_equal(result.released, expected.to_dense())
-        assert result.suppressed_cells == 0
+        assert np.array_equal(prepared.pre_noise_dense, expected.to_dense())
+        assert np.all(prepared.pre_noise_dense >= 0.0)  # tau = 0 suppresses none of it
 
     def test_descale_roundtrip(self, small_dims, rng):
         # contributions pre-scaled by 1/k, descaling by k restores the raw sums
@@ -80,11 +79,11 @@ class TestServerWork:
         scales = ScaleMatrix(np.full((small_dims.num_activities, 3), k))
         data = random_dataset(rng, small_dims, 10)
         prepared = prepare("activity_metric_scaling", data, 1e9, small_dims, scales)
-        result = finish_release(prepared, 1.0, 0.0, 5, test_mode=True)
+        descaled = prepared.pre_noise_dense * per_cell(scales, small_dims)
         raw = reduce(lambda x, y: x.add(y),
                      [raw_histogram(recs, small_dims) for _, recs in users_of(data)],
                      SparseHistogram.empty(small_dims))
-        assert np.allclose(result.released, raw.to_dense(), rtol=1e-12, atol=0.0)
+        assert np.allclose(descaled, raw.to_dense(), rtol=1e-12, atol=0.0)
 
     def test_descaling_is_single_multiplication(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 8)
@@ -179,10 +178,8 @@ def test_write_ledger(tmp_path):
 
 
 @pytest.mark.parametrize("in_place", [False, True])
-@pytest.mark.parametrize("test_mode", [False, True])
 @pytest.mark.parametrize("block_cells", [6 * 15, 4 * 15, 2 * 15 + 1, 7])
-def test_noise_blocks_do_not_change_the_release(monkeypatch, rng, in_place, test_mode,
-                                                block_cells):
+def test_noise_blocks_do_not_change_the_release(monkeypatch, rng, in_place, block_cells):
     # 6 slice rows of 15 cells: one block, blocks of 4 rows (4 + 2), 2 rows
     # (2 + 2 + 2) and, below one row, 1 row, against the default single
     # block writing a new vector; in place, the input is the output
@@ -192,12 +189,11 @@ def test_noise_blocks_do_not_change_the_release(monkeypatch, rng, in_place, test
     scales = np.exp(rng.normal(0.0, 1.0, size=(2, 3)))
     noise_b = np.exp(rng.normal(0.0, 1.0, size=(2, 3)))
     assert aggregation._NOISE_BLOCK_CELLS >= dims.total_cells
-    whole, whole_suppressed = aggregation.noise_descale_threshold(
-        pre, scales, noise_b, 0.5, 41, test_mode=test_mode)
+    whole, whole_suppressed = aggregation.noise_descale_threshold(pre, scales, noise_b, 0.5, 41)
     monkeypatch.setattr(aggregation, "_NOISE_BLOCK_CELLS", block_cells)
     source = pre.copy()
     blocked, blocked_suppressed = aggregation.noise_descale_threshold(
-        source, scales, noise_b, 0.5, 41, test_mode=test_mode, in_place=in_place)
+        source, scales, noise_b, 0.5, 41, in_place=in_place)
     assert np.shares_memory(blocked, source) == in_place
     assert blocked.tobytes() == whole.tobytes()
     assert blocked_suppressed == whole_suppressed

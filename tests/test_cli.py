@@ -199,6 +199,25 @@ class TestRelease:
                      "--out", str(tmp_path / "o.csv"), "--num-regions", "6",
                      "--test-mode"]) == EXIT_CONFIG
 
+    def test_negative_seed_is_rejected_before_the_records_are_read(
+            self, workspace, monkeypatch, capsys):
+        # a config holding rng_seed = -3, or a --seed -1 override: exit 1,
+        # naming the key, and nothing written
+        tmp_path, _, data_path, _ = workspace
+        cfg_path = make_config(tmp_path, data_path)
+        negative = tmp_path / "negative.cfg"
+        negative.write_text(cfg_path.read_text().replace("rng_seed = 7", "rng_seed = -3"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the records before the seed was checked")
+        monkeypatch.setattr(cli, "read_records_csv", refuse)
+        out = tmp_path / "o.csv"
+        for config, flags, seed in ((negative, [], -3), (cfg_path, ["--seed", "-1"], -1)):
+            assert main(["release", "--data", str(data_path), "--config", str(config),
+                         "--out", str(out), "--num-regions", "6"] + flags) == EXIT_CONFIG
+            assert f"rng_seed must be >= 0, got {seed}" in capsys.readouterr().err
+            assert not list(tmp_path.glob("o.csv*"))
+
     def test_budget_abort_maps_to_exit_3(self, workspace, monkeypatch):
         tmp_path, _, data_path, _ = workspace
         cfg_path = make_config(tmp_path, data_path)
@@ -423,13 +442,16 @@ class TestSweep:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_test_mode_sweep_allowed(self, workspace):
+    def test_test_mode_flag_is_a_usage_error(self, workspace, capsys):
+        # no argument turns the noise off: every sweep cell is noised
         tmp_path, _, data_path, proxy_path = workspace
         out_dir = tmp_path / "s"
         assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                      "--out", str(out_dir), "--test-mode", "--epsilons", "2.0",
                      "--repeats", "1", "--mechanisms", "joint_clipping",
-                     "--min-devices", "5"]) == EXIT_OK
+                     "--min-devices", "5"]) == EXIT_CONFIG
+        assert "unrecognized arguments: --test-mode" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
     def test_manifest_does_not_depend_on_the_machine(self, workspace, monkeypatch):
@@ -604,6 +626,7 @@ def test_release_holds_one_dense_vector(workspace, monkeypatch):
     (["--epsilons", "inf"], "got inf"),
     (["--tau", "-0.5"], "got -0.5"),
     (["--tau", "nan"], "got nan"),
+    (["--seed", "-3"], "seed must be >= 0, got -3"),
 ])
 def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsys, flags, named):
     tmp_path, _, data_path, proxy_path = workspace
@@ -615,7 +638,7 @@ def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsy
     assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                  "--out", str(out_dir), "--repeats", "1"] + flags) == EXIT_CONFIG
     assert named in capsys.readouterr().err
-    assert not (out_dir / "sweep.csv").exists()
+    assert not out_dir.exists()
 
 
 def test_header_only_records(workspace, capsys):

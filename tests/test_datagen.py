@@ -19,7 +19,7 @@ from dpgb.datagen import (
 )
 from dpgb import datagen
 from dpgb.schema import ConfigError, Dimensions, write_records_csv
-from conftest import proxy_pair
+from conftest import default_spec, proxy_pair
 from generator_reference import poisson_inverse, reference_generate
 from sparse_reference import (
     TripRecord,
@@ -41,7 +41,7 @@ def ks_distance(a, b):
 def small_spec(**overrides):
     base = {"num_users": 200, "num_regions": 10, "seed": 5}
     base.update(overrides)
-    return GeneratorSpec.default(**base)
+    return default_spec(**base)
 
 
 class TestGeneratorSpec:
@@ -122,7 +122,7 @@ def edge_spec(name):
             num_users=400, dims=dims2, activity_profiles=two_profiles(0.3), seed=9,
             region_zipf_s=0.7, trips_per_user=9.5, outlier_fraction=0.25,
             outlier_multiplier=3.5, week_id="custom"),
-        "desk": GeneratorSpec.default(num_users=1000, num_regions=100, seed=7),
+        "desk": default_spec(num_users=1000, num_regions=100, seed=7),
     }[name]
 
 
@@ -200,7 +200,7 @@ class TestGenerate:
                 assert rec.duration_s == math.exp(profile.duration_log_mean)
 
     def test_activity_scales_span_orders_of_magnitude(self):
-        data = generate(GeneratorSpec.default(num_users=3000, num_regions=20, seed=9))
+        data = generate(default_spec(num_users=3000, num_regions=20, seed=9))
         by_activity = {}
         for _, records in users_of(data):
             for rec in records:
@@ -218,7 +218,7 @@ class TestGenerate:
         assert max_user_distance(generate(boosted)) > max_user_distance(generate(base))
 
     def test_proxy_pair_marginals_match(self):
-        spec = GeneratorSpec.default(num_users=10_000, num_regions=50, seed=31)
+        spec = default_spec(num_users=10_000, num_regions=50, seed=31)
         data, proxy = proxy_pair(spec)
         assert not same_dataset(data, proxy)
 
@@ -248,7 +248,7 @@ class TestPoissonInverse:
 
     def test_desk_dataset_bytes_unchanged(self, tmp_path):
         # rates below 708 keep the original recurrence draw for draw
-        spec = GeneratorSpec.default(num_users=10_000, num_regions=100, seed=7)
+        spec = default_spec(num_users=10_000, num_regions=100, seed=7)
         path = tmp_path / "desk.csv"
         write_records_csv(path, generate(spec))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -261,7 +261,7 @@ class TestPoissonInverse:
     def test_dataset_bytes_unchanged_at_more_shapes(self, tmp_path, num_users, num_regions,
                                                     digest):
         # the dpgb generate output of the scalar generator these were recorded from
-        spec = GeneratorSpec.default(num_users=num_users, num_regions=num_regions, seed=7)
+        spec = default_spec(num_users=num_users, num_regions=num_regions, seed=7)
         path = tmp_path / "data.csv"
         write_records_csv(path, generate(spec))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -365,6 +365,14 @@ class TestSpecFile:
         assert spec.trips_per_user == 4.0
         assert spec.week_id == "w9"
         assert len(spec.activity_profiles) == 9  # packaged default table
+
+    def test_mandatory_keys_alone_give_the_field_defaults(self, tmp_path):
+        path = tmp_path / "gen.cfg"
+        path.write_text("num_users = 42\nnum_regions = 7\nseed = 3\n")
+        profiles = default_profiles()
+        assert read_generator_spec(path) == GeneratorSpec(
+            num_users=42, dims=Dimensions(num_activities=len(profiles), num_regions=7),
+            activity_profiles=profiles, seed=3)
 
     def test_custom_profile_table(self, tmp_path):
         table = tmp_path / "profiles.csv"

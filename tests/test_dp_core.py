@@ -136,12 +136,11 @@ class TestLaplaceMechanism:
         data = random_dataset(rng, small_dims, 5)
         big_clip = max(raw_histogram(recs, small_dims).l1_norm()
                        for _, recs in users_of(data)) + 1
-        result = finish_release(prepare("joint_clipping", data, big_clip, small_dims),
-                                1.0, 0.0, 1, test_mode=True)
+        prepared = prepare("joint_clipping", data, big_clip, small_dims)
         expected = SparseHistogram.empty(small_dims)
         for _, recs in users_of(data):
             expected = expected.add(raw_histogram(recs, small_dims))
-        assert np.array_equal(result.released, expected.to_dense())
+        assert np.array_equal(prepared.pre_noise_dense, expected.to_dense())
 
     def test_adjacent_prenoise_sums_differ_at_most_clip(self, small_dims, rng):
         clip = 4.0
@@ -213,9 +212,9 @@ class TestPrivacyLedger:
         assert "first" in str(excinfo.value)
         assert len(ledger.charges) == 1  # failed charge not recorded
 
-    def test_infinite_budget_for_test_mode(self):
+    def test_infinite_budget(self):
         ledger = PrivacyLedger(budget=math.inf)
-        ledger.charge("test_mode", math.inf)
+        ledger.charge("unbounded", math.inf)
         assert ledger.total() == math.inf
 
     def test_summary_format(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpgb.datagen import GeneratorSpec, generate, ground_truth
+from dpgb.datagen import ground_truth
 from dpgb.evaluation import (
     REFERENCE_WRE_EPS2,
     TARGET_WRE,
@@ -20,7 +20,7 @@ from dpgb.evaluation import (
 )
 from dpgb.mechanisms import finish_release
 from dpgb.schema import Dimensions
-from conftest import prepare, proxy_pair, random_histogram
+from conftest import default_spec, prepare, proxy_pair, random_histogram
 from sparse_reference import SparseHistogram, as_ground_truth, reference_ground_truth
 from wre_oracle import brute_force_wre
 
@@ -34,8 +34,7 @@ def score(truth, devices, released, min_devices):
 
 
 def desk_pair(num_users=400, num_regions=8, seed=17):
-    return proxy_pair(GeneratorSpec.default(num_users=num_users, num_regions=num_regions,
-                                            seed=seed))
+    return proxy_pair(default_spec(num_users=num_users, num_regions=num_regions, seed=seed))
 
 
 def random_instance(rng, dims, n_cells=50):

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dpgb import mechanisms, schema
+from dpgb import aggregation, mechanisms, schema
 from dpgb.dp_core import dense_laplace_noise, exact_quantile
 from dpgb.mechanisms import (
     SubRelease,
@@ -70,11 +70,10 @@ class TestBudgetSplit:
         assert np.array_equal(result.released[kept], expected[kept])
         assert np.all(result.released >= 0)
 
-    def test_test_mode_is_union_of_clipped_slices(self, small_dims, rng):
+    def test_pre_noise_is_union_of_clipped_slices(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
         clips = np.full((small_dims.num_activities, 3), 3.0)
-        result = finish_release(prepare("budget_split", data, clips, small_dims),
-                                1.0, 0.0, 1, test_mode=True)
+        pre_noise = prepare("budget_split", data, clips, small_dims).pre_noise_dense
         expected = SparseHistogram.empty(small_dims)
         for a in range(small_dims.num_activities):
             for m in range(3):
@@ -84,7 +83,7 @@ class TestBudgetSplit:
                     if cells:
                         expected = expected.add(
                             clip_l1(SparseHistogram(small_dims, cells), 3.0))
-        assert np.allclose(result.released, expected.to_dense(), rtol=1e-12, atol=0.0)
+        assert np.allclose(pre_noise, expected.to_dense(), rtol=1e-12, atol=0.0)
 
     def test_grid_shape_validated(self, small_dims):
         with pytest.raises(ConfigError):
@@ -92,12 +91,10 @@ class TestBudgetSplit:
 
 
 class TestJointClipping:
-    def test_test_mode_exact_truth_when_clip_large(self, small_dims, rng):
+    def test_pre_noise_exact_truth_when_clip_large(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 10)
         big = max(raw_histogram(r, small_dims).l1_norm() for _, r in users_of(data)) + 1
-        result = finish_release(prepare("joint_clipping", data, big, small_dims),
-                                1.0, 0.0, 1, test_mode=True)
-        assert np.array_equal(result.released,
+        assert np.array_equal(prepare("joint_clipping", data, big, small_dims).pre_noise_dense,
                               merged_user_histograms(data, small_dims).to_dense())
 
     def test_is_all_ones_special_case_bit_identical(self, small_dims, rng):
@@ -133,17 +130,17 @@ class TestJointClipping:
 
 
 class TestActivityMetricScaling:
-    def test_zero_noise_release_is_descaled_clipped_sum(self, small_dims, rng):
+    def test_descaled_pre_noise_is_descaled_clipped_sum(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 20)
         scales = fit_scales(data, small_dims)
         clip = fit_clip(data, scales, small_dims)
-        result = finish_release(prepare("activity_metric_scaling", data, clip, small_dims, scales),
-                                1.0, 0.0, 5, test_mode=True)
+        prepared = prepare("activity_metric_scaling", data, clip, small_dims, scales)
+        descaled = prepared.pre_noise_dense * per_cell(scales, small_dims)
         fleet = [clip_l1(user_histogram(recs, small_dims, scales), clip)
                  for _, recs in users_of(data)]
         scaled_sum = reduce(lambda x, y: x.add(y), fleet, SparseHistogram.empty(small_dims))
         expected = scaled_sum.to_dense() * per_cell(scales, small_dims)
-        assert np.allclose(result.released, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(descaled, expected, rtol=1e-12, atol=0.0)
 
     def test_single_epsilon_charge(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 5)
@@ -226,10 +223,10 @@ class TestFitScales:
                 norms.setdefault(key, []).append(norm)
         expected = np.ones((small_dims.num_activities, 3))
         for (a, m), values in norms.items():
-            expected[a, m] = exact_quantile(values, 0.9)
+            expected[a, m] = exact_quantile(values, 0.95)
         for block_records in (1 << 15, 1 << 13, 37):
             monkeypatch.setattr(schema, "_BLOCK_RECORDS", block_records)
-            assert fit_scales(data, small_dims, 0.9).entries.tobytes() == expected.tobytes()
+            assert fit_scales(data, small_dims).entries.tobytes() == expected.tobytes()
 
     def test_permutation_invariant(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 30)
@@ -269,7 +266,7 @@ class TestFitClip:
         clip = fit_clip(data, scales, dims)
         assert 0.5 <= clip <= 1.5
 
-    def test_zero_record_users_count(self, small_dims):
+    def test_zero_record_users_count(self, small_dims, monkeypatch):
         # norms 0 (empty), 11, 0 (empty), 3, 0 (empty): the empty users sit
         # at both ends and in the middle, and each counts in the quantile
         data = make_dataset("w", [
@@ -281,11 +278,12 @@ class TestFitClip:
         ])
         assert data.num_users == 5 and data.num_records == 2
         ones = ScaleMatrix.ones(small_dims.num_activities)
-        assert fit_clip(data, ones, small_dims, q=0.6) == 0.0
-        assert fit_clip(data, ones, small_dims, q=0.7) == 3.0
-        assert fit_clip(data, ones, small_dims, q=0.9) == 11.0
+        for q, clip in ((0.6, 0.0), (0.7, 3.0), (0.9, 11.0)):
+            monkeypatch.setattr(mechanisms, "FIT_QUANTILE", q)
+            assert fit_clip(data, ones, small_dims) == clip
         # nor do they move the slice quantiles, which skip empty slices
-        assert fit_scales(data, small_dims, q=0.5).entries.tolist() == [
+        monkeypatch.setattr(mechanisms, "FIT_QUANTILE", 0.5)
+        assert fit_scales(data, small_dims).entries.tolist() == [
             [1.0, 2.0, 8.0], [1.0, 1.0, 1.0]]
 
     def test_empty_dataset_rejected(self, small_dims):
@@ -362,6 +360,23 @@ class TestCalibrationTable:
         assert calibration_table(_config("budget_split", grid)) == tuple(
             SubRelease(f"slice_a{a}_{metric}", (3 * a + m,), grid[a, m], 6)
             for a in range(2) for m, metric in enumerate(schema.METRIC_NAMES))
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", schema.MECHANISM_KINDS)
+    def test_bad_tau_raises_before_any_noise(self, small_dims, monkeypatch, kind, tau):
+        drawn = []
+
+        def counting(*args, **kwargs):
+            drawn.append(args)
+            return dense_laplace_noise(*args, **kwargs)
+        monkeypatch.setattr(aggregation, "dense_laplace_noise", counting)
+        clip = np.full((small_dims.num_activities, 3), 2.0) if kind == "budget_split" else 2.0
+        prepared = prepare(kind, make_dataset("w", []), clip, small_dims)
+        with pytest.raises(ConfigError, match="threshold_tau must be finite and >= 0"):
+            finish_release(prepared, 1.0, tau, 1)
+        assert not drawn
+        finish_release(prepared, 1.0, 0.0, 1)
+        assert drawn  # the count sees the noise a good tau draws
 
     @pytest.mark.parametrize("slices", [
         [(0, 1, 2), (3, 4)],          # slice 5 left out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpgb import schema
-from dpgb.datagen import GeneratorSpec, generate
+from dpgb.datagen import generate
 from dpgb.schema import (
     METRIC_NAMES,
     ConfigError,
@@ -23,7 +23,7 @@ from dpgb.schema import (
     write_mechanism_config,
     write_records_csv,
 )
-from conftest import one_user, random_dataset, random_histogram, random_records
+from conftest import default_spec, one_user, random_dataset, random_histogram, random_records
 from sparse_reference import (
     SparseHistogram,
     TripRecord,
@@ -281,6 +281,9 @@ class TestMechanismConfig:
             MechanismConfig(1.0, "joint_clipping", -1.0, ones, 0.0, 1)
         with pytest.raises(ConfigError):
             MechanismConfig(1.0, "joint_clipping", 1.0, ones, -0.5, 1)
+        with pytest.raises(ConfigError, match="rng_seed must be >= 0, got -1"):
+            MechanismConfig(1.0, "joint_clipping", 1.0, ones, 0.0, -1)
+        MechanismConfig(1.0, "joint_clipping", 1.0, ones, 0.0, 0)
         # budget_split needs a grid, baselines need all-ones scales
         with pytest.raises(ConfigError):
             MechanismConfig(1.0, "budget_split", 1.0, ones, 0.0, 1)
@@ -295,9 +298,9 @@ class TestFileFormats:
     def test_records_roundtrip_bytes(self, tmp_path, small_dims, rng):
         users = [(f"u{i}", tuple(random_records(rng, small_dims, 3))) for i in range(5)]
         data = make_dataset("w1", users)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        p1, p2 = tmp_path / "w1.csv", tmp_path / "b.csv"  # the label is the file stem
         write_records_csv(p1, data)
-        back = read_records_csv(p1, week_id="w1")
+        back = read_records_csv(p1)
         assert same_dataset(back, data)
         write_records_csv(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
@@ -469,7 +472,7 @@ class TestFileFormats:
     def test_reading_records_holds_no_object_per_row(self, tmp_path):
         # the reader's peak is the parsed table (the returned columns, ids
         # and a parse buffer), not one Python string per row
-        data = generate(GeneratorSpec.default(num_users=7000, num_regions=100, seed=1))
+        data = generate(default_spec(num_users=7000, num_regions=100, seed=1))
         path = tmp_path / "records.csv"
         write_records_csv(path, data)
         del data
@@ -511,9 +514,9 @@ class TestFileFormats:
         users = [(uid, tuple(random_records(rng, small_dims, n)))
                  for uid, n in (("a,b", 3), ("", 2), ("none", 0), ('q"', 9), ("z", 1))]
         users.append(("edge", (TripRecord(0, 1, 2, 5e-324, 1e16), TripRecord(3, 0, 1, 1e-5, 0.0))))
-        path = tmp_path / "records.csv"
+        path = tmp_path / "w.csv"
         write_records_csv(path, make_dataset("w", users))
-        assert same_dataset(read_records_csv(path, week_id="w"),
+        assert same_dataset(read_records_csv(path),
                             make_dataset("w", [user for user in users if user[1]]))
 
     def test_histogram_roundtrip(self, tmp_path, small_dims, rng):
