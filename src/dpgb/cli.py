@@ -29,6 +29,7 @@ from .evaluation import (
     METRIC_NAMES,
     ScoringPlan,
     SweepResult,
+    check_sweep_settings,
     read_sweep_csv,
     render_metric_table,
     sweep,
@@ -175,6 +176,7 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError("--unsafe-fit fits on the evaluation data; do not pass --proxy with it")
     if not args.unsafe_fit and args.proxy is None:
         raise ConfigError("sweep needs --proxy (or the explicit --unsafe-fit)")
+    check_sweep_settings(args.epsilons, args.mechanisms, args.repeats, args.seed, args.tau)
 
     data = read_records_csv(args.data)
     if args.unsafe_fit or os.path.samefile(args.data, args.proxy):

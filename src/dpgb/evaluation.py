@@ -33,7 +33,6 @@ from .schema import (
 )
 
 DEFAULT_MIN_DEVICES = 20   # desk-scale stand-in for the production floor of 2000 devices
-PRODUCTION_MIN_DEVICES = 2000
 TARGET_WRE = 0.03
 DEFAULT_EPSILON_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_MECHANISMS = ("joint_clipping", "budget_split", "activity_metric_scaling")
@@ -260,6 +259,27 @@ def sweep(
     seeds, so the order they run in cannot change any number.  The lists
     and settings are checked before any fitting starts.
     """
+    epsilons, mechanisms = check_sweep_settings(epsilons, mechanisms, repeats, seed, tau)
+    fitted = fit_hyperparameters(proxy, dims)
+    plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
+    rows = []
+    for kind in mechanisms:
+        prepared = prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)
+        for epsilon in epsilons:
+            for repeat in range(repeats):
+                cell_seed = run_seed(seed, kind, epsilon, repeat)
+                result = finish_release(prepared, epsilon, tau, cell_seed)
+                report = weighted_relative_error(plan, result.released)
+                rows.append(SweepRow(kind, epsilon, repeat, cell_seed, dict(report.wre),
+                                     report.overall))
+    return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, fitted)
+
+
+def check_sweep_settings(epsilons, mechanisms, repeats: int, seed: int,
+                         tau: float) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """The epsilon and mechanism lists as tuples, once every setting of a
+    sweep is checked; ConfigError names the first bad one.  Needs no data,
+    so a caller can check before it reads any."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if seed < 0:
@@ -276,20 +296,7 @@ def sweep(
             raise ConfigError(f"epsilon must be finite and > 0, got {epsilon!r}")
     if not (math.isfinite(tau) and tau >= 0):
         raise ConfigError(f"threshold_tau must be finite and >= 0, got {tau!r}")
-
-    fitted = fit_hyperparameters(proxy, dims)
-    plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
-    rows = []
-    for kind in mechanisms:
-        prepared = prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)
-        for epsilon in epsilons:
-            for repeat in range(repeats):
-                cell_seed = run_seed(seed, kind, epsilon, repeat)
-                result = finish_release(prepared, epsilon, tau, cell_seed)
-                report = weighted_relative_error(plan, result.released)
-                rows.append(SweepRow(kind, epsilon, repeat, cell_seed, dict(report.wre),
-                                     report.overall))
-    return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, fitted)
+    return epsilons, mechanisms
 
 
 def _check_distinct(name: str, values: tuple) -> None:

@@ -10,8 +10,15 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
+import itertools
 import math
+import mmap
+import os
+import shutil
+import tempfile
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,8 +28,6 @@ import numpy as np
 
 METRIC_NAMES = ("num_trips", "distance", "duration")
 NUM_TRIPS, DISTANCE, DURATION = 0, 1, 2
-
-DIRECTION_NAMES = ("within", "outbound", "inbound")
 
 MECHANISM_KINDS = ("budget_split", "joint_clipping", "activity_metric_scaling")
 
@@ -417,7 +422,7 @@ def read_records_csv(path) -> WeekDataset:
     if header != RECORD_CSV_HEADER:
         raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
     try:
-        _reject_nul(path)
+        _check_bytes(path)
         width, full = 16, True
         while full:  # an id that fills the column may be cut: parse again, wider
             table = ids = None  # the narrower table goes before the wider one comes
@@ -448,16 +453,28 @@ def _check_record_row(row: list[str]) -> None:
                 [float(row[4])], [float(row[5])])
 
 
-def _reject_nul(path) -> None:
-    """Raise ValueError on a NUL byte anywhere in the file, which a parsed
-    bytes token would drop, or on bytes that are not UTF-8."""
+def _check_bytes(path, start: int = 0, stop: int | None = None) -> tuple[int, int]:
+    """The numbers of quote bytes and of lines in bytes ``start:stop`` of a
+    file, a line ended by ``\\n`` or the end; ValueError on a NUL byte
+    there, which a parsed bytes token would drop, or on bytes that are not
+    UTF-8."""
     decoder = codecs.getincrementaldecoder("utf-8")()
+    quotes = lines = 0
+    last = b""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
+        fh.seek(start)
+        left = math.inf if stop is None else stop - start
+        while left > 0 and (chunk := fh.read(min(left, 1 << 16))):
+            left -= len(chunk)
             if b"\0" in chunk:
                 raise ValueError("NUL byte")
             decoder.decode(chunk)
+            if b'"' in chunk:
+                quotes += chunk.count(b'"')
+            lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
+            last = chunk[-1:]
     decoder.decode(b"", final=True)
+    return quotes, lines + (last not in b"\n")
 
 
 def _loadtxt(source, dtype: np.dtype, encoding: str = "utf-8", **kwargs) -> np.ndarray:
@@ -499,26 +516,93 @@ def _first_bad_row(path, num_fields: int, check, fallback: str) -> ConfigError:
 # cells of one slice that the histogram writer joins into one string
 _WRITE_CHUNK_CELLS = 1 << 14
 
+# the "direction," field of a row, by direction
+_DIRECTIONS = ("0,", "1,", "2,")
+
+# rows to write, and bytes to read, from which the second half of a histogram
+# file is done by a forked child; a smaller file's second half is done here,
+# after the first
+_FORK_ROWS = 1 << 16
+_FORK_BYTES = 1 << 22
+
+
+@contextmanager
+def _second_half(work, fork: bool):
+    """Run ``work()`` in a forked child while the body of the ``with`` runs,
+    or here after the body when not ``fork`` or without ``os.fork``.  OSError
+    when the child exits with an error."""
+    if not (fork and hasattr(os, "fork")):
+        yield
+        work()
+        return
+    pid = os.fork()
+    if pid == 0:  # the child: run work() and exit, never return
+        code = 1
+        try:
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        yield
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise OSError(f"the child process for the second half exited with status "
+                      f"{os.waitstatus_to_exitcode(status)}")
+
 
 def write_histogram_csv(path, dense: np.ndarray, dims: Dimensions) -> None:
     """One row per nonzero cell, in flat cell order; metric written by name.
 
     A row is ``activity,metric,region,direction,repr(value)`` ended by
-    CRLF, the bytes ``csv.writer`` gives for the same rows.  Each
-    (activity, metric) slice is written as a few long strings, so the
-    writer holds at most one chunk of rows at a time.
+    CRLF, the bytes ``csv.writer`` gives for the same rows.  The rows are
+    written as two halves by count, split at a chunk boundary.  With
+    ``_FORK_ROWS`` rows or more, a forked child writes the second half into
+    an unlinked temporary file in the same directory, which is appended to
+    the first half once the child has exited 0; so the bytes depend on
+    neither the split nor the process that formats them.
     """
     if dense.shape != (dims.total_cells,):
         raise ValueError(f"dense array shape {dense.shape} does not match {dims}")
-    cells = [f"{r},{d}," for r in range(dims.num_regions) for d in range(3)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(HISTOGRAM_CSV_HEADER) + "\r\n")
-        for s, values in enumerate(dense.reshape(-1, len(cells))):
-            prefix = f"{s // 3},{METRIC_NAMES[s % 3]},"
-            for lo in range(0, len(cells), _WRITE_CHUNK_CELLS):
-                flat = np.flatnonzero(values[lo:lo + _WRITE_CHUNK_CELLS]) + lo
-                fh.write("".join([f"{prefix}{cells[i]}{v!r}\r\n"
-                                  for i, v in zip(flat.tolist(), values[flat].tolist())]))
+    regions = [f"{r}," for r in range(dims.num_regions)]
+    # rows up to the end of each chunk of cells, counted without a bool copy
+    ends = np.cumsum([np.count_nonzero(dense[i:i + _WRITE_CHUNK_CELLS])
+                      for i in range(0, dims.total_cells, _WRITE_CHUNK_CELLS)])
+    rows = int(ends[-1])
+    # the first half ends at the chunk boundary before its middle row
+    split = _WRITE_CHUNK_CELLS * int(np.searchsorted(ends, rows // 2))
+    fork = rows >= _FORK_ROWS
+    directory = os.path.dirname(os.path.abspath(path))
+    with open(path, "wb") as fh, (
+            tempfile.TemporaryFile(dir=directory) if fork else nullcontext(fh)) as tail:
+        fh.write((",".join(HISTOGRAM_CSV_HEADER) + "\r\n").encode())
+
+        def second_half():
+            _write_rows(tail, dense, regions, split, dims.total_cells)
+            tail.flush()
+
+        with _second_half(second_half, fork):
+            _write_rows(fh, dense, regions, 0, split)
+        if tail is not fh:
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh)
+
+
+def _write_rows(fh, dense: np.ndarray, regions: list[str], lo: int, hi: int) -> None:
+    """Write the rows of the nonzero cells of ``dense[lo:hi]`` to the binary
+    file ``fh``, one chunk of a slice at a time; ``regions`` holds the
+    ``"region,"`` of each region."""
+    n = 3 * len(regions)
+    for s in range(lo // n, -(-hi // n)):
+        values = dense[s * n:(s + 1) * n]
+        prefix = f"{s // 3},{METRIC_NAMES[s % 3]},"
+        end = min(hi - s * n, n)
+        for c in range(max(lo - s * n, 0), end, _WRITE_CHUNK_CELLS):
+            flat = np.flatnonzero(values[c:min(c + _WRITE_CHUNK_CELLS, end)]) + c
+            r, d = np.divmod(flat, 3)
+            fh.write("".join([f"{prefix}{regions[i]}{_DIRECTIONS[j]}{v!r}\r\n" for i, j, v
+                              in zip(r.tolist(), d.tolist(), values[flat].tolist())]).encode())
 
 
 # rows per np.loadtxt block of the histogram reader
@@ -530,46 +614,117 @@ _HISTOGRAM_DTYPE = np.dtype([("activity", np.int64),
                              ("metric", f"S{max(map(len, METRIC_NAMES)) + 1}"),
                              ("region", np.int64), ("direction", np.int64), ("value", float)])
 
+# the header lines a file read in two halves may start with
+_HEADER_LINES = tuple(f"{','.join(HISTOGRAM_CSV_HEADER)}{end}".encode() for end in ("\r\n", "\n"))
+
 
 def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
     """Dense vector in flat cell order; absent and zero-valued cells read 0.
 
     A second row for a cell is an error, also when the first one held 0, and
     so is a NUL byte anywhere in the file, which a parsed token would drop.
-    The rows are parsed by ``np.loadtxt`` in blocks and checked as arrays;
-    if a block does not parse or fails a check, the file is read again with
-    ``csv`` to name the first bad line.
+    The rows are parsed by ``np.loadtxt`` in blocks and checked as arrays,
+    in two halves when the file starts with the plain header (see
+    ``_read_halves``).  If a half or a block does not parse or fails a
+    check, the whole file is read here with the same block loop, then again
+    with ``csv`` to name the first bad line.
     """
+    dense = _read_halves(path, dims)
+    if dense is not None:
+        return dense
     dense = np.zeros(dims.total_cells)
     seen = np.zeros(dims.total_cells, dtype=bool)
-    num_seen = 0
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         header = next(csv.reader(fh), None)
         if header != HISTOGRAM_CSV_HEADER:
             raise ConfigError(f"{path}: bad header {header!r}, expected {HISTOGRAM_CSV_HEADER}")
         try:
-            _reject_nul(path)
-            while True:
-                rows = _loadtxt(fh, _HISTOGRAM_DTYPE, max_rows=_READ_BLOCK_ROWS)
-                a, r, d = rows["activity"], rows["region"], rows["direction"]
-                m = np.full(rows.size, -1)
-                for token, index in _METRIC_TOKENS.items():
-                    m[rows["metric"] == token.encode()] = index
-                if not np.all((m >= 0) & (a >= 0) & (a < dims.num_activities)
-                              & (r >= 0) & (r < dims.num_regions) & (d >= 0) & (d < 3)):
-                    raise ValueError("a row names no cell of the domain")
-                flat = ((a * 3 + m) * dims.num_regions + r) * 3 + d
-                seen[flat] = True
-                num_seen += flat.size
-                if np.count_nonzero(seen) != num_seen:
-                    raise ValueError("a cell has a second row")
-                nonzero = rows["value"] != 0.0
-                dense[flat[nonzero]] = rows["value"][nonzero]
-                if rows.size < _READ_BLOCK_ROWS:
-                    return dense
+            _check_bytes(path)
+            if _read_rows(fh, dims, dense, seen) != np.count_nonzero(seen):
+                raise ValueError("a cell has a second row")
+            return dense
         except ValueError as exc:
             raise _first_bad_row(path, len(HISTOGRAM_CSV_HEADER), _histogram_row_check(dims),
                                  f"{path}: {exc}") from None
+
+
+def _read_halves(path, dims: Dimensions) -> np.ndarray | None:
+    """The dense vector of a file read as two halves, split at the first line
+    end after its middle byte; None when it must be read whole.
+
+    With ``_FORK_BYTES`` or more after the header, a forked child reads the
+    second half into the dense vector and seen mask in shared memory while
+    this process reads the first.  None when the file does not start with
+    the plain header, a half fails, the split may lie in a quoted field (an
+    odd number of quote bytes before it) or a cell has two rows (fewer cells
+    seen than rows parsed).
+    """
+    with open(path, "rb") as fh:
+        if fh.readline() not in _HEADER_LINES:
+            return None
+        start, stop = fh.tell(), os.fstat(fh.fileno()).st_size
+        fh.seek((start + stop) // 2)
+        fh.readline()
+        split = fh.tell()
+    fork = stop - start >= _FORK_BYTES
+    shared = (lambda size: mmap.mmap(-1, size)) if fork else bytearray
+    dense = np.frombuffer(shared(8 * dims.total_cells), dtype=float)
+    marks = shared(8 + dims.total_cells)
+    tail_rows = np.frombuffer(marks, dtype=np.int64, count=1)
+    seen = np.frombuffer(marks, dtype=bool, offset=8)
+
+    def second_half():
+        tail_rows[0] = _read_part(path, dims, split, stop, dense, seen)[0]
+
+    try:
+        with _second_half(second_half, fork):
+            head_rows, quotes = _read_part(path, dims, start, split, dense, seen)
+    except (ValueError, OSError):
+        return None
+    if quotes % 2 or head_rows + int(tail_rows[0]) != np.count_nonzero(seen):
+        return None
+    return dense
+
+
+def _read_part(path, dims: Dimensions, start: int, stop: int, dense: np.ndarray,
+               seen: np.ndarray) -> tuple[int, int]:
+    """Check bytes ``start:stop`` of a file, which start a row, and parse
+    their rows into ``dense`` and ``seen``; the numbers of rows and of quote
+    bytes.
+
+    The lines end at ``\\n`` only, so each may end in ``\\r\\n``, while a
+    lone ``\\r`` inside a line fails the parse; the file is then read whole,
+    with ``\\r`` ending lines too.
+    """
+    quotes, lines = _check_bytes(path, start, stop)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape",
+                              newline="\n") as text:
+            return _read_rows(itertools.islice(text, lines), dims, dense, seen), quotes
+
+
+def _read_rows(lines, dims: Dimensions, dense: np.ndarray, seen: np.ndarray) -> int:
+    """Parse the histogram rows of the text lines ``lines`` in blocks, set
+    their values in ``dense`` and their cells in ``seen``; the number of
+    rows.  ValueError if a block does not parse or a row names no cell."""
+    num_rows = 0
+    while True:
+        rows = _loadtxt(lines, _HISTOGRAM_DTYPE, max_rows=_READ_BLOCK_ROWS)
+        a, r, d = rows["activity"], rows["region"], rows["direction"]
+        m = np.full(rows.size, -1)
+        for token, index in _METRIC_TOKENS.items():
+            m[rows["metric"] == token.encode()] = index
+        if not np.all((m >= 0) & (a >= 0) & (a < dims.num_activities)
+                      & (r >= 0) & (r < dims.num_regions) & (d >= 0) & (d < 3)):
+            raise ValueError("a row names no cell of the domain")
+        flat = ((a * 3 + m) * dims.num_regions + r) * 3 + d
+        seen[flat] = True
+        num_rows += flat.size
+        nonzero = rows["value"] != 0.0
+        dense[flat[nonzero]] = rows["value"][nonzero]
+        if rows.size < _READ_BLOCK_ROWS:
+            return num_rows
 
 
 def _histogram_row_check(dims: Dimensions):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import re
 import shlex
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpgb import cli
+from dpgb import cli, schema
 from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, _sha256, main
 from dpgb.datagen import generate, ground_truth, read_generator_spec
 from dpgb.dp_core import dense_laplace_noise
@@ -627,6 +628,7 @@ def test_release_holds_one_dense_vector(workspace, monkeypatch):
     (["--tau", "-0.5"], "got -0.5"),
     (["--tau", "nan"], "got nan"),
     (["--seed", "-3"], "seed must be >= 0, got -3"),
+    (["--repeats", "0"], "repeats must be >= 1, got 0"),
 ])
 def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsys, flags, named):
     tmp_path, _, data_path, proxy_path = workspace
@@ -634,11 +636,37 @@ def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsy
     def refuse(*args, **kwargs):
         raise AssertionError("fitted before the settings were checked")
     monkeypatch.setattr("dpgb.evaluation.fit_hyperparameters", refuse)
+
+    def refuse_to_read(*args, **kwargs):
+        raise AssertionError("read the records before the settings were checked")
+    monkeypatch.setattr("dpgb.cli.read_records_csv", refuse_to_read)
     out_dir = tmp_path / "s"
     assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                  "--out", str(out_dir), "--repeats", "1"] + flags) == EXIT_CONFIG
     assert named in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_release_exits_2_when_the_child_writing_the_second_half_fails(
+        workspace, monkeypatch, capsys):
+    tmp_path, _, data_path, _ = workspace
+    cfg_path = make_config(tmp_path, data_path)
+    monkeypatch.setattr(schema, "_FORK_ROWS", 0)
+    parent, write_rows = os.getpid(), schema._write_rows
+
+    def fail_in_child(*args):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device")
+        write_rows(*args)
+    monkeypatch.setattr(schema, "_write_rows", fail_in_child)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
+                 "--out", str(out_dir / "released.csv"), "--num-regions", "6"]) == EXIT_IO
+    assert ("i/o error: the child process for the second half exited with status 1"
+            in capsys.readouterr().err)
+    assert os.listdir(out_dir) == ["released.csv"]  # the first half, and no temporary file
 
 
 def test_header_only_records(workspace, capsys):

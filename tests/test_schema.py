@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -580,6 +581,17 @@ def test_infer_dimensions_overrides_skip_the_records():
     assert dims == Dimensions(num_activities=2, num_regions=7)
 
 
+@pytest.fixture(params=["inline", "forked"])
+def second_half(request, monkeypatch):
+    """Where the second half of a histogram file is written or read: in this
+    process, with the size constants at their defaults, or in a forked
+    child, with them forced to 0."""
+    if request.param == "forked":
+        monkeypatch.setattr(schema, "_FORK_ROWS", 0)
+        monkeypatch.setattr(schema, "_FORK_BYTES", 0)
+    return request.param
+
+
 class TestDenseHistogramFiles:
     """The release file boundary: a dense vector in cell_index order."""
 
@@ -598,6 +610,7 @@ class TestDenseHistogramFiles:
         for flat, value in edges.items():
             assert back[flat] == value
 
+    @pytest.mark.usefixtures("second_half")
     def test_rows_are_repr_formatted_in_flat_order(self, tmp_path, rng):
         # rows in many slices, so they cross slice boundaries
         dims = Dimensions(num_activities=9, num_regions=2500)
@@ -625,6 +638,7 @@ class TestDenseHistogramFiles:
          {0: 5e-324, 5: 1e16, 17: 1e-5, 30: math.nan, 31: math.inf, 40: -1.5, 71: 1e300}),
         (Dimensions(num_activities=2, num_regions=4), {}),
     ], ids=["last_slice_only", "one_region", "edge_values", "empty"])
+    @pytest.mark.usefixtures("second_half")
     def test_writer_bytes_equal_csv_writer(self, tmp_path, dims, cells):
         dense = np.zeros(dims.total_cells)
         for flat, value in cells.items():
@@ -634,6 +648,7 @@ class TestDenseHistogramFiles:
         csv_writer_histogram(want, dense, dims)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("chunk_cells", [1, 7, 1 << 14])
     def test_writer_bytes_equal_csv_writer_at_random(self, tmp_path, rng, monkeypatch,
                                                      chunk_cells):
@@ -646,6 +661,7 @@ class TestDenseHistogramFiles:
         csv_writer_histogram(want, dense, dims)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("block_rows", [1, 2, 7])
     def test_roundtrip_in_read_blocks(self, tmp_path, rng, monkeypatch, block_rows):
         monkeypatch.setattr(schema, "_READ_BLOCK_ROWS", block_rows)
@@ -675,6 +691,7 @@ class TestDenseHistogramFiles:
         assert np.array_equal(back, dense)
         assert peak < 40e6
 
+    @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("block_rows", [1, 2, 7, 1 << 15])
     @pytest.mark.parametrize("body, lineno, message", [
         ("0,num_trips,0,0,1.0\n0,num_trips,1\n", 3, "expected 5 fields, got 3"),
@@ -708,6 +725,7 @@ class TestDenseHistogramFiles:
 
     # inputs the row-by-row csv reader took: it stripped metric tokens and
     # read every spelling Python's int() and float() accept
+    @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("row, message", [
         ("0, num_trips,0,0,1.0", ":2: unknown metric ' num_trips'"),
         ("0,num_trips ,0,0,1.0", ":2: unknown metric 'num_trips '"),
@@ -726,6 +744,7 @@ class TestDenseHistogramFiles:
             read_histogram_csv(path, small_dims)
         assert str(excinfo.value).startswith(f"{path}{message}")
 
+    @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("block_rows", [1, 1 << 15])
     @pytest.mark.parametrize("rows_before", [1, 2000])  # in the header's read, and past it
     def test_reader_names_the_line_of_bytes_that_are_not_utf8(
@@ -758,3 +777,85 @@ class TestDenseHistogramFiles:
         assert np.count_nonzero(back) == 1
         assert back[small_dims.cell_index(1, 1, 3, 2)] == 2.5
         assert np.signbit(back).sum() == 0  # a -0.0 row reads as an absent cell
+
+    @pytest.mark.usefixtures("second_half")
+    def test_a_cell_with_a_row_in_each_half_is_a_duplicate(self, tmp_path):
+        # each half alone holds the cell once
+        dims = Dimensions(num_activities=2, num_regions=700)
+        rows = [f"1,distance,{r},{d},2.5\n" for r in range(700) for d in range(3)]
+        path = tmp_path / "h.csv"
+        path.write_text("activity,metric,region,direction,value\n" + "".join(rows) + rows[0])
+        with pytest.raises(ConfigError) as excinfo:
+            read_histogram_csv(path, dims)
+        assert str(excinfo.value) == f"{path}:{len(rows) + 2}: duplicate cell (1, 1, 0, 0)"
+
+    @pytest.mark.usefixtures("second_half")
+    @pytest.mark.parametrize("second, expected", [
+        # the quoted field ends in the second half: the file holds two cells
+        (' "\n0,num_trips,0,1,2.5\n', {0: 1.5, 1: 2.5}),
+        # read alone, the first half ends in an open quote and the second
+        # starts a good row; read whole, the quoted field runs into that row
+        ('0,num_trips,0,1,"2.5"\n', "could not convert string to float: "
+                                    "'1.5" + " " * 40 + "\\n0,num_trips,0,1,2.5\"'"),
+    ], ids=["good", "bad"])
+    def test_a_split_inside_a_quoted_field_reads_the_file_whole(
+            self, tmp_path, small_dims, second, expected):
+        header = "activity,metric,region,direction,value\n"
+        first = '0,num_trips,0,0,"1.5' + " " * 40 + "\n"
+        path = tmp_path / "h.csv"
+        path.write_text(header + first + second)
+        # the split follows the first line end after the middle byte
+        assert len(header) + len(first) > (len(header) + path.stat().st_size) // 2
+        if isinstance(expected, dict):
+            back = read_histogram_csv(path, small_dims)
+            assert {flat: back[flat] for flat in np.flatnonzero(back).tolist()} == expected
+        else:
+            with pytest.raises(ConfigError) as excinfo:
+                read_histogram_csv(path, small_dims)
+            assert str(excinfo.value) == f"{path}:2: {expected}"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_failing_child_leaves_the_read_to_this_process(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(schema, "_FORK_BYTES", 0)
+        parent, read_part = os.getpid(), schema._read_part
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise OSError("the child fails")
+            return read_part(*args)
+        monkeypatch.setattr(schema, "_read_part", fail_in_child)
+        dims = Dimensions(num_activities=2, num_regions=50)
+        dense = np.where(rng.random(dims.total_cells) < 0.5, 0.0, rng.lognormal(size=dims.total_cells))
+        path = tmp_path / "h.csv"
+        write_histogram_csv(path, dense, dims)
+        assert read_histogram_csv(path, dims).tobytes() == dense.tobytes()
+
+    @pytest.mark.usefixtures("second_half")
+    @pytest.mark.parametrize("rows_before", [0, 1, 5])  # moves the split
+    def test_line_ends_of_every_kind(self, tmp_path, small_dims, rows_before):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"activity,metric,region,direction,value\n"
+                         + b"".join(b"1,distance,%d,%d,9.0\n" % divmod(i, 3)
+                                    for i in range(rows_before))
+                         + b"0,num_trips,0,0,1.5\r0,num_trips,0,1,2.5\r\n\r\n"
+                           b"0,num_trips,0,2,3.5\n\n\r1,duration,3,2,4.5\r\n0,distance,1,1,5.5")
+        back = read_histogram_csv(path, small_dims)
+        expected = {0: 1.5, 1: 2.5, 2: 3.5, 16: 5.5, 71: 4.5}
+        expected.update({small_dims.cell_index(1, 1, *divmod(i, 3)): 9.0
+                         for i in range(rows_before)})
+        assert {flat: back[flat] for flat in np.flatnonzero(back).tolist()} == expected
+
+
+def test_byte_check_counts_lines_and_quotes(tmp_path, rng):
+    # lines end at "\n" or at the end of the range, also across the 64 KiB reads
+    data = rng.choice(np.frombuffer(b'a,\r\n"', dtype=np.uint8), size=200_000,
+                      p=[0.5, 0.2, 0.1, 0.15, 0.05]).tobytes()
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    for start, stop in [(0, None), (0, len(data)), (1, 65_537), (65_535, 65_537),
+                        (7, 7), (100, 199_999), (65_536, 131_073)]:
+        part = tmp_path / "part.csv"
+        part.write_bytes(data[start:stop])
+        with open(part, newline="\n", encoding="utf-8") as fh:
+            lines = sum(1 for _ in fh)
+        assert schema._check_bytes(path, start, stop) == (data[start:stop].count(b'"'), lines)
