@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .aggregation import write_ledger
-from .datagen import generate, ground_truth, read_generator_spec
+from .datagen import generate_csv, ground_truth, read_generator_spec
 from .dp_core import BudgetExceededError
 from .evaluation import (
     DEFAULT_EPSILON_GRID,
@@ -43,13 +43,11 @@ from .schema import (
     ConfigError,
     DURATION,
     Dimensions,
-    infer_dimensions,
     read_histogram_csv,
     read_mechanism_config,
     read_records_csv,
     write_histogram_csv,
     write_mechanism_config,
-    write_records_csv,
 )
 
 EXIT_OK = 0
@@ -90,13 +88,12 @@ def cmd_generate(args, argv) -> int:
     spec = read_generator_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    data = generate(spec)
-    write_records_csv(args.out, data)
+    num_records = generate_csv(args.out, spec)
     _write_manifest(
         str(args.out) + ".manifest", "generate", argv,
         {"spec": args.spec}, [args.out],
-        {"seed": spec.seed, "num_users": data.num_users, "num_records": data.num_records})
-    print(f"wrote {data.num_records} records for {data.num_users} users to {args.out}")
+        {"seed": spec.seed, "num_users": spec.num_users, "num_records": num_records})
+    print(f"wrote {num_records} records for {spec.num_users} users to {args.out}")
     return EXIT_OK
 
 
@@ -126,9 +123,8 @@ def cmd_release(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
+    dims = Dimensions(args.num_activities, args.num_regions)
     data = read_records_csv(args.data)
-    dims = infer_dimensions(
-        [data], num_activities=args.num_activities, num_regions=args.num_regions)
     plan = ScoringPlan.build(ground_truth(data, dims), args.min_devices)
     report = weighted_relative_error(plan, read_histogram_csv(args.released, dims))
 
@@ -177,14 +173,13 @@ def cmd_sweep(args, argv) -> int:
     if not args.unsafe_fit and args.proxy is None:
         raise ConfigError("sweep needs --proxy (or the explicit --unsafe-fit)")
     check_sweep_settings(args.epsilons, args.mechanisms, args.repeats, args.seed, args.tau)
+    dims = Dimensions(args.num_activities, args.num_regions)
 
     data = read_records_csv(args.data)
     if args.unsafe_fit or os.path.samefile(args.data, args.proxy):
         proxy = data  # one file, parsed once
     else:
         proxy = read_records_csv(args.proxy)
-    dims = infer_dimensions(
-        [data, proxy], num_activities=args.num_activities, num_regions=args.num_regions)
 
     result = sweep(data, proxy, args.epsilons, args.mechanisms, args.repeats, args.seed, dims,
                    min_devices=args.min_devices, tau=args.tau)
@@ -243,6 +238,12 @@ def cmd_report(args, argv) -> int:
     return EXIT_OK
 
 
+def _domain_flags(parser) -> None:
+    # the scored domain comes from these flags, never from the records
+    parser.add_argument("--num-activities", type=int, required=True, dest="num_activities")
+    parser.add_argument("--num-regions", type=int, required=True, dest="num_regions")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dpgb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,8 +269,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--min-devices", type=int, default=DEFAULT_MIN_DEVICES,
                         dest="min_devices")
-    p_eval.add_argument("--num-regions", type=int, default=0, dest="num_regions")
-    p_eval.add_argument("--num-activities", type=int, default=0, dest="num_activities")
+    _domain_flags(p_eval)
     p_eval.add_argument("--duration-unit", choices=("seconds", "minutes"),
                         default="seconds", dest="duration_unit",
                         help="display unit for duration diagnostics (storage stays seconds)")
@@ -288,8 +288,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--seed", type=int, default=1)
     p_sweep.add_argument("--min-devices", type=int, default=DEFAULT_MIN_DEVICES,
                          dest="min_devices")
-    p_sweep.add_argument("--num-regions", type=int, default=0, dest="num_regions")
-    p_sweep.add_argument("--num-activities", type=int, default=0, dest="num_activities")
+    _domain_flags(p_sweep)
     p_sweep.add_argument("--tau", type=float, default=0.0)
     p_sweep.add_argument("--table-epsilon", type=float, default=2.0, dest="table_epsilon")
     p_sweep.add_argument("--unsafe-fit", action="store_true", dest="unsafe_fit",

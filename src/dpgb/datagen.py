@@ -25,12 +25,17 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import mmap
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from . import schema
 from .dp_core import _U_FLOOR, derive_seed
 from .schema import (
     ConfigError,
@@ -41,6 +46,8 @@ from .schema import (
     _parse_int,
     read_kv_file,
     user_cells,
+    write_record_rows,
+    write_records_csv,
 )
 
 _HOME_REGION_SHARE = 0.9  # remaining trips resample the region popularity table
@@ -331,26 +338,67 @@ def _draw_users(spec: GeneratorSpec, seeds: list[int], width: int, region_cdf: n
     return columns
 
 
-def generate(spec: GeneratorSpec) -> WeekDataset:
-    """Sample one synthetic week, fully deterministic from the spec.
+def generate(spec: GeneratorSpec, users: range | None = None) -> WeekDataset:
+    """Sample one synthetic week, or the users of ``users`` (a range of
+    indices into ``range(spec.num_users)``), fully deterministic from the
+    spec.
 
-    Each user gets an independently derived seed, so generation order (or a
-    parallel implementation) cannot change the data.  Users are drawn in
-    blocks of about _BLOCK_DRAWS uniforms.
+    User i is ``u{i:06d}`` and draws from a seed derived from that id alone,
+    so a range of users is drawn exactly as in the whole week, and neither
+    generation order nor a split between processes (see
+    :func:`generate_csv`) can change the data.  Users are drawn in blocks
+    of about _BLOCK_DRAWS uniforms.
     """
+    users = range(spec.num_users) if users is None else users
+    if not 0 <= users.start <= users.stop <= spec.num_users:
+        raise ValueError(f"{users} is not a range of the {spec.num_users} users")
     region_cdf = _zipf_cdf(spec.dims.num_regions, spec.region_zipf_s)
     tables = [_poisson_table(spec.trips_per_user * p.weight) for p in spec.activity_profiles]
-    user_ids = tuple(f"u{i:06d}" for i in range(spec.num_users))
+    user_ids = tuple(f"u{i:06d}" for i in users)
     width = _draws_per_user(spec)
     block = max(1, _BLOCK_DRAWS // width)
     parts = [(np.zeros(0, dtype=np.int64),) * 4 + (np.zeros(0),) * 2]
-    for lo in range(0, spec.num_users, block):
+    for lo in range(0, len(user_ids), block):
         seeds = [derive_seed(spec.seed, uid) for uid in user_ids[lo:lo + block]]
         user, *columns = _draw_users(spec, seeds, width, region_cdf, tables)
         parts.append((user + lo, *columns))
     user, *columns = (np.concatenate(col) for col in zip(*parts))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(user, minlength=spec.num_users))))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(user, minlength=len(user_ids)))))
     return WeekDataset(spec.week_id, user_ids, offsets, *columns)
+
+
+def generate_csv(path, spec: GeneratorSpec) -> int:
+    """Write ``write_records_csv(path, generate(spec))``, byte for byte;
+    the number of records.
+
+    The users are drawn and written as two halves, split at
+    ``num_users // 2``.  This process draws the first half and writes it
+    after the header.  The second half is drawn, formatted into an unlinked
+    temporary file in the same directory and its record count kept in
+    shared memory; the file is appended once that is done.  When the
+    expected rows, ``num_users * trips_per_user``, reach
+    ``schema._FORK_ROWS``, a forked child does the second half while this
+    process does the first; otherwise it is done here, after the first.
+    OSError when the child fails, which leaves the first half in ``path``.
+    """
+    split = spec.num_users // 2
+    fork = spec.num_users * spec.trips_per_user >= schema._FORK_ROWS
+    tail_records = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as tail:
+
+        def second_half():
+            data = generate(spec, range(split, spec.num_users))
+            write_record_rows(tail, data)
+            tail.flush()
+            tail_records[0] = data.num_records
+
+        with schema._second_half(second_half, fork):
+            head = generate(spec, range(split))
+            write_records_csv(path, head)
+        tail.seek(0)
+        with open(path, "ab") as fh:
+            shutil.copyfileobj(tail, fh)
+    return head.num_records + int(tail_records[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,8 +34,6 @@ MECHANISM_KINDS = ("budget_split", "joint_clipping", "activity_metric_scaling")
 RECORD_CSV_HEADER = ["user_id", "region", "activity", "direction", "distance_km", "duration_s"]
 HISTOGRAM_CSV_HEADER = ["activity", "metric", "region", "direction", "value"]
 
-Cell = tuple[int, int, int, int]
-
 
 class ConfigError(ValueError):
     """Invalid configuration or malformed input data (CLI exit code 1)."""
@@ -83,15 +81,6 @@ class Dimensions:
                 and 0 <= r < self.num_regions and 0 <= d < 3):
             raise IndexError(f"cell ({a}, {m}, {r}, {d}) out of bounds for {self}")
         return ((a * 3 + m) * self.num_regions + r) * 3 + d
-
-    def cell_tuple(self, flat: int) -> Cell:
-        """Inverse of :meth:`cell_index`."""
-        if not 0 <= flat < self.total_cells:
-            raise IndexError(f"flat index {flat} out of bounds for {self}")
-        flat, d = divmod(flat, 3)
-        flat, r = divmod(flat, self.num_regions)
-        a, m = divmod(flat, 3)
-        return (a, m, r, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +375,16 @@ _WRITE_CHUNK_RECORDS = 1 << 14
 
 
 def write_records_csv(path, data: WeekDataset) -> None:
-    """One row per record, users in order; the bytes ``csv.writer`` gives.
+    """One row per record, users in order; the bytes ``csv.writer`` gives:
+    the header line, then :func:`write_record_rows`."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(RECORD_CSV_HEADER) + "\r\n").encode())
+        write_record_rows(fh, data)
+
+
+def write_record_rows(fh, data: WeekDataset) -> None:
+    """Write one row per record of ``data``, users in order, to the binary
+    file ``fh``.
 
     Each user id is quoted by ``csv`` once, as the first of several fields,
     and the rows are joined from f-strings with ``repr`` floats and CRLF
@@ -398,12 +396,10 @@ def write_records_csv(path, data: WeekDataset) -> None:
     owners = np.repeat(np.arange(data.num_users), np.diff(data.offsets))
     columns = (owners, data.region, data.activity, data.direction,
                data.distance_km, data.duration_s)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(RECORD_CSV_HEADER) + "\r\n")
-        for lo in range(0, data.num_records, _WRITE_CHUNK_RECORDS):
-            chunk = (col[lo:lo + _WRITE_CHUNK_RECORDS].tolist() for col in columns)
-            fh.write("".join([f"{tokens[u]}{r},{a},{d},{x!r},{y!r}\r\n"
-                              for u, r, a, d, x, y in zip(*chunk)]))
+    for lo in range(0, data.num_records, _WRITE_CHUNK_RECORDS):
+        chunk = (col[lo:lo + _WRITE_CHUNK_RECORDS].tolist() for col in columns)
+        fh.write("".join([f"{tokens[u]}{r},{a},{d},{x!r},{y!r}\r\n"
+                          for u, r, a, d, x, y in zip(*chunk)]).encode())
 
 
 _NUMBERS = list(zip(RECORD_CSV_HEADER[1:], (np.int64,) * 3 + (float,) * 2))
@@ -520,8 +516,8 @@ _WRITE_CHUNK_CELLS = 1 << 14
 _DIRECTIONS = ("0,", "1,", "2,")
 
 # rows to write, and bytes to read, from which the second half of a histogram
-# file is done by a forked child; a smaller file's second half is done here,
-# after the first
+# file (and of a generated records file, by its expected rows) is done by a
+# forked child; a smaller file's second half is done here, after the first
 _FORK_ROWS = 1 << 16
 _FORK_BYTES = 1 << 22
 
@@ -739,21 +735,3 @@ def _histogram_row_check(dims: Dimensions):
             raise ValueError(f"duplicate cell {cell}")
         seen.add(flat)
     return check
-
-
-def infer_dimensions(datasets, *, num_activities: int = 0, num_regions: int = 0) -> Dimensions:
-    """Smallest Dimensions covering every index seen, with optional overrides.
-
-    When both overrides are given the records are not read at all.
-    """
-    if num_activities > 0 and num_regions > 0:
-        return Dimensions(num_activities=num_activities, num_regions=num_regions)
-    max_a, max_r = 0, 0
-    for data in datasets:
-        if data.num_records:
-            max_a = max(max_a, int(data.activity.max()) + 1)
-            max_r = max(max_r, int(data.region.max()) + 1)
-    return Dimensions(
-        num_activities=num_activities if num_activities > 0 else max(max_a, 1),
-        num_regions=num_regions if num_regions > 0 else max(max_r, 1),
-    )

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # wre_oracle, sparse_reference imports
 
+from dpgb import schema
 from dpgb.datagen import GeneratorSpec, default_profiles, generate
 from dpgb.mechanisms import prepare_release
 from dpgb.schema import Dimensions, MechanismConfig, ScaleMatrix
@@ -16,6 +17,17 @@ from sparse_reference import SparseHistogram, TripRecord, make_dataset, raw_hist
 @pytest.fixture
 def small_dims():
     return Dimensions(num_activities=2, num_regions=4)
+
+
+@pytest.fixture(params=["inline", "forked"])
+def second_half(request, monkeypatch):
+    """Where the second half of a histogram file or a generated records file
+    is done: in this process, with the size constants at their defaults, or
+    in a forked child, with them forced to 0."""
+    if request.param == "forked":
+        monkeypatch.setattr(schema, "_FORK_ROWS", 0)
+        monkeypatch.setattr(schema, "_FORK_BYTES", 0)
+    return request.param
 
 
 @pytest.fixture

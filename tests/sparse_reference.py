@@ -19,6 +19,17 @@ from dpgb.schema import NUM_TRIPS, DISTANCE, DURATION, WeekDataset
 Cell = tuple[int, int, int, int]
 
 
+def cell_tuple(dims, flat: int) -> Cell:
+    """The (activity, metric, region, direction) of a flat cell index: the
+    inverse of ``Dimensions.cell_index``."""
+    if not 0 <= flat < dims.total_cells:
+        raise IndexError(f"flat index {flat} out of bounds for {dims}")
+    flat, d = divmod(flat, 3)
+    flat, r = divmod(flat, dims.num_regions)
+    a, m = divmod(flat, 3)
+    return (a, m, r, d)
+
+
 class TripRecord(NamedTuple):
     """One trip: where it happened, how it was taken, how far and how long."""
 
@@ -171,7 +182,7 @@ def block_histograms(blocks, dims) -> dict:
     for rows in blocks:
         for user, cell, value in zip(rows.user.tolist(), rows.cell.tolist(),
                                      rows.value.tolist()):
-            out.setdefault(user, {})[dims.cell_tuple(cell)] = value
+            out.setdefault(user, {})[cell_tuple(dims, cell)] = value
     return {user: SparseHistogram(dims, cells) for user, cells in out.items()}
 
 

@@ -281,7 +281,7 @@ def test_criterion_11_end_to_end_sweep(desk, tmp_path):
     start = time.perf_counter()
     code = main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                  "--out", str(out_dir), "--repeats", "20", "--seed", str(SWEEP_SEED),
-                 "--min-devices", "20"])
+                 "--min-devices", "20", "--num-activities", "9", "--num-regions", "100"])
     elapsed = time.perf_counter() - start
 
     curve = (out_dir / "curve.dat").read_text()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpgb import cli, schema
+from dpgb import cli, datagen, schema
 from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, _sha256, main
 from dpgb.datagen import generate, ground_truth, read_generator_spec
 from dpgb.dp_core import dense_laplace_noise
@@ -27,6 +27,8 @@ from dpgb.schema import (
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 GEN_CFG = "num_users = 120\nnum_regions = 6\nseed = 4\ntrips_per_user = 6.0\n"
+# the domain of GEN_CFG's records, which sweep and eval take from flags only
+DOMAIN = ["--num-activities", "9", "--num-regions", "6"]
 
 
 def dense_truth(truth):
@@ -85,6 +87,19 @@ class TestGenerate:
         assert "command = generate" in manifest
         assert "input_spec_sha256 = " in manifest
         assert "seed = 4" in manifest
+
+    @pytest.mark.usefixtures("second_half")
+    def test_manifest_counts_every_record_of_both_halves(self, tmp_path):
+        # the child's records come back through shared memory
+        spec_path = tmp_path / "gen.cfg"
+        spec_path.write_text(GEN_CFG)
+        data_path = tmp_path / "data.csv"
+        assert main(["generate", "--spec", str(spec_path), "--out", str(data_path)]) == EXIT_OK
+        data = generate(read_generator_spec(spec_path))
+        manifest = (tmp_path / "data.csv.manifest").read_text().splitlines()
+        assert f"num_users = {data.num_users}" in manifest
+        assert f"num_records = {data.num_records}" in manifest
+        assert len(data_path.read_bytes().splitlines()) == 1 + data.num_records
 
     def test_manifest_hash_spans_chunks(self, tmp_path):
         # inputs are hashed in 1 MiB reads; a file of several reads and a
@@ -289,6 +304,55 @@ class TestRelease:
         assert released[1] is None or np.array_equal(released[0], released[1])
 
 
+    def test_one_user_cannot_grow_the_fitted_domain(self, tmp_path, capsys):
+        """Neighbouring datasets: 300 users on 40 regions, and the same plus
+        one user with a single record in activity 9, a tenth activity.  A
+        sweep fitted on the same proxy, then a release from its config, cover
+        the same 9 x 40-region domain, or the run exits 1 and publishes
+        nothing.  Taken from the records, the domain would have grown the
+        fitted config to ten activities and the release by their cells."""
+        spec_path = tmp_path / "gen.cfg"
+        spec_path.write_text("num_users = 300\nnum_regions = 40\nseed = 9\n")
+        data_path, proxy_path = tmp_path / "data.csv", tmp_path / "proxy.csv"
+        assert main(["generate", "--spec", str(spec_path), "--out", str(data_path)]) == EXIT_OK
+        assert main(["generate", "--spec", str(spec_path), "--out", str(proxy_path),
+                     "--seed", "6"]) == EXIT_OK
+        neighbour_path = tmp_path / "neighbour.csv"
+        neighbour_path.write_bytes(data_path.read_bytes() + b"extra_user,0,9,0,1.5,300.0\r\n")
+        sweep_flags = ["--proxy", str(proxy_path), "--epsilons", "2.0", "--repeats", "1",
+                       "--mechanisms", "activity_metric_scaling"]
+        for missing in ("--num-activities", "--num-regions"):
+            domain = ["--num-activities", "9", "--num-regions", "40"]
+            del domain[domain.index(missing):domain.index(missing) + 2]
+            capsys.readouterr()
+            assert main(["sweep", "--data", str(neighbour_path), "--out", str(tmp_path / "s")]
+                        + sweep_flags + domain) == EXIT_CONFIG
+            assert missing in capsys.readouterr().err
+            assert not (tmp_path / "s").exists()
+        dims = Dimensions(num_activities=9, num_regions=40)
+        released = []
+        for records in (data_path, neighbour_path):
+            sweep_dir = tmp_path / f"sweep_{records.stem}"
+            out = tmp_path / f"released_{records.stem}.csv"
+            capsys.readouterr()
+            code = main(["sweep", "--data", str(records), "--out", str(sweep_dir)] + sweep_flags
+                        + ["--num-activities", "9", "--num-regions", "40"])
+            if code == EXIT_OK:
+                code = main(["release", "--data", str(records), "--config",
+                             str(sweep_dir / "fitted_activity_metric_scaling.cfg"),
+                             "--out", str(out), "--num-regions", "40"])
+            if code == EXIT_CONFIG:
+                assert "out of bounds" in capsys.readouterr().err
+                assert not out.exists()
+                released.append(None)
+            else:
+                assert code == EXIT_OK
+                # raises on a row outside the 9 x 40-region domain
+                released.append(np.flatnonzero(read_histogram_csv(out, dims)))
+        assert released[0] is not None and released[0].size > 0
+        assert released[1] is None or np.array_equal(released[0], released[1])
+
+
 class TestEval:
     def test_recomputed_truth_scores_zero(self, workspace):
         tmp_path, _, data_path, _ = workspace
@@ -300,8 +364,7 @@ class TestEval:
         write_histogram_csv(released_path, dense_truth(ground_truth(data, dims)), dims)
         out_dir = tmp_path / "eval"
         assert main(["eval", "--data", str(data_path), "--released", str(released_path),
-                     "--out", str(out_dir), "--min-devices", "1",
-                     "--num-activities", "9"]) == EXIT_OK
+                     "--out", str(out_dir), "--min-devices", "1"] + DOMAIN) == EXIT_OK
         report = (out_dir / "report.txt").read_text()
         assert "wre = 0.0" in report
         assert (out_dir / "cells.csv").exists()
@@ -316,7 +379,7 @@ class TestEval:
         write_histogram_csv(released_path, dense_truth(ground_truth(data, dims)), dims)
         out_dir = tmp_path / "eval"
         assert main(["eval", "--data", str(data_path), "--released", str(released_path),
-                     "--out", str(out_dir), "--min-devices", "100000"]) == EXIT_OK
+                     "--out", str(out_dir), "--min-devices", "100000"] + DOMAIN) == EXIT_OK
         assert "no eligible cells" in (out_dir / "report.txt").read_text()
 
     def test_duration_unit_scales_diagnostics(self, workspace):
@@ -330,9 +393,9 @@ class TestEval:
         out_s = tmp_path / "eval_s"
         out_m = tmp_path / "eval_m"
         main(["eval", "--data", str(data_path), "--released", str(released_path),
-              "--out", str(out_s), "--min-devices", "1"])
+              "--out", str(out_s), "--min-devices", "1"] + DOMAIN)
         main(["eval", "--data", str(data_path), "--released", str(released_path),
-              "--out", str(out_m), "--min-devices", "1", "--duration-unit", "minutes"])
+              "--out", str(out_m), "--min-devices", "1", "--duration-unit", "minutes"] + DOMAIN)
         import csv
         def duration_trues(path):
             with open(path / "cells.csv", newline="") as fh:
@@ -358,7 +421,7 @@ class TestEval:
         out_dir = tmp_path / "eval"
         assert main(["eval", "--data", str(data_path), "--released", str(released),
                      "--out", str(out_dir), "--min-devices", "5",
-                     "--duration-unit", unit]) == EXIT_OK
+                     "--duration-unit", unit] + DOMAIN) == EXIT_OK
         assert "eligible = 48," in (out_dir / "report.txt").read_text()
         assert _sha256(out_dir / "cells.csv") == cells_sha
 
@@ -369,7 +432,7 @@ class TestSweep:
         assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                      "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
                      "--seed", "7", "--min-devices", "5",
-                     "--mechanisms", "joint_clipping"]) == EXIT_OK
+                     "--mechanisms", "joint_clipping"] + DOMAIN) == EXIT_OK
         assert (out_dir / "sweep.csv").exists()
         assert (out_dir / "sweep_agg.csv").exists()
         assert (out_dir / "curve.dat").exists()
@@ -397,16 +460,16 @@ class TestSweep:
     def test_sweep_requires_proxy_or_unsafe_fit(self, workspace):
         tmp_path, _, data_path, _ = workspace
         assert main(["sweep", "--data", str(data_path),
-                     "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+                     "--out", str(tmp_path / "s")] + DOMAIN) == EXIT_CONFIG
         assert main(["sweep", "--data", str(data_path), "--proxy", str(data_path),
-                     "--out", str(tmp_path / "s"), "--unsafe-fit"]) == EXIT_CONFIG
+                     "--out", str(tmp_path / "s"), "--unsafe-fit"] + DOMAIN) == EXIT_CONFIG
 
     def test_unsafe_fit_runs(self, workspace):
         tmp_path, _, data_path, _ = workspace
         out_dir = tmp_path / "s"
         assert main(["sweep", "--data", str(data_path), "--out", str(out_dir),
                      "--unsafe-fit", "--epsilons", "2.0", "--repeats", "1",
-                     "--mechanisms", "joint_clipping", "--min-devices", "5"]) == EXIT_OK
+                     "--mechanisms", "joint_clipping", "--min-devices", "5"] + DOMAIN) == EXIT_OK
 
     def test_sweep_parses_a_proxy_that_is_the_data_once(self, workspace, monkeypatch):
         tmp_path, _, _, proxy_path = workspace
@@ -425,7 +488,7 @@ class TestSweep:
             reads.clear()
             assert main(["sweep", "--data", str(proxy_path), "--proxy", str(proxy),
                          "--out", str(out_dir), "--epsilons", "1.0,2.0", "--repeats", "2",
-                         "--min-devices", "5"]) == EXIT_OK
+                         "--min-devices", "5"] + DOMAIN) == EXIT_OK
             assert len(reads) == expected_reads
             outputs[proxy] = {path.name: path.read_bytes() for path in out_dir.iterdir()
                               if path.name != "manifest"}
@@ -439,7 +502,7 @@ class TestSweep:
         cfg.write_text("epsilons = 1.0,2.0\nrepeats = 1\n")
         out_dir = tmp_path / "s"
         assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
-                     "--out", str(out_dir), "--config", str(cfg)]) == EXIT_CONFIG
+                     "--out", str(out_dir), "--config", str(cfg)] + DOMAIN) == EXIT_CONFIG
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out_dir.exists()
 
@@ -450,7 +513,7 @@ class TestSweep:
         assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                      "--out", str(out_dir), "--test-mode", "--epsilons", "2.0",
                      "--repeats", "1", "--mechanisms", "joint_clipping",
-                     "--min-devices", "5"]) == EXIT_CONFIG
+                     "--min-devices", "5"] + DOMAIN) == EXIT_CONFIG
         assert "unrecognized arguments: --test-mode" in capsys.readouterr().err
         assert not out_dir.exists()
 
@@ -465,7 +528,8 @@ class TestSweep:
             out_dir = tmp_path / "s"
             assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                          "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
-                         "--mechanisms", "joint_clipping", "--min-devices", "5"]) == EXIT_OK
+                         "--mechanisms", "joint_clipping", "--min-devices", "5"]
+                        + DOMAIN) == EXIT_OK
             manifests.append((out_dir / "manifest").read_bytes())
         assert manifests[0] == manifests[1] == manifests[2]
 
@@ -477,7 +541,7 @@ class TestReport:
         main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
               "--out", str(sweep_dir), "--epsilons", "1.0,2.0", "--repeats", "2",
               "--mechanisms", "joint_clipping,activity_metric_scaling",
-              "--min-devices", "5"])
+              "--min-devices", "5"] + DOMAIN)
         report_dir = tmp_path / "report"
         assert main(["report", "--sweep", str(sweep_dir / "sweep.csv"),
                      "--out", str(report_dir)]) == EXIT_OK
@@ -581,13 +645,13 @@ def test_release_eval_sweep_build_no_sparse_release(workspace):
     sweep_dir = tmp_path / "s"
     assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
                  "--out", str(sweep_dir), "--epsilons", "2.0", "--repeats", "2",
-                 "--min-devices", "5"]) == EXIT_OK
+                 "--min-devices", "5"] + DOMAIN) == EXIT_OK
     released = tmp_path / "released.csv"
     assert main(["release", "--data", str(data_path), "--config",
                  str(sweep_dir / "fitted_budget_split.cfg"), "--out", str(released),
                  "--num-regions", "6"]) == EXIT_OK
     assert main(["eval", "--data", str(data_path), "--released", str(released),
-                 "--out", str(tmp_path / "eval"), "--min-devices", "5"]) == EXIT_OK
+                 "--out", str(tmp_path / "eval"), "--min-devices", "5"] + DOMAIN) == EXIT_OK
 
 
 def test_release_holds_one_dense_vector(workspace, monkeypatch):
@@ -642,7 +706,7 @@ def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsy
     monkeypatch.setattr("dpgb.cli.read_records_csv", refuse_to_read)
     out_dir = tmp_path / "s"
     assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
-                 "--out", str(out_dir), "--repeats", "1"] + flags) == EXIT_CONFIG
+                 "--out", str(out_dir), "--repeats", "1"] + DOMAIN + flags) == EXIT_CONFIG
     assert named in capsys.readouterr().err
     assert not out_dir.exists()
 
@@ -667,6 +731,29 @@ def test_release_exits_2_when_the_child_writing_the_second_half_fails(
     assert ("i/o error: the child process for the second half exited with status 1"
             in capsys.readouterr().err)
     assert os.listdir(out_dir) == ["released.csv"]  # the first half, and no temporary file
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_generate_exits_2_when_the_child_drawing_the_second_half_fails(
+        tmp_path, monkeypatch, capsys):
+    spec_path = tmp_path / "gen.cfg"
+    spec_path.write_text(GEN_CFG)
+    monkeypatch.setattr(schema, "_FORK_ROWS", 0)
+    parent, write_rows = os.getpid(), datagen.write_record_rows
+
+    def fail_in_child(*args):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device")
+        write_rows(*args)
+    monkeypatch.setattr(datagen, "write_record_rows", fail_in_child)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["generate", "--spec", str(spec_path),
+                 "--out", str(out_dir / "data.csv")]) == EXIT_IO
+    assert ("i/o error: the child process for the second half exited with status 1"
+            in capsys.readouterr().err)
+    # the first half, and neither a manifest nor a temporary file
+    assert os.listdir(out_dir) == ["data.csv"]
 
 
 def test_header_only_records(workspace, capsys):
@@ -694,6 +781,6 @@ def test_header_only_records(workspace, capsys):
     capsys.readouterr()
     assert main(["sweep", "--data", str(data_path), "--proxy", str(empty),
                  "--out", str(tmp_path / "s"), "--epsilons", "2.0",
-                 "--repeats", "1"]) == EXIT_CONFIG
+                 "--repeats", "1"] + DOMAIN) == EXIT_CONFIG
     assert "fit_clip needs a non-empty dataset" in capsys.readouterr().err
     assert not (tmp_path / "s" / "sweep.csv").exists()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from dpgb.datagen import (
     GeneratorSpec,
     default_profiles,
     generate,
+    generate_csv,
     ground_truth,
     load_profiles,
     read_generator_spec,
@@ -23,6 +25,7 @@ from conftest import default_spec, proxy_pair
 from generator_reference import poisson_inverse, reference_generate
 from sparse_reference import (
     TripRecord,
+    cell_tuple,
     make_dataset,
     reference_ground_truth,
     same_dataset,
@@ -243,14 +246,55 @@ class TestGenerate:
             assert ks_distance(na, nb) < 0.05
 
 
+class TestGenerateCsv:
+    """``dpgb generate`` draws and writes the users in two halves, split at
+    ``num_users // 2``: the bytes of one write of the whole week."""
+
+    @pytest.mark.usefixtures("second_half")
+    @pytest.mark.parametrize("num_users, trips_per_user, empty_user", [
+        (0, 15.0, None), (1, 15.0, None), (3, 15.0, None), (40, 0.0, 20),
+        (7, 2.0, 3), (8, 2.0, 3),
+    ], ids=["0-users", "1-user", "3-users", "no-trips", "empty-first-of-second-half",
+            "empty-last-of-first-half"])
+    def test_same_bytes_as_one_write(self, tmp_path, num_users, trips_per_user, empty_user):
+        spec = default_spec(num_users=num_users, num_regions=5, seed=3,
+                            trips_per_user=trips_per_user)
+        data = generate(spec)
+        if empty_user is not None:  # the case is there: this user holds no records
+            assert data.offsets[empty_user] == data.offsets[empty_user + 1]
+        expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
+        write_records_csv(expected, data)
+        assert generate_csv(got, spec) == data.num_records
+        assert got.read_bytes() == expected.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["expected.csv", "got.csv"]
+
+    def test_a_range_of_users_is_drawn_as_in_the_whole_week(self):
+        spec = small_spec(num_users=50)
+        whole = generate(spec)
+        head, tail = generate(spec, range(20)), generate(spec, range(20, 50))
+        assert tail.user_ids == whole.user_ids[20:]
+        assert np.array_equal(np.concatenate((head.offsets[:-1], tail.offsets + head.num_records)),
+                              whole.offsets)
+        for name in ("region", "activity", "direction", "distance_km", "duration_s"):
+            column = getattr(whole, name)
+            assert getattr(head, name).tobytes() + getattr(tail, name).tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize("users", [range(-1, 3), range(0, 51)],
+                             ids=["negative-start", "past-the-end"])
+    def test_a_range_outside_the_users_is_rejected(self, users):
+        with pytest.raises(ValueError, match="is not a range of the 50 users"):
+            generate(small_spec(num_users=50), users)
+
+
 class TestPoissonInverse:
     """Trip counts are drawn by inverting the Poisson CDF at one uniform."""
 
+    @pytest.mark.usefixtures("second_half")
     def test_desk_dataset_bytes_unchanged(self, tmp_path):
         # rates below 708 keep the original recurrence draw for draw
         spec = default_spec(num_users=10_000, num_regions=100, seed=7)
         path = tmp_path / "desk.csv"
-        write_records_csv(path, generate(spec))
+        generate_csv(path, spec)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "132a5272d0ec0be205bb2809c93070670d57cf7204f106297fc6e6b4ec2a0149")
 
@@ -258,12 +302,13 @@ class TestPoissonInverse:
         (10_000, 50_000, "590d32ba62f7202f7863dd3d0e09eafb6681ebd4db07de59263a8985b02df0cb"),
         (20_000, 100, "15d26c8a5ca7c72f5e98b70e3e9252bc13947612007dccb29dac9d345ce28fd4"),
     ], ids=["production", "desk-20k"])
+    @pytest.mark.usefixtures("second_half")
     def test_dataset_bytes_unchanged_at_more_shapes(self, tmp_path, num_users, num_regions,
                                                     digest):
         # the dpgb generate output of the scalar generator these were recorded from
         spec = default_spec(num_users=num_users, num_regions=num_regions, seed=7)
         path = tmp_path / "data.csv"
-        write_records_csv(path, generate(spec))
+        generate_csv(path, spec)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("lam", [745.0, 746.0, 1000.0, 5000.0])
@@ -311,7 +356,7 @@ def truth_cells(truth):
     """{cell: (total, devices)} of a GroundTruth, in first-appearance order."""
     assert np.all(np.diff(truth.flat) > 0)
     order = truth.order
-    return {truth.dims.cell_tuple(flat): (total, devices) for flat, total, devices in zip(
+    return {cell_tuple(truth.dims, flat): (total, devices) for flat, total, devices in zip(
         truth.flat[order].tolist(), truth.totals[order].tolist(), truth.devices[order].tolist())}
 
 

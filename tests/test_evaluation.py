@@ -21,7 +21,7 @@ from dpgb.evaluation import (
 from dpgb.mechanisms import finish_release
 from dpgb.schema import Dimensions
 from conftest import default_spec, prepare, proxy_pair, random_histogram
-from sparse_reference import SparseHistogram, as_ground_truth, reference_ground_truth
+from sparse_reference import SparseHistogram, as_ground_truth, cell_tuple, reference_ground_truth
 from wre_oracle import brute_force_wre
 
 METRICS = ("num_trips", "distance", "duration")
@@ -133,7 +133,7 @@ def test_weight_table_sums_to_one_per_region(rng):
     plan = ScoringPlan.build(as_ground_truth(truth, {}), 0)
     per_region = {}
     for flat, w in zip(plan.flat[0].tolist(), plan.weights[0].tolist()):
-        r = dims.cell_tuple(flat)[2]
+        r = cell_tuple(dims, flat)[2]
         per_region[r] = per_region.get(r, 0.0) + w
     assert len(per_region) == len({r for (_, m, r, _) in truth.cells if m == 0})
     for total in per_region.values():

@@ -15,7 +15,6 @@ from dpgb.schema import (
     MechanismConfig,
     ScaleMatrix,
     WeekDataset,
-    infer_dimensions,
     read_histogram_csv,
     read_mechanism_config,
     read_records_csv,
@@ -29,6 +28,7 @@ from sparse_reference import (
     SparseHistogram,
     TripRecord,
     block_histograms,
+    cell_tuple,
     make_dataset,
     same_dataset,
     user_histogram,
@@ -46,7 +46,7 @@ def csv_writer_histogram(path, dense, dims):
         writer = csv.writer(fh)
         writer.writerow(["activity", "metric", "region", "direction", "value"])
         for flat in np.flatnonzero(dense).tolist():
-            a, m, r, d = dims.cell_tuple(flat)
+            a, m, r, d = cell_tuple(dims, flat)
             writer.writerow([a, METRIC_NAMES[m], r, d, dense[flat].item()])
 
 
@@ -90,7 +90,7 @@ class TestDimensions:
             with pytest.raises(IndexError):
                 dims.cell_index(*bad)
         with pytest.raises(IndexError):
-            dims.cell_tuple(dims.total_cells)
+            cell_tuple(dims, dims.total_cells)
 
     def test_roundtrip_exhaustive_small(self):
         dims = Dimensions(num_activities=2, num_regions=5)
@@ -100,7 +100,7 @@ class TestDimensions:
                 for r in range(5):
                     for d in range(3):
                         flat = dims.cell_index(a, m, r, d)
-                        assert dims.cell_tuple(flat) == (a, m, r, d)
+                        assert cell_tuple(dims, flat) == (a, m, r, d)
                         seen.add(flat)
         assert seen == set(range(dims.total_cells))  # bijection onto [0, total)
 
@@ -109,7 +109,7 @@ class TestDimensions:
         for _ in range(1000):
             cell = (int(rng.integers(9)), int(rng.integers(3)),
                     int(rng.integers(100)), int(rng.integers(3)))
-            assert dims.cell_tuple(dims.cell_index(*cell)) == cell
+            assert cell_tuple(dims, dims.cell_index(*cell)) == cell
 
 
 class TestTripRecord:
@@ -201,7 +201,7 @@ class TestUserHistogram:
             got = vectors.get(i, SparseHistogram.empty(small_dims))
             assert got.cells == expected.cells  # values equal bit for bit
             # first orders a user's rows as the reference dict does
-            rows = [(int(block.first[k]), small_dims.cell_tuple(int(block.cell[k])))
+            rows = [(int(block.first[k]), cell_tuple(small_dims, int(block.cell[k])))
                     for block in blocks for k in np.flatnonzero(block.user == i)]
             assert [cell for _, cell in sorted(rows)] == list(expected.cells)
         # blocks hold whole users in order; starts delimit each user's rows
@@ -237,7 +237,7 @@ class TestSparseHistogram:
     def test_dense_roundtrip(self, small_dims, rng):
         hist = random_histogram(rng, small_dims)
         dense = hist.to_dense()
-        back = {small_dims.cell_tuple(int(i)): float(dense[i]) for i in np.flatnonzero(dense)}
+        back = {cell_tuple(small_dims, int(i)): float(dense[i]) for i in np.flatnonzero(dense)}
         assert back == hist.cells
 
     def test_l1_norm(self, small_dims):
@@ -559,39 +559,6 @@ class TestFileFormats:
             read_mechanism_config(path)
 
 
-def test_infer_dimensions():
-    data = make_dataset("w", [("u1", (TripRecord(7, 2, 1, 1.0, 1.0),)), ("u2", ())])
-    dims = infer_dimensions([data, make_dataset("empty", [])])
-    assert dims.num_regions == 8 and dims.num_activities == 3
-    dims = infer_dimensions([data], num_activities=9, num_regions=50)
-    assert dims.num_regions == 50 and dims.num_activities == 9
-
-
-def test_infer_dimensions_overrides_skip_the_records():
-    class Unreadable:
-        def __getattr__(self, name):
-            pytest.fail(f"infer_dimensions read {name}")
-
-        def __iter__(self):
-            pytest.fail("infer_dimensions iterated the datasets")
-
-    dims = infer_dimensions(Unreadable(), num_activities=9, num_regions=50)
-    assert dims == Dimensions(num_activities=9, num_regions=50)
-    dims = infer_dimensions([Unreadable()], num_activities=2, num_regions=7)
-    assert dims == Dimensions(num_activities=2, num_regions=7)
-
-
-@pytest.fixture(params=["inline", "forked"])
-def second_half(request, monkeypatch):
-    """Where the second half of a histogram file is written or read: in this
-    process, with the size constants at their defaults, or in a forked
-    child, with them forced to 0."""
-    if request.param == "forked":
-        monkeypatch.setattr(schema, "_FORK_ROWS", 0)
-        monkeypatch.setattr(schema, "_FORK_BYTES", 0)
-    return request.param
-
-
 class TestDenseHistogramFiles:
     """The release file boundary: a dense vector in cell_index order."""
 
@@ -621,7 +588,7 @@ class TestDenseHistogramFiles:
         write_histogram_csv(path, dense, dims)
         expected = ["activity,metric,region,direction,value"]
         for flat in flats.tolist():
-            a, m, r, d = dims.cell_tuple(flat)
+            a, m, r, d = cell_tuple(dims, flat)
             expected.append(f"{a},{METRIC_NAMES[m]},{r},{d},{float(dense[flat])!r}")
         assert path.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()
 
