@@ -1,4 +1,4 @@
-"""Command-line driver: generate, release, eval, sweep, report.
+"""Command-line driver: generate, release, eval, sweep.
 
 Every command is a pure function of its input files, flags, and seeds; no
 wall clock, locale, or filesystem-order dependence enters the outputs, and
@@ -28,9 +28,7 @@ from .evaluation import (
     DEFAULT_MIN_DEVICES,
     METRIC_NAMES,
     ScoringPlan,
-    SweepResult,
     check_sweep_settings,
-    read_sweep_csv,
     render_metric_table,
     sweep,
     weighted_relative_error,
@@ -123,6 +121,8 @@ def cmd_release(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
+    if args.min_devices < 0:
+        raise ConfigError(f"min_devices must be >= 0, got {args.min_devices}")
     dims = Dimensions(args.num_activities, args.num_regions)
     data = read_records_csv(args.data)
     plan = ScoringPlan.build(ground_truth(data, dims), args.min_devices)
@@ -172,7 +172,8 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError("--unsafe-fit fits on the evaluation data; do not pass --proxy with it")
     if not args.unsafe_fit and args.proxy is None:
         raise ConfigError("sweep needs --proxy (or the explicit --unsafe-fit)")
-    check_sweep_settings(args.epsilons, args.mechanisms, args.repeats, args.seed, args.tau)
+    check_sweep_settings(args.epsilons, args.mechanisms, args.repeats, args.seed, args.tau,
+                         args.min_devices)
     dims = Dimensions(args.num_activities, args.num_regions)
 
     data = read_records_csv(args.data)
@@ -217,24 +218,6 @@ def cmd_sweep(args, argv) -> int:
          "unsafe_fit": args.unsafe_fit})
     print(render_metric_table(result, args.table_epsilon), end="")
     print(f"wrote sweep outputs to {out_dir}")
-    return EXIT_OK
-
-
-def cmd_report(args, argv) -> int:
-    rows, mechanisms, epsilons, repeats = read_sweep_csv(args.sweep)
-    if not rows:
-        raise ConfigError(f"{args.sweep}: no sweep rows")
-    result = SweepResult(rows, mechanisms, epsilons, repeats, min_devices=-1)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / "curve.dat"
-    table_path = out_dir / "metric_table.txt"
-    write_curve_data(curve_path, result)
-    table_path.write_text(render_metric_table(result, args.table_epsilon), encoding="utf-8")
-    _write_manifest(
-        out_dir / "report.manifest", "report", argv, {"sweep": args.sweep},
-        [curve_path, table_path], {"table_epsilon": args.table_epsilon})
-    print(render_metric_table(result, args.table_epsilon), end="")
     return EXIT_OK
 
 
@@ -294,12 +277,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--unsafe-fit", action="store_true", dest="unsafe_fit",
                          help="fit hyperparameters on the evaluation data itself")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_rep = sub.add_parser("report", help="re-render table and curve data from a sweep CSV")
-    p_rep.add_argument("--sweep", required=True, help="path to sweep.csv")
-    p_rep.add_argument("--out", required=True, help="output directory")
-    p_rep.add_argument("--table-epsilon", type=float, default=2.0, dest="table_epsilon")
-    p_rep.set_defaults(func=cmd_report)
 
     return parser
 

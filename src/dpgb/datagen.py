@@ -26,18 +26,15 @@ import csv
 import itertools
 import math
 import mmap
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import schema
 from .dp_core import _U_FLOOR, derive_seed
 from .schema import (
+    RECORD_CSV_HEADER,
     ConfigError,
     Dimensions,
     ScaleMatrix,
@@ -46,8 +43,8 @@ from .schema import (
     _parse_int,
     read_kv_file,
     user_cells,
+    write_in_halves,
     write_record_rows,
-    write_records_csv,
 )
 
 _HOME_REGION_SHARE = 0.9  # remaining trips resample the region popularity table
@@ -372,33 +369,25 @@ def generate_csv(path, spec: GeneratorSpec) -> int:
     the number of records.
 
     The users are drawn and written as two halves, split at
-    ``num_users // 2``.  This process draws the first half and writes it
-    after the header.  The second half is drawn, formatted into an unlinked
-    temporary file in the same directory and its record count kept in
-    shared memory; the file is appended once that is done.  When the
-    expected rows, ``num_users * trips_per_user``, reach
-    ``schema._FORK_ROWS``, a forked child does the second half while this
-    process does the first; otherwise it is done here, after the first.
-    OSError when the child fails, which leaves the first half in ``path``.
+    ``num_users // 2``, by :func:`schema.write_in_halves`, which draws the
+    second half in a forked child when the expected rows,
+    ``num_users * trips_per_user``, are many; each half keeps its record
+    count in shared memory.  OSError when the child fails, which leaves no
+    file at ``path``.
     """
     split = spec.num_users // 2
-    fork = spec.num_users * spec.trips_per_user >= schema._FORK_ROWS
-    tail_records = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as tail:
+    records = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
 
-        def second_half():
-            data = generate(spec, range(split, spec.num_users))
-            write_record_rows(tail, data)
-            tail.flush()
-            tail_records[0] = data.num_records
+    def half(k: int, users: range):
+        def write(fh):
+            data = generate(spec, users)
+            write_record_rows(fh, data)
+            records[k] = data.num_records
+        return write
 
-        with schema._second_half(second_half, fork):
-            head = generate(spec, range(split))
-            write_records_csv(path, head)
-        tail.seek(0)
-        with open(path, "ab") as fh:
-            shutil.copyfileobj(tail, fh)
-    return head.num_records + int(tail_records[0])
+    write_in_halves(path, RECORD_CSV_HEADER, half(0, range(split)),
+                    half(1, range(split, spec.num_users)), spec.num_users * spec.trips_per_user)
+    return int(records.sum())
 
 
 @dataclass(frozen=True, eq=False)

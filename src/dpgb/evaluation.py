@@ -12,7 +12,6 @@ path.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,7 +223,7 @@ class SweepResult:
     epsilons: tuple[float, ...]
     repeats: int
     min_devices: int
-    fitted: FittedHyperparameters | None = None
+    fitted: FittedHyperparameters
 
     def mean_std(self, mechanism: str, epsilon: float) -> tuple[float, float]:
         values = [row.overall for row in self.rows
@@ -259,7 +258,8 @@ def sweep(
     seeds, so the order they run in cannot change any number.  The lists
     and settings are checked before any fitting starts.
     """
-    epsilons, mechanisms = check_sweep_settings(epsilons, mechanisms, repeats, seed, tau)
+    epsilons, mechanisms = check_sweep_settings(epsilons, mechanisms, repeats, seed, tau,
+                                                min_devices)
     fitted = fit_hyperparameters(proxy, dims)
     plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
     rows = []
@@ -275,8 +275,8 @@ def sweep(
     return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, fitted)
 
 
-def check_sweep_settings(epsilons, mechanisms, repeats: int, seed: int,
-                         tau: float) -> tuple[tuple[float, ...], tuple[str, ...]]:
+def check_sweep_settings(epsilons, mechanisms, repeats: int, seed: int, tau: float,
+                         min_devices: int) -> tuple[tuple[float, ...], tuple[str, ...]]:
     """The epsilon and mechanism lists as tuples, once every setting of a
     sweep is checked; ConfigError names the first bad one.  Needs no data,
     so a caller can check before it reads any."""
@@ -284,6 +284,8 @@ def check_sweep_settings(epsilons, mechanisms, repeats: int, seed: int,
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if min_devices < 0:
+        raise ConfigError(f"min_devices must be >= 0, got {min_devices}")
     epsilons = tuple(float(e) for e in epsilons)
     mechanisms = tuple(mechanisms)
     _check_distinct("mechanism", mechanisms)
@@ -351,10 +353,9 @@ def render_metric_table(result: SweepResult, epsilon: float) -> str:
     """Plain-text per-metric breakdown at one budget, with the reference rows."""
     nearest = min(result.epsilons, key=lambda e: abs(e - epsilon))
     width = max(len(kind) for kind in result.mechanisms) + 2
-    floor = f", min_devices = {result.min_devices}" if result.min_devices >= 0 else ""
     lines = [
         f"weighted relative error by metric (epsilon = {nearest:g}, "
-        f"{result.repeats} repeats{floor})",
+        f"{result.repeats} repeats, min_devices = {result.min_devices})",
         f"{'mechanism':<{width}}" + "".join(f"{name:>12}" for name in METRIC_NAMES),
     ]
     for kind in result.mechanisms:
@@ -366,49 +367,3 @@ def render_metric_table(result: SweepResult, epsilon: float) -> str:
         lines.append(
             f"{kind:<{width}}" + "".join(f"{v:>12.3f}" for v in values))
     return "\n".join(lines) + "\n"
-
-
-def read_sweep_csv(path) -> tuple[tuple[SweepRow, ...], tuple[str, ...], tuple[float, ...], int]:
-    """Parse a sweep CSV back into rows (for the report command)."""
-    grouped: dict[tuple[str, float, int], dict[str, float]] = {}
-    mechanisms: list[str] = []
-    epsilons: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SWEEP_CSV_HEADER:
-            raise ConfigError(f"{path}: bad header {header!r}, expected {SWEEP_CSV_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SWEEP_CSV_HEADER):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {len(SWEEP_CSV_HEADER)} fields, got {len(row)}")
-            try:
-                kind, epsilon, repeat, wre = row[0], float(row[1]), int(row[2]), float(row[4])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if repeat < 0:
-                raise ConfigError(f"{path}:{lineno}: repeat must be >= 0, got {repeat}")
-            if row[3] not in METRIC_NAMES:
-                raise ConfigError(f"{path}:{lineno}: unknown metric {row[3]!r}")
-            metrics = grouped.setdefault((kind, epsilon, repeat), {})
-            if row[3] in metrics:
-                raise ConfigError(
-                    f"{path}:{lineno}: duplicate row {(kind, epsilon, repeat, row[3])}")
-            metrics[row[3]] = wre
-            if kind not in mechanisms:
-                mechanisms.append(kind)
-            if epsilon not in epsilons:
-                epsilons.append(epsilon)
-    rows = []
-    for (kind, epsilon, repeat), wre in grouped.items():
-        if len(wre) != len(METRIC_NAMES):
-            raise ConfigError(f"{path}: incomplete metrics for {(kind, epsilon, repeat)}")
-        rows.append(SweepRow(kind, epsilon, repeat, 0,
-                             wre, float(np.mean([wre[n] for n in METRIC_NAMES]))))
-    repeats = max(row.repeat for row in rows) + 1 if rows else 0
-    for cell in itertools.product(mechanisms, epsilons, range(repeats)):
-        if cell not in grouped:
-            raise ConfigError(f"{path}: no rows for {cell}")
-    return tuple(rows), tuple(mechanisms), tuple(sorted(epsilons)), repeats

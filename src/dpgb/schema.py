@@ -18,7 +18,7 @@ import os
 import shutil
 import tempfile
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,20 +39,11 @@ class ConfigError(ValueError):
     """Invalid configuration or malformed input data (CLI exit code 1)."""
 
 
-_METRIC_TOKENS = {**{name: m for m, name in enumerate(METRIC_NAMES)}, "0": 0, "1": 1, "2": 2}
-
-
 def metric_index(token: str) -> int:
-    """A metric by its exact name or by index ``0``, ``1`` or ``2``."""
-    if token in _METRIC_TOKENS:
-        return _METRIC_TOKENS[token]
-    try:
-        m = int(token)
-    except ValueError:
-        m = None
-    if m is None or str(m) != token:
+    """A metric by its exact name, as the histogram writer writes it."""
+    if token not in METRIC_NAMES:
         raise ConfigError(f"unknown metric {token!r}")
-    raise ConfigError(f"metric index out of range: {m}")
+    return METRIC_NAMES.index(token)
 
 
 @dataclass(frozen=True)
@@ -515,9 +506,9 @@ _WRITE_CHUNK_CELLS = 1 << 14
 # the "direction," field of a row, by direction
 _DIRECTIONS = ("0,", "1,", "2,")
 
-# rows to write, and bytes to read, from which the second half of a histogram
-# file (and of a generated records file, by its expected rows) is done by a
-# forked child; a smaller file's second half is done here, after the first
+# rows to write, and bytes to read, from which the second half of a file is
+# done by a forked child; a smaller file's second half is done here, after
+# the first
 _FORK_ROWS = 1 << 16
 _FORK_BYTES = 1 << 22
 
@@ -548,16 +539,51 @@ def _second_half(work, fork: bool):
                       f"{os.waitstatus_to_exitcode(status)}")
 
 
+def write_in_halves(path, header: list[str], head, tail, rows: float) -> None:
+    """Write the CSV file ``path``: the ``header`` line, then the rows that
+    ``head(fh)`` and then ``tail(fh)`` write to a binary file ``fh``.
+
+    With ``rows``, the expected number of rows, at ``_FORK_ROWS`` or more,
+    a forked child writes the tail into an unlinked temporary file while
+    this process writes the head, and the tail is appended once the child
+    has exited 0.  The file is written under a temporary name in the same
+    directory, which replaces ``path`` once both halves are in and is
+    removed on any error, so ``path`` never holds part of a file.  OSError
+    when the child fails.
+    """
+    part = f"{path}.{os.getpid()}.part"
+    fh = open(part, "xb")  # the mode open(path, "wb") would give a new path
+    try:
+        with fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            if rows < _FORK_ROWS or not hasattr(os, "fork"):
+                head(fh)
+                tail(fh)
+            else:
+                with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(part))) as rest:
+
+                    def second_half():
+                        tail(rest)
+                        rest.flush()
+
+                    with _second_half(second_half, True):
+                        head(fh)
+                    rest.seek(0)
+                    shutil.copyfileobj(rest, fh)
+        os.replace(part, path)
+    except BaseException:
+        os.remove(part)
+        raise
+
+
 def write_histogram_csv(path, dense: np.ndarray, dims: Dimensions) -> None:
     """One row per nonzero cell, in flat cell order; metric written by name.
 
     A row is ``activity,metric,region,direction,repr(value)`` ended by
     CRLF, the bytes ``csv.writer`` gives for the same rows.  The rows are
-    written as two halves by count, split at a chunk boundary.  With
-    ``_FORK_ROWS`` rows or more, a forked child writes the second half into
-    an unlinked temporary file in the same directory, which is appended to
-    the first half once the child has exited 0; so the bytes depend on
-    neither the split nor the process that formats them.
+    written by :func:`write_in_halves` as two halves by count, split at a
+    chunk boundary, so the bytes depend on neither the split nor the
+    process that formats them.
     """
     if dense.shape != (dims.total_cells,):
         raise ValueError(f"dense array shape {dense.shape} does not match {dims}")
@@ -568,21 +594,9 @@ def write_histogram_csv(path, dense: np.ndarray, dims: Dimensions) -> None:
     rows = int(ends[-1])
     # the first half ends at the chunk boundary before its middle row
     split = _WRITE_CHUNK_CELLS * int(np.searchsorted(ends, rows // 2))
-    fork = rows >= _FORK_ROWS
-    directory = os.path.dirname(os.path.abspath(path))
-    with open(path, "wb") as fh, (
-            tempfile.TemporaryFile(dir=directory) if fork else nullcontext(fh)) as tail:
-        fh.write((",".join(HISTOGRAM_CSV_HEADER) + "\r\n").encode())
-
-        def second_half():
-            _write_rows(tail, dense, regions, split, dims.total_cells)
-            tail.flush()
-
-        with _second_half(second_half, fork):
-            _write_rows(fh, dense, regions, 0, split)
-        if tail is not fh:
-            tail.seek(0)
-            shutil.copyfileobj(tail, fh)
+    write_in_halves(path, HISTOGRAM_CSV_HEADER,
+                    lambda fh: _write_rows(fh, dense, regions, 0, split),
+                    lambda fh: _write_rows(fh, dense, regions, split, dims.total_cells), rows)
 
 
 def _write_rows(fh, dense: np.ndarray, regions: list[str], lo: int, hi: int) -> None:
@@ -709,8 +723,8 @@ def _read_rows(lines, dims: Dimensions, dense: np.ndarray, seen: np.ndarray) -> 
         rows = _loadtxt(lines, _HISTOGRAM_DTYPE, max_rows=_READ_BLOCK_ROWS)
         a, r, d = rows["activity"], rows["region"], rows["direction"]
         m = np.full(rows.size, -1)
-        for token, index in _METRIC_TOKENS.items():
-            m[rows["metric"] == token.encode()] = index
+        for index, name in enumerate(METRIC_NAMES):
+            m[rows["metric"] == name.encode()] = index
         if not np.all((m >= 0) & (a >= 0) & (a < dims.num_activities)
                       & (r >= 0) & (r < dims.num_regions) & (d >= 0) & (d < 3)):
             raise ValueError("a row names no cell of the domain")

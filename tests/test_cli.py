@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import os
 import re
 import shlex
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from dpgb.dp_core import dense_laplace_noise
 from dpgb.evaluation import ScoringPlan, run_seed
 from dpgb.mechanisms import finish_release, fit_clip, fit_scales, prepare_release
 from dpgb.schema import (
+    METRIC_NAMES,
     Dimensions,
     MechanismConfig,
     ScaleMatrix,
@@ -369,6 +372,19 @@ class TestEval:
         assert "wre = 0.0" in report
         assert (out_dir / "cells.csv").exists()
 
+    def test_negative_floor_is_rejected_before_the_records_are_read(
+            self, workspace, monkeypatch, capsys):
+        tmp_path, _, data_path, _ = workspace
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the records before the floor was checked")
+        monkeypatch.setattr(cli, "read_records_csv", refuse)
+        out_dir = tmp_path / "eval"
+        assert main(["eval", "--data", str(data_path), "--released", str(data_path),
+                     "--out", str(out_dir), "--min-devices", "-7"] + DOMAIN) == EXIT_CONFIG
+        assert "min_devices must be >= 0, got -7" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_huge_floor_flags_no_eligible_cells(self, workspace):
         tmp_path, _, data_path, _ = workspace
         from dpgb.datagen import ground_truth
@@ -533,78 +549,54 @@ class TestSweep:
             manifests.append((out_dir / "manifest").read_bytes())
         assert manifests[0] == manifests[1] == manifests[2]
 
-
-class TestReport:
-    def test_report_rerenders_sweep(self, workspace):
+    def test_table_and_curve_are_the_aggregates_of_sweep_csv(self, workspace):
         tmp_path, _, data_path, proxy_path = workspace
-        sweep_dir = tmp_path / "sweep"
-        main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
-              "--out", str(sweep_dir), "--epsilons", "1.0,2.0", "--repeats", "2",
-              "--mechanisms", "joint_clipping,activity_metric_scaling",
-              "--min-devices", "5"] + DOMAIN)
-        report_dir = tmp_path / "report"
-        assert main(["report", "--sweep", str(sweep_dir / "sweep.csv"),
-                     "--out", str(report_dir)]) == EXIT_OK
-        assert "joint_clipping" in (report_dir / "metric_table.txt").read_text()
-        assert "0.03" in (report_dir / "curve.dat").read_text()
+        out_dir = tmp_path / "s"
+        mechanisms, epsilons, repeats = ("joint_clipping", "activity_metric_scaling"), (1.0, 2.0), 3
+        assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
+                     "--out", str(out_dir), "--epsilons", "1.0,2.0", "--repeats", str(repeats),
+                     "--mechanisms", ",".join(mechanisms), "--min-devices", "5"]
+                    + DOMAIN) == EXIT_OK
+        wre = {}  # (mechanism, epsilon) -> one {metric: wre} per repeat, in file order
+        with open(out_dir / "sweep.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                cell = wre.setdefault((row["mechanism"], float(row["epsilon"])), {})
+                cell.setdefault(int(row["repeat"]), {})[row["metric"]] = float(row["wre"])
+        assert list(wre) == [(kind, eps) for kind in mechanisms for eps in epsilons]
+        with open(out_dir / "sweep_agg.csv", newline="") as fh:
+            agg = {(row["mechanism"], float(row["epsilon"])): row for row in csv.DictReader(fh)}
+        assert list(agg) == list(wre)
+        means = {}
+        for cell, by_repeat in wre.items():
+            assert sorted(by_repeat) == list(range(repeats))
+            overall = [float(np.mean([m[name] for name in METRIC_NAMES]))
+                       for m in by_repeat.values()]
+            means[cell] = float(np.mean(overall))
+            assert float(agg[cell]["wre_mean"]) == means[cell]
+            assert float(agg[cell]["wre_std"]) == float(np.std(overall, ddof=1))
 
-    def test_missing_sweep_is_io_error(self, tmp_path):
-        assert main(["report", "--sweep", str(tmp_path / "none.csv"),
-                     "--out", str(tmp_path / "r")]) == EXIT_IO
+        curve = [line.split() for line in (out_dir / "curve.dat").read_text().splitlines()
+                 if not line.startswith("#")]
+        assert curve == [[repr(eps)] + [repr(means[(kind, eps)]) for kind in mechanisms]
+                         + ["0.03"] for eps in epsilons]
 
-    @pytest.mark.parametrize("bad_row, message", [
-        ("joint_clipping,2.0,0,num_trips,0.25",
-         "4: duplicate row ('joint_clipping', 2.0, 0, 'num_trips')"),
-        ("joint_clipping,2.0,1,num_trips", "4: expected 5 fields, got 4"),
-        ("joint_clipping,2.0,1,num_trips,abc", "4: could not convert string to float: 'abc'"),
-    ], ids=["duplicate", "short_row", "bad_wre"])
-    def test_bad_sweep_rows_name_their_line(self, tmp_path, capsys, bad_row, message):
-        sweep_csv = tmp_path / "sweep.csv"
-        sweep_csv.write_text("mechanism,epsilon,repeat,metric,wre\n"
-                             "joint_clipping,2.0,0,num_trips,0.5\n"
-                             "joint_clipping,2.0,0,distance,0.5\n"
-                             f"{bad_row}\n"
-                             "joint_clipping,2.0,0,duration,0.5\n")
-        assert main(["report", "--sweep", str(sweep_csv),
-                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
-        assert f"error: {sweep_csv}:{message}" in capsys.readouterr().err
-        assert not (tmp_path / "r" / "metric_table.txt").exists()
-
-    @pytest.mark.parametrize("rows, message", [
-        # repeats 0 and 2 of a cell: not a 3-repeat sweep averaged over two
-        ([("joint_clipping", "2.0", "0"), ("joint_clipping", "2.0", "2")],
-         ": no rows for ('joint_clipping', 2.0, 1)"),
-        # a mechanism swept at one epsilon only
-        ([("joint_clipping", "1.0", "0"), ("joint_clipping", "2.0", "0"),
-          ("budget_split", "2.0", "0")],
-         ": no rows for ('budget_split', 1.0, 0)"),
-        ([("joint_clipping", "2.0", "-1")], ":2: repeat must be >= 0, got -1"),
-    ], ids=["missing_repeat", "missing_epsilon", "negative_repeat"])
-    def test_missing_sweep_cells_are_named(self, tmp_path, capsys, rows, message):
-        sweep_csv = tmp_path / "sweep.csv"
-        sweep_csv.write_text("mechanism,epsilon,repeat,metric,wre\n" + "".join(
-            f"{kind},{eps},{rep},{metric},0.5\n"
-            for kind, eps, rep in rows for metric in ("num_trips", "distance", "duration")))
-        assert main(["report", "--sweep", str(sweep_csv),
-                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
-        assert f"error: {sweep_csv}{message}" in capsys.readouterr().err
-        assert not (tmp_path / "r" / "metric_table.txt").exists()
-
-    def test_unknown_sweep_metric_names_its_line(self, tmp_path, capsys):
-        sweep_csv = tmp_path / "sweep.csv"
-        sweep_csv.write_text("mechanism,epsilon,repeat,metric,wre\n"
-                             "joint_clipping,2.0,0,num_trips,0.5\n"
-                             "joint_clipping,2.0,0,distance,0.5\n"
-                             "joint_clipping,2.0,0,foo,0.5\n"
-                             "joint_clipping,2.0,0,duration,0.5\n")
-        assert main(["report", "--sweep", str(sweep_csv),
-                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
-        assert f"error: {sweep_csv}:4: unknown metric 'foo'" in capsys.readouterr().err
+        table = (out_dir / "metric_table.txt").read_text().splitlines()
+        assert table[0] == ("weighted relative error by metric "
+                            f"(epsilon = 2, {repeats} repeats, min_devices = 5)")
+        width = max(map(len, mechanisms)) + 2
+        for kind in mechanisms:
+            by_metric = [np.mean([m[name] for m in wre[(kind, 2.0)].values()])
+                         for name in METRIC_NAMES]
+            assert f"{kind:<{width}}" + "".join(f"{v:>12.4f}" for v in by_metric) in table
 
 
-def test_usage_error_exits_config(capsys):
+def test_usage_error_exits_config(tmp_path, capsys):
     assert main(["frobnicate"]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
+    # sweep writes the table and the curve; no command re-renders them
+    assert main(["report", "--sweep", str(tmp_path / "sweep.csv"),
+                 "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
@@ -693,6 +685,7 @@ def test_release_holds_one_dense_vector(workspace, monkeypatch):
     (["--tau", "nan"], "got nan"),
     (["--seed", "-3"], "seed must be >= 0, got -3"),
     (["--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["--min-devices", "-7"], "min_devices must be >= 0, got -7"),
 ])
 def test_sweep_rejects_bad_settings_before_fitting(workspace, monkeypatch, capsys, flags, named):
     tmp_path, _, data_path, proxy_path = workspace
@@ -730,7 +723,7 @@ def test_release_exits_2_when_the_child_writing_the_second_half_fails(
                  "--out", str(out_dir / "released.csv"), "--num-regions", "6"]) == EXIT_IO
     assert ("i/o error: the child process for the second half exited with status 1"
             in capsys.readouterr().err)
-    assert os.listdir(out_dir) == ["released.csv"]  # the first half, and no temporary file
+    assert os.listdir(out_dir) == []  # no half file, no temporary file
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -752,8 +745,32 @@ def test_generate_exits_2_when_the_child_drawing_the_second_half_fails(
                  "--out", str(out_dir / "data.csv")]) == EXIT_IO
     assert ("i/o error: the child process for the second half exited with status 1"
             in capsys.readouterr().err)
-    # the first half, and neither a manifest nor a temporary file
-    assert os.listdir(out_dir) == ["data.csv"]
+    # no half file, no manifest and no temporary file
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.usefixtures("second_half")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)])
+def test_written_files_take_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    # generate and release rename their file into place; it gets the mode
+    # open(path, "wb") gives under the umask, not a temporary file's 0600
+    spec_path = tmp_path / "gen.cfg"
+    spec_path.write_text(GEN_CFG)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    data_path, released = out_dir / "data.csv", out_dir / "released.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["generate", "--spec", str(spec_path), "--out", str(data_path)]) == EXIT_OK
+        cfg_path = make_config(tmp_path, data_path)
+        assert main(["release", "--data", str(data_path), "--config", str(cfg_path),
+                     "--out", str(released), "--num-regions", "6"]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(out_dir)) == ["data.csv", "data.csv.manifest", "released.csv",
+                                           "released.csv.ledger", "released.csv.manifest"]
+    for path in (data_path, released):
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_header_only_records(workspace, capsys):

@@ -9,7 +9,6 @@ from dpgb.evaluation import (
     TARGET_WRE,
     ScoringPlan,
     fit_hyperparameters,
-    read_sweep_csv,
     render_metric_table,
     run_seed,
     sweep,
@@ -224,14 +223,6 @@ class TestSweep:
         curve = curve_path.read_text()
         assert repr(TARGET_WRE) in curve            # 0.03 reference line
         assert "0.195" in curve                     # reference footer rows
-        rows, mechanisms, epsilons, repeats = read_sweep_csv(sweep_path)
-        assert set(mechanisms) == {"joint_clipping", "activity_metric_scaling"}
-        assert epsilons == (1.0, 2.0)
-        assert repeats == 2
-        by_key = {(r.mechanism, r.epsilon, r.repeat): r.overall for r in rows}
-        for row in result.rows:
-            assert by_key[(row.mechanism, row.epsilon, row.repeat)] == pytest.approx(
-                row.overall, rel=1e-12)
 
     def test_render_metric_table(self):
         data, proxy = desk_pair(num_users=150)

@@ -663,12 +663,14 @@ class TestDenseHistogramFiles:
     @pytest.mark.parametrize("body, lineno, message", [
         ("0,num_trips,0,0,1.0\n0,num_trips,1\n", 3, "expected 5 fields, got 3"),
         ("0,speed,0,0,1.0\n", 2, "unknown metric 'speed'"),
-        ("0,7,0,0,1.0\n", 2, "metric index out of range: 7"),
+        # the metric is read by name only, never by its index
+        ("0,7,0,0,1.0\n", 2, "unknown metric '7'"),
+        ("0,num_trips,0,0,1.0\n1,1,3,2,2.5\n", 3, "unknown metric '1'"),
         ("0,num_trips,x,0,1.0\n", 2, "invalid literal for int() with base 10: 'x'"),
         ("0,num_trips,0,0,abc\n", 2, "could not convert string to float: 'abc'"),
         ("\n1,distance,2,1,4.0\n5,num_trips,0,0,1.0\n", 4,
          "cell (5, 0, 0, 0) out of bounds for Dimensions(num_activities=2, num_regions=4)"),
-        ("0,duration,1,2,1.0\n0,2,1,2,3.0\n", 3, "duplicate cell (0, 2, 1, 2)"),
+        ("0,duration,1,2,1.0\n0,duration,1,2,3.0\n", 3, "duplicate cell (0, 2, 1, 2)"),
         ("0,num_trips,0,0,0.0\n0,num_trips,0,0,5.0\n", 3, "duplicate cell (0, 0, 0, 0)"),
         ("0,num_trips,0,0,1.0\n  \n", 3, "expected 5 fields, got 1"),
         ("0,num_tripsXYZ,0,0,1.0\n", 2, "unknown metric 'num_tripsXYZ'"),
@@ -736,10 +738,10 @@ class TestDenseHistogramFiles:
             f"{path}: bad header ['a', 'b'], expected "
             "['activity', 'metric', 'region', 'direction', 'value']")
 
-    def test_reader_drops_zero_rows_and_accepts_metric_index(self, tmp_path, small_dims):
+    def test_reader_drops_zero_rows(self, tmp_path, small_dims):
         path = tmp_path / "h.csv"
         path.write_text("activity,metric,region,direction,value\n"
-                        "1,1,3,2,2.5\n0,num_trips,0,0,0.0\n0,num_trips,0,1,-0.0\n")
+                        "1,distance,3,2,2.5\n0,num_trips,0,0,0.0\n0,num_trips,0,1,-0.0\n")
         back = read_histogram_csv(path, small_dims)
         assert np.count_nonzero(back) == 1
         assert back[small_dims.cell_index(1, 1, 3, 2)] == 2.5
@@ -780,6 +782,19 @@ class TestDenseHistogramFiles:
             with pytest.raises(ConfigError) as excinfo:
                 read_histogram_csv(path, small_dims)
             assert str(excinfo.value) == f"{path}:2: {expected}"
+
+    @pytest.mark.usefixtures("second_half")
+    def test_a_failed_write_leaves_the_file_at_path_as_it_was(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(schema, "_write_rows", fail)
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"an earlier release\r\n")
+        dims = Dimensions(num_activities=2, num_regions=4)
+        with pytest.raises(OSError):
+            write_histogram_csv(path, np.ones(dims.total_cells), dims)
+        assert os.listdir(tmp_path) == ["h.csv"]
+        assert path.read_bytes() == b"an earlier release\r\n"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_failing_child_leaves_the_read_to_this_process(self, tmp_path, rng, monkeypatch):
