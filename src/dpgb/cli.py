@@ -39,7 +39,6 @@ from .evaluation import (
 from .mechanisms import finish_release, manifest_line, prepare_release
 from .schema import (
     ConfigError,
-    DURATION,
     Dimensions,
     read_histogram_csv,
     read_mechanism_config,
@@ -132,7 +131,6 @@ def cmd_eval(args, argv) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.txt"
     cells_path = out_dir / "cells.csv"
-    duration_div = 60.0 if args.duration_unit == "minutes" else 1.0
 
     lines = [f"min_devices = {args.min_devices}"]
     if not report.has_eligible_cells:
@@ -149,10 +147,9 @@ def cmd_eval(args, argv) -> int:
     with open(cells_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("metric,activity,region,direction,true,released,rel_error,weight,devices\r\n")
         for m, name in enumerate(METRIC_NAMES):
-            div = duration_div if m == DURATION else 1.0
             flat = plan.flat[m]
             columns = (flat // (regions * 9), flat // 3 % regions, flat % 3,
-                       plan.truth[m] / div, report.estimates[m] / div, report.errors[m],
+                       plan.truth[m], report.estimates[m], report.errors[m],
                        plan.weights[m], plan.devices[m])
             fh.write("".join(
                 f"{name},{a},{r},{d},{t!r},{e!r},{err!r},{w!r},{n}\r\n"
@@ -161,23 +158,21 @@ def cmd_eval(args, argv) -> int:
     _write_manifest(
         out_dir / "manifest", "eval", argv,
         {"data": args.data, "released": args.released}, [report_path, cells_path],
-        {"min_devices": args.min_devices, "duration_unit": args.duration_unit})
+        {"min_devices": args.min_devices})
     for line in lines:
         print(line)
     return EXIT_OK
 
 
 def cmd_sweep(args, argv) -> int:
-    if args.unsafe_fit and args.proxy is not None:
-        raise ConfigError("--unsafe-fit fits on the evaluation data; do not pass --proxy with it")
-    if not args.unsafe_fit and args.proxy is None:
-        raise ConfigError("sweep needs --proxy (or the explicit --unsafe-fit)")
     check_sweep_settings(args.epsilons, args.mechanisms, args.repeats, args.seed, args.tau,
                          args.min_devices)
     dims = Dimensions(args.num_activities, args.num_regions)
 
     data = read_records_csv(args.data)
-    if args.unsafe_fit or os.path.samefile(args.data, args.proxy):
+    # fitting on the scored file itself is unsafe: the manifest says so
+    unsafe_fit = os.path.samefile(args.data, args.proxy)
+    if unsafe_fit:
         proxy = data  # one file, parsed once
     else:
         proxy = read_records_csv(args.proxy)
@@ -194,29 +189,25 @@ def cmd_sweep(args, argv) -> int:
     write_sweep_csv(sweep_path, result)
     write_sweep_agg_csv(agg_path, result)
     write_curve_data(curve_path, result)
-    table_path.write_text(render_metric_table(result, args.table_epsilon), encoding="utf-8")
+    table_path.write_text(render_metric_table(result), encoding="utf-8")
 
     # fitted configs, so `dpgb release` can be run with proxy-tuned settings
     config_paths = []
-    config_eps = min(result.epsilons, key=lambda e: abs(e - 2.0))
     for kind in result.mechanisms:
-        cfg = result.fitted.config_for(kind, config_eps, args.tau, args.seed)
+        cfg = result.fitted.config_for(kind, result.operating_epsilon, args.tau, args.seed)
         cfg_path = out_dir / f"fitted_{kind}.cfg"
         write_mechanism_config(cfg_path, cfg)
         config_paths.append(cfg_path)
 
-    inputs = {"data": args.data}
-    if not args.unsafe_fit:
-        inputs["proxy"] = args.proxy
     _write_manifest(
-        out_dir / "manifest", "sweep", argv, inputs,
+        out_dir / "manifest", "sweep", argv, {"data": args.data, "proxy": args.proxy},
         [sweep_path, agg_path, curve_path, table_path] + config_paths,
         {"seed": args.seed, "repeats": args.repeats, "min_devices": args.min_devices,
          "threshold_tau": repr(args.tau),
          "epsilons": ",".join(repr(e) for e in result.epsilons),
          "mechanisms": ",".join(result.mechanisms),
-         "unsafe_fit": args.unsafe_fit})
-    print(render_metric_table(result, args.table_epsilon), end="")
+         "unsafe_fit": unsafe_fit})
+    print(render_metric_table(result), end="")
     print(f"wrote sweep outputs to {out_dir}")
     return EXIT_OK
 
@@ -253,14 +244,11 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--min-devices", type=int, default=DEFAULT_MIN_DEVICES,
                         dest="min_devices")
     _domain_flags(p_eval)
-    p_eval.add_argument("--duration-unit", choices=("seconds", "minutes"),
-                        default="seconds", dest="duration_unit",
-                        help="display unit for duration diagnostics (storage stays seconds)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="compare mechanisms across privacy budgets")
     p_sweep.add_argument("--data", required=True)
-    p_sweep.add_argument("--proxy", default=None,
+    p_sweep.add_argument("--proxy", required=True,
                          help="held-out dataset for hyperparameter fitting")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--epsilons", type=lambda raw: tuple(
@@ -273,9 +261,6 @@ def build_parser() -> _Parser:
                          dest="min_devices")
     _domain_flags(p_sweep)
     p_sweep.add_argument("--tau", type=float, default=0.0)
-    p_sweep.add_argument("--table-epsilon", type=float, default=2.0, dest="table_epsilon")
-    p_sweep.add_argument("--unsafe-fit", action="store_true", dest="unsafe_fit",
-                         help="fit hyperparameters on the evaluation data itself")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -95,7 +95,6 @@ class GeneratorSpec:
     outlier_fraction: float = 0.1
     outlier_multiplier: float = 10.0
     seed: int = 0
-    week_id: str = "synthetic-week"
 
     def __post_init__(self) -> None:
         for key in ("region_zipf_s", "trips_per_user", "outlier_fraction", "outlier_multiplier"):
@@ -361,12 +360,12 @@ def generate(spec: GeneratorSpec, users: range | None = None) -> WeekDataset:
         parts.append((user + lo, *columns))
     user, *columns = (np.concatenate(col) for col in zip(*parts))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(user, minlength=len(user_ids)))))
-    return WeekDataset(spec.week_id, user_ids, offsets, *columns)
+    return WeekDataset("synthetic-week", user_ids, offsets, *columns)
 
 
 def generate_csv(path, spec: GeneratorSpec) -> int:
-    """Write ``write_records_csv(path, generate(spec))``, byte for byte;
-    the number of records.
+    """Write the records of ``generate(spec)`` to ``path``: the header line,
+    then :func:`schema.write_record_rows`, byte for byte; the number of records.
 
     The users are drawn and written as two halves, split at
     ``num_users // 2``, by :func:`schema.write_in_halves`, which draws the
@@ -456,7 +455,7 @@ def read_generator_spec(path) -> GeneratorSpec:
     and every other optional key to its ``GeneratorSpec`` default."""
     kv = read_kv_file(path)
     known = {"num_users", "num_regions", "region_zipf_s", "trips_per_user",
-             "outlier_fraction", "outlier_multiplier", "seed", "week_id", "profiles"}
+             "outlier_fraction", "outlier_multiplier", "seed", "profiles"}
     unknown = set(kv) - known
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
@@ -469,8 +468,6 @@ def read_generator_spec(path) -> GeneratorSpec:
         profiles = default_profiles()
     optional = {key: _parse_float(kv[key], key) for key in (
         "region_zipf_s", "trips_per_user", "outlier_fraction", "outlier_multiplier") if key in kv}
-    if "week_id" in kv:
-        optional["week_id"] = kv["week_id"]
     return GeneratorSpec(
         num_users=_parse_int(kv["num_users"], "num_users"),
         dims=Dimensions(num_activities=len(profiles),

@@ -225,6 +225,12 @@ class SweepResult:
     min_devices: int
     fitted: FittedHyperparameters
 
+    @property
+    def operating_epsilon(self) -> float:
+        """The swept epsilon nearest 2.0, the paper's operating point: the
+        metric table and the fitted configs are both at this one."""
+        return min(self.epsilons, key=lambda e: abs(e - 2.0))
+
     def mean_std(self, mechanism: str, epsilon: float) -> tuple[float, float]:
         values = [row.overall for row in self.rows
                   if row.mechanism == mechanism and row.epsilon == epsilon]
@@ -349,17 +355,17 @@ def write_curve_data(path, result: SweepResult) -> None:
             fh.write(f"#   {kind}: {values[0]}, {values[1]}, {values[2]}\n")
 
 
-def render_metric_table(result: SweepResult, epsilon: float) -> str:
-    """Plain-text per-metric breakdown at one budget, with the reference rows."""
-    nearest = min(result.epsilons, key=lambda e: abs(e - epsilon))
+def render_metric_table(result: SweepResult) -> str:
+    """Plain-text per-metric breakdown at the operating epsilon, with the reference rows."""
+    epsilon = result.operating_epsilon
     width = max(len(kind) for kind in result.mechanisms) + 2
     lines = [
-        f"weighted relative error by metric (epsilon = {nearest:g}, "
+        f"weighted relative error by metric (epsilon = {epsilon:g}, "
         f"{result.repeats} repeats, min_devices = {result.min_devices})",
         f"{'mechanism':<{width}}" + "".join(f"{name:>12}" for name in METRIC_NAMES),
     ]
     for kind in result.mechanisms:
-        means = result.metric_means(kind, nearest)
+        means = result.metric_means(kind, epsilon)
         lines.append(f"{kind:<{width}}" + "".join(f"{means[name]:>12.4f}" for name in METRIC_NAMES))
     lines.append(f"utility target: {TARGET_WRE}")
     lines.append("reference, production-scale proxy at epsilon = 2:")

@@ -51,12 +51,11 @@ class Dimensions:
     """Index-set sizes of the cell domain.
 
     Metrics and directions are structurally fixed at 3; activities and regions
-    are configurable (production scale uses 9 activities and ~50,000 regions,
-    the desk-scale default is 100 regions).
+    are configurable (production scale uses 9 activities and ~50,000 regions).
     """
 
-    num_activities: int = 9
-    num_regions: int = 100
+    num_activities: int
+    num_regions: int
 
     def __post_init__(self) -> None:
         if self.num_activities < 1 or self.num_regions < 1:
@@ -365,17 +364,9 @@ def write_mechanism_config(path, config: MechanismConfig) -> None:
 _WRITE_CHUNK_RECORDS = 1 << 14
 
 
-def write_records_csv(path, data: WeekDataset) -> None:
-    """One row per record, users in order; the bytes ``csv.writer`` gives:
-    the header line, then :func:`write_record_rows`."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(RECORD_CSV_HEADER) + "\r\n").encode())
-        write_record_rows(fh, data)
-
-
 def write_record_rows(fh, data: WeekDataset) -> None:
     """Write one row per record of ``data``, users in order, to the binary
-    file ``fh``.
+    file ``fh``; after the header line, the bytes ``csv.writer`` gives.
 
     Each user id is quoted by ``csv`` once, as the first of several fields,
     and the rows are joined from f-strings with ``repr`` floats and CRLF
@@ -507,21 +498,15 @@ _WRITE_CHUNK_CELLS = 1 << 14
 _DIRECTIONS = ("0,", "1,", "2,")
 
 # rows to write, and bytes to read, from which the second half of a file is
-# done by a forked child; a smaller file's second half is done here, after
-# the first
+# done by a forked child; a smaller file is written and read in one process
 _FORK_ROWS = 1 << 16
 _FORK_BYTES = 1 << 22
 
 
 @contextmanager
-def _second_half(work, fork: bool):
-    """Run ``work()`` in a forked child while the body of the ``with`` runs,
-    or here after the body when not ``fork`` or without ``os.fork``.  OSError
-    when the child exits with an error."""
-    if not (fork and hasattr(os, "fork")):
-        yield
-        work()
-        return
+def _second_half(work):
+    """Run ``work()`` in a forked child while the body of the ``with`` runs.
+    OSError when the child exits with an error."""
     pid = os.fork()
     if pid == 0:  # the child: run work() and exit, never return
         code = 1
@@ -566,7 +551,7 @@ def write_in_halves(path, header: list[str], head, tail, rows: float) -> None:
                         tail(rest)
                         rest.flush()
 
-                    with _second_half(second_half, True):
+                    with _second_half(second_half):
                         head(fh)
                     rest.seek(0)
                     shutil.copyfileobj(rest, fh)
@@ -634,10 +619,10 @@ def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
     A second row for a cell is an error, also when the first one held 0, and
     so is a NUL byte anywhere in the file, which a parsed token would drop.
     The rows are parsed by ``np.loadtxt`` in blocks and checked as arrays,
-    in two halves when the file starts with the plain header (see
-    ``_read_halves``).  If a half or a block does not parse or fails a
-    check, the whole file is read here with the same block loop, then again
-    with ``csv`` to name the first bad line.
+    in two processes when the file is large and starts with the plain
+    header (see ``_read_halves``).  If a half or a block does not parse or
+    fails a check, the whole file is read here with the same block loop,
+    then again with ``csv`` to name the first bad line.
     """
     dense = _read_halves(path, dims)
     if dense is not None:
@@ -662,24 +647,24 @@ def _read_halves(path, dims: Dimensions) -> np.ndarray | None:
     """The dense vector of a file read as two halves, split at the first line
     end after its middle byte; None when it must be read whole.
 
-    With ``_FORK_BYTES`` or more after the header, a forked child reads the
-    second half into the dense vector and seen mask in shared memory while
-    this process reads the first.  None when the file does not start with
-    the plain header, a half fails, the split may lie in a quoted field (an
-    odd number of quote bytes before it) or a cell has two rows (fewer cells
-    seen than rows parsed).
+    A forked child reads the second half into the dense vector and seen
+    mask in shared memory while this process reads the first.  None when
+    the rows after the header are under ``_FORK_BYTES`` or there is no
+    ``os.fork``, the file does not start with the plain header, a half
+    fails, the split may lie in a quoted field (an odd number of quote bytes
+    before it) or a cell has two rows (fewer cells seen than rows parsed).
     """
     with open(path, "rb") as fh:
         if fh.readline() not in _HEADER_LINES:
             return None
         start, stop = fh.tell(), os.fstat(fh.fileno()).st_size
+        if stop - start < _FORK_BYTES or not hasattr(os, "fork"):
+            return None
         fh.seek((start + stop) // 2)
         fh.readline()
         split = fh.tell()
-    fork = stop - start >= _FORK_BYTES
-    shared = (lambda size: mmap.mmap(-1, size)) if fork else bytearray
-    dense = np.frombuffer(shared(8 * dims.total_cells), dtype=float)
-    marks = shared(8 + dims.total_cells)
+    dense = np.frombuffer(mmap.mmap(-1, 8 * dims.total_cells), dtype=float)
+    marks = mmap.mmap(-1, 8 + dims.total_cells)
     tail_rows = np.frombuffer(marks, dtype=np.int64, count=1)
     seen = np.frombuffer(marks, dtype=bool, offset=8)
 
@@ -687,7 +672,7 @@ def _read_halves(path, dims: Dimensions) -> np.ndarray | None:
         tail_rows[0] = _read_part(path, dims, split, stop, dense, seen)[0]
 
     try:
-        with _second_half(second_half, fork):
+        with _second_half(second_half):
             head_rows, quotes = _read_part(path, dims, start, split, dense, seen)
     except (ValueError, OSError):
         return None

@@ -21,9 +21,10 @@ def small_dims():
 
 @pytest.fixture(params=["inline", "forked"])
 def second_half(request, monkeypatch):
-    """Where the second half of a histogram file or a generated records file
-    is done: in this process, with the size constants at their defaults, or
-    in a forked child, with them forced to 0."""
+    """How a histogram file or a generated records file is done: with the
+    size constants at their defaults, so a small file is written and read in
+    this process, or with them forced to 0, so a forked child does the
+    second half of every file."""
     if request.param == "forked":
         monkeypatch.setattr(schema, "_FORK_ROWS", 0)
         monkeypatch.setattr(schema, "_FORK_BYTES", 0)
@@ -94,5 +95,4 @@ def default_spec(num_users=10_000, num_regions=100, seed=0, **overrides):
 
 def proxy_pair(spec):
     """Evaluation dataset plus a same-shape proxy from the next seed."""
-    return generate(spec), generate(replace(spec, seed=spec.seed + 1,
-                                            week_id=spec.week_id + "-proxy"))
+    return generate(spec), generate(replace(spec, seed=spec.seed + 1))

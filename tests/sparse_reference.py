@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from dpgb.datagen import GroundTruth
-from dpgb.schema import NUM_TRIPS, DISTANCE, DURATION, WeekDataset
+from dpgb.schema import (NUM_TRIPS, DISTANCE, DURATION, RECORD_CSV_HEADER, WeekDataset,
+                         write_record_rows)
 
 Cell = tuple[int, int, int, int]
 
@@ -64,6 +65,14 @@ def same_dataset(a: WeekDataset, b: WeekDataset) -> bool:
             and all(np.array_equal(getattr(a, name), getattr(b, name))
                     for name in ("offsets", "region", "activity", "direction",
                                  "distance_km", "duration_s")))
+
+
+def write_records_csv(path, data: WeekDataset) -> None:
+    """One row per record, users in order, written at once: the header line,
+    then ``write_record_rows``.  The reference for ``generate_csv``'s bytes."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(RECORD_CSV_HEADER) + "\r\n").encode())
+        write_record_rows(fh, data)
 
 
 @dataclass(frozen=True)

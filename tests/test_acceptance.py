@@ -22,13 +22,14 @@ from dpgb.evaluation import (
     weighted_relative_error,
 )
 from dpgb.mechanisms import finish_release
-from dpgb.schema import Dimensions, ScaleMatrix, write_records_csv
+from dpgb.schema import Dimensions, ScaleMatrix
 from conftest import default_spec, prepare, proxy_pair, random_dataset, raw_histogram
 from sparse_reference import (
     SparseHistogram,
     as_ground_truth,
     make_dataset,
     users_of,
+    write_records_csv,
 )
 from sparse_reference import clip_l1 as reference_clip_l1
 from wre_oracle import brute_force_wre

@@ -115,6 +115,15 @@ class TestGenerate:
         empty.write_bytes(b"")
         assert _sha256(empty) == hashlib.sha256(b"").hexdigest()
 
+    def test_week_id_is_an_unknown_key(self, tmp_path, capsys):
+        # the week label enters no file the command writes
+        spec_path = tmp_path / "gen.cfg"
+        spec_path.write_text(GEN_CFG + "week_id = w9\n")
+        out = tmp_path / "d.csv"
+        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "unknown keys ['week_id']" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["gen.cfg"]
+
     def test_missing_spec_is_io_error(self, tmp_path):
         assert main(["generate", "--spec", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "d.csv")]) == EXIT_IO
@@ -398,35 +407,12 @@ class TestEval:
                      "--out", str(out_dir), "--min-devices", "100000"] + DOMAIN) == EXIT_OK
         assert "no eligible cells" in (out_dir / "report.txt").read_text()
 
-    def test_duration_unit_scales_diagnostics(self, workspace):
-        tmp_path, _, data_path, _ = workspace
-        from dpgb.datagen import ground_truth
-        from dpgb.schema import write_histogram_csv
-        data = read_records_csv(data_path)
-        dims = Dimensions(num_activities=9, num_regions=6)
-        released_path = tmp_path / "truth.csv"
-        write_histogram_csv(released_path, dense_truth(ground_truth(data, dims)), dims)
-        out_s = tmp_path / "eval_s"
-        out_m = tmp_path / "eval_m"
-        main(["eval", "--data", str(data_path), "--released", str(released_path),
-              "--out", str(out_s), "--min-devices", "1"] + DOMAIN)
-        main(["eval", "--data", str(data_path), "--released", str(released_path),
-              "--out", str(out_m), "--min-devices", "1", "--duration-unit", "minutes"] + DOMAIN)
-        import csv
-        def duration_trues(path):
-            with open(path / "cells.csv", newline="") as fh:
-                return [float(row["true"]) for row in csv.DictReader(fh)
-                        if row["metric"] == "duration"]
-        seconds, minutes = duration_trues(out_s), duration_trues(out_m)
-        assert seconds and np.allclose(np.asarray(seconds) / 60.0, minutes)
-
-
     # sha256 of eval's cells.csv for an activity_metric_scaling release; the
     # rows are written from the scoring arrays, so this pins their float
-    # text, their order and the \r\n line ends
+    # text (duration in seconds, the storage unit), their order and the
+    # \r\n line ends
     @pytest.mark.parametrize("unit, cells_sha", [
         ("seconds", "fb809b4b4ee2dde5d8cb3c04abb7bea32a994e534182b049d28b87b2bdecfc6d"),
-        ("minutes", "ca8b487492c188b43f5847b598be6677eb57737187a971b6c89501ca2564695e"),
     ])
     def test_cells_bytes_are_pinned(self, workspace, unit, cells_sha):
         tmp_path, _, data_path, _ = workspace
@@ -436,8 +422,7 @@ class TestEval:
                      "--out", str(released), "--num-regions", "6"]) == EXIT_OK
         out_dir = tmp_path / "eval"
         assert main(["eval", "--data", str(data_path), "--released", str(released),
-                     "--out", str(out_dir), "--min-devices", "5",
-                     "--duration-unit", unit] + DOMAIN) == EXIT_OK
+                     "--out", str(out_dir), "--min-devices", "5"] + DOMAIN) == EXIT_OK
         assert "eligible = 48," in (out_dir / "report.txt").read_text()
         assert _sha256(out_dir / "cells.csv") == cells_sha
 
@@ -473,19 +458,67 @@ class TestSweep:
         for name, value in rows.items():
             assert value == pytest.approx(report.wre[name], rel=1e-12)
 
-    def test_sweep_requires_proxy_or_unsafe_fit(self, workspace):
-        tmp_path, _, data_path, _ = workspace
-        assert main(["sweep", "--data", str(data_path),
-                     "--out", str(tmp_path / "s")] + DOMAIN) == EXIT_CONFIG
-        assert main(["sweep", "--data", str(data_path), "--proxy", str(data_path),
-                     "--out", str(tmp_path / "s"), "--unsafe-fit"] + DOMAIN) == EXIT_CONFIG
-
-    def test_unsafe_fit_runs(self, workspace):
+    def test_sweep_requires_proxy(self, workspace, capsys):
         tmp_path, _, data_path, _ = workspace
         out_dir = tmp_path / "s"
-        assert main(["sweep", "--data", str(data_path), "--out", str(out_dir),
-                     "--unsafe-fit", "--epsilons", "2.0", "--repeats", "1",
+        assert main(["sweep", "--data", str(data_path),
+                     "--out", str(out_dir)] + DOMAIN) == EXIT_CONFIG
+        assert "the following arguments are required: --proxy" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unsafe_fit_runs(self, workspace):
+        # fitting on the scored data is --proxy <the --data file>
+        tmp_path, _, data_path, _ = workspace
+        out_dir = tmp_path / "s"
+        assert main(["sweep", "--data", str(data_path), "--proxy", str(data_path),
+                     "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
                      "--mechanisms", "joint_clipping", "--min-devices", "5"] + DOMAIN) == EXIT_OK
+
+    def test_manifest_says_whether_the_fit_used_the_scored_file(self, workspace):
+        tmp_path, _, data_path, _ = workspace
+        copy_path = tmp_path / "data_copy.csv"
+        copy_path.write_bytes(data_path.read_bytes())
+        for proxy, unsafe in ((data_path, True), (copy_path, False)):
+            out_dir = tmp_path / f"s_{proxy.stem}"
+            assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy),
+                         "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
+                         "--mechanisms", "joint_clipping", "--min-devices", "5"]
+                        + DOMAIN) == EXIT_OK
+            manifest = (out_dir / "manifest").read_text().splitlines()
+            assert f"input_proxy = {proxy}" in manifest
+            assert f"unsafe_fit = {unsafe}" in manifest
+
+    def test_table_and_fitted_configs_name_the_same_epsilon(self, workspace):
+        # the swept epsilon nearest 2.0; with 1.0 and 4.0 that is 1.0
+        tmp_path, _, data_path, proxy_path = workspace
+        out_dir = tmp_path / "s"
+        assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
+                     "--out", str(out_dir), "--epsilons", "1.0,4.0", "--repeats", "1",
+                     "--min-devices", "5"] + DOMAIN) == EXIT_OK
+        table = (out_dir / "metric_table.txt").read_text().splitlines()
+        assert table[0].startswith("weighted relative error by metric (epsilon = 1, ")
+        configs = sorted(out_dir.glob("fitted_*.cfg"))
+        assert len(configs) == 3
+        for path in configs:
+            assert "epsilon = 1.0" in path.read_text().splitlines()
+            assert read_mechanism_config(path).epsilon == 1.0
+
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", ["--unsafe-fit"]),
+        ("sweep", ["--table-epsilon", "1"]),
+        ("eval", ["--duration-unit", "minutes"]),
+    ], ids=["unsafe-fit", "table-epsilon", "duration-unit"])
+    def test_deleted_flags_are_usage_errors(self, workspace, capsys, command, flag):
+        # each setting has one source: the fit's file is --proxy, the table's
+        # epsilon is the fitted configs' one and cells.csv is in seconds
+        tmp_path, _, data_path, proxy_path = workspace
+        out_dir = tmp_path / "out"
+        other = {"sweep": ["--proxy", str(proxy_path)],
+                 "eval": ["--released", str(data_path)]}[command]
+        assert main([command, "--data", str(data_path), "--out", str(out_dir)] + other + flag
+                    + DOMAIN) == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_sweep_parses_a_proxy_that_is_the_data_once(self, workspace, monkeypatch):
         tmp_path, _, _, proxy_path = workspace

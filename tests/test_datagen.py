@@ -20,7 +20,7 @@ from dpgb.datagen import (
     _poisson_table,
 )
 from dpgb import datagen
-from dpgb.schema import ConfigError, Dimensions, write_records_csv
+from dpgb.schema import ConfigError, Dimensions
 from conftest import default_spec, proxy_pair
 from generator_reference import poisson_inverse, reference_generate
 from sparse_reference import (
@@ -30,6 +30,7 @@ from sparse_reference import (
     reference_ground_truth,
     same_dataset,
     users_of,
+    write_records_csv,
 )
 
 
@@ -124,7 +125,7 @@ def edge_spec(name):
         "custom profiles": GeneratorSpec(
             num_users=400, dims=dims2, activity_profiles=two_profiles(0.3), seed=9,
             region_zipf_s=0.7, trips_per_user=9.5, outlier_fraction=0.25,
-            outlier_multiplier=3.5, week_id="custom"),
+            outlier_multiplier=3.5),
         "desk": default_spec(num_users=1000, num_regions=100, seed=7),
     }[name]
 
@@ -402,13 +403,12 @@ class TestSpecFile:
         path = tmp_path / "gen.cfg"
         path.write_text(
             "num_users = 42\nnum_regions = 7\nseed = 3\n"
-            "trips_per_user = 4.0\nweek_id = w9\n")
+            "trips_per_user = 4.0\n")
         spec = read_generator_spec(path)
         assert spec.num_users == 42
         assert spec.dims.num_regions == 7
         assert spec.seed == 3
         assert spec.trips_per_user == 4.0
-        assert spec.week_id == "w9"
         assert len(spec.activity_profiles) == 9  # packaged default table
 
     def test_mandatory_keys_alone_give_the_field_defaults(self, tmp_path):

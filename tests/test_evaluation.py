@@ -8,6 +8,7 @@ from dpgb.evaluation import (
     REFERENCE_WRE_EPS2,
     TARGET_WRE,
     ScoringPlan,
+    SweepResult,
     fit_hyperparameters,
     render_metric_table,
     run_seed,
@@ -228,12 +229,21 @@ class TestSweep:
         data, proxy = desk_pair(num_users=150)
         dims = Dimensions(num_activities=9, num_regions=8)
         result = sweep(data, proxy, [2.0], ["joint_clipping"], 2, 5, dims, min_devices=5)
-        table = render_metric_table(result, 2.0)
+        table = render_metric_table(result)
         assert "joint_clipping" in table
         assert "num_trips" in table
         assert str(TARGET_WRE) in table
         for values in REFERENCE_WRE_EPS2.values():
             assert f"{values[0]:.3f}" in table
+
+
+@pytest.mark.parametrize("epsilons, nearest", [
+    ((2.0,), 2.0), ((1.0, 4.0), 1.0), ((4.0, 0.5), 0.5), ((3.0, 1.0), 3.0),
+    ((0.25, 2.5, 1.5), 2.5)])
+def test_operating_epsilon_is_the_swept_one_nearest_2(epsilons, nearest):
+    # ties go to the first listed
+    result = SweepResult((), ("joint_clipping",), epsilons, 1, 0, None)
+    assert result.operating_epsilon == nearest
 
 
 def test_fit_hyperparameters_uses_slice_quantiles():

@@ -21,7 +21,6 @@ from dpgb.schema import (
     user_cells,
     write_histogram_csv,
     write_mechanism_config,
-    write_records_csv,
 )
 from conftest import default_spec, one_user, random_dataset, random_histogram, random_records
 from sparse_reference import (
@@ -33,6 +32,7 @@ from sparse_reference import (
     same_dataset,
     user_histogram,
     users_of,
+    write_records_csv,
 )
 
 RECORD_CSV_HEADER = ["user_id", "region", "activity", "direction", "distance_km", "duration_s"]
@@ -74,7 +74,7 @@ def vector(records, dims, scales=None):
 class TestDimensions:
     def test_fixed_axes_enforced(self):
         with pytest.raises(ConfigError):
-            Dimensions(num_activities=0)
+            Dimensions(num_activities=0, num_regions=100)
 
     def test_total_cells(self):
         assert Dimensions(num_activities=9, num_regions=100).total_cells == 9 * 3 * 100 * 3
