@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dp_core import PrivacyLedger, dense_laplace_noise
+from .dp_core import dense_laplace_noise
 from .schema import Dimensions
 
 
@@ -87,8 +87,3 @@ def noise_descale_threshold(
         released[block][~keep] = 0.0
     return released.reshape(-1), suppressed
 
-
-def write_ledger(path, ledger: PrivacyLedger) -> None:
-    """Text summary: one label,epsilon line per charge plus the total."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ledger.summary() + "\n")

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aggregation import write_ledger
 from .datagen import generate_csv, ground_truth, read_generator_spec
 from .dp_core import BudgetExceededError
 from .evaluation import (
@@ -32,7 +31,6 @@ from .evaluation import (
     render_metric_table,
     sweep,
     weighted_relative_error,
-    write_curve_data,
     write_sweep_agg_csv,
     write_sweep_csv,
 )
@@ -108,7 +106,8 @@ def cmd_release(args, argv) -> int:
         config.epsilon, config.threshold_tau, config.rng_seed, in_place=True)
     write_histogram_csv(args.out, result.released, dims)
     ledger_path = str(args.out) + ".ledger"
-    write_ledger(ledger_path, result.ledger)
+    # one label,epsilon line per charge plus the total
+    Path(ledger_path).write_text(result.ledger.summary() + "\n", encoding="utf-8")
     _write_manifest(
         str(args.out) + ".manifest", "release", argv,
         {"data": args.data, "config": args.config}, [args.out, ledger_path],
@@ -184,11 +183,9 @@ def cmd_sweep(args, argv) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.csv"
     agg_path = out_dir / "sweep_agg.csv"
-    curve_path = out_dir / "curve.dat"
     table_path = out_dir / "metric_table.txt"
     write_sweep_csv(sweep_path, result)
     write_sweep_agg_csv(agg_path, result)
-    write_curve_data(curve_path, result)
     table_path.write_text(render_metric_table(result), encoding="utf-8")
 
     # fitted configs, so `dpgb release` can be run with proxy-tuned settings
@@ -201,7 +198,7 @@ def cmd_sweep(args, argv) -> int:
 
     _write_manifest(
         out_dir / "manifest", "sweep", argv, {"data": args.data, "proxy": args.proxy},
-        [sweep_path, agg_path, curve_path, table_path] + config_paths,
+        [sweep_path, agg_path, table_path] + config_paths,
         {"seed": args.seed, "repeats": args.repeats, "min_devices": args.min_devices,
          "threshold_tau": repr(args.tau),
          "epsilons": ",".join(repr(e) for e in result.epsilons),

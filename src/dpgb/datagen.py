@@ -119,36 +119,32 @@ class GeneratorSpec:
             raise ConfigError(f"outlier_multiplier must be >= 1, got {self.outlier_multiplier}")
 
 
-def load_profiles(path_or_file) -> tuple[ActivityProfile, ...]:
-    """Profile table CSV; rows must be the dense activity indices 0..A-1."""
-    if hasattr(path_or_file, "read"):
-        rows = list(csv.reader(path_or_file))
-    else:
-        with open(path_or_file, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+def load_profiles(path) -> tuple[ActivityProfile, ...]:
+    """Profile table CSV; rows must be the dense activity indices 0..A-1.
+    ``path`` is a ``Path`` or a package resource: anything with ``open``."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
     if not rows or rows[0] != PROFILE_CSV_HEADER:
-        raise ConfigError(f"profile table: bad header, expected {PROFILE_CSV_HEADER}")
+        raise ConfigError(f"{path}: bad profile table header, expected {PROFILE_CSV_HEADER}")
     profiles = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != 7:
-            raise ConfigError(f"profile table line {lineno}: expected 7 fields")
-        if int(row[0]) != len(profiles):
-            raise ConfigError(f"profile table line {lineno}: activity indices must be dense")
-        profiles.append(ActivityProfile(
-            name=row[1], weight=float(row[2]),
-            distance_log_mean=float(row[3]), distance_log_sigma=float(row[4]),
-            duration_log_mean=float(row[5]), duration_log_sigma=float(row[6])))
+        try:  # a bad field names its file and line, as read_kv_file does
+            if len(row) != 7:
+                raise ConfigError("expected 7 fields")
+            if int(row[0]) != len(profiles):
+                raise ConfigError("activity indices must be dense")
+            profiles.append(ActivityProfile(row[1], *map(float, row[2:])))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not profiles:
-        raise ConfigError("profile table has no rows")
+        raise ConfigError(f"{path}: profile table has no rows")
     return tuple(profiles)
 
 
 def default_profiles() -> tuple[ActivityProfile, ...]:
-    ref = resources.files("dpgb").joinpath("data/default_profiles.csv")
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_profiles(fh)
+    return load_profiles(resources.files("dpgb").joinpath("data/default_profiles.csv"))
 
 
 def _zipf_cdf(num_regions: int, s: float) -> np.ndarray:
@@ -360,7 +356,7 @@ def generate(spec: GeneratorSpec, users: range | None = None) -> WeekDataset:
         parts.append((user + lo, *columns))
     user, *columns = (np.concatenate(col) for col in zip(*parts))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(user, minlength=len(user_ids)))))
-    return WeekDataset("synthetic-week", user_ids, offsets, *columns)
+    return WeekDataset(user_ids, offsets, *columns)
 
 
 def generate_csv(path, spec: GeneratorSpec) -> int:

@@ -108,12 +108,11 @@ class ScoringPlan:
 class EvalReport:
     """Per-metric weighted relative error plus, for metric m, the estimate
     ``estimates[m]`` and relative error ``errors[m]`` of each eligible cell
-    of ``plan``."""
+    of the scoring plan."""
 
     wre: dict[str, float]
     eligible: dict[str, int]
     suppressed_eligible: dict[str, int]
-    plan: ScoringPlan
     estimates: tuple[np.ndarray, ...]
     errors: tuple[np.ndarray, ...]
 
@@ -155,7 +154,7 @@ def weighted_relative_error(plan: ScoringPlan, released: np.ndarray) -> EvalRepo
         suppressed[name] = int(np.count_nonzero(estimate == 0.0))
         estimates.append(estimate)
         errors.append(error)
-    return EvalReport(wre, eligible, suppressed, plan, tuple(estimates), tuple(errors))
+    return EvalReport(wre, eligible, suppressed, tuple(estimates), tuple(errors))
 
 
 # --- hyperparameter fitting ---------------------------------------------------
@@ -211,7 +210,6 @@ class SweepRow:
     mechanism: str
     epsilon: float
     repeat: int
-    seed: int
     wre: dict[str, float]
     overall: float
 
@@ -273,11 +271,10 @@ def sweep(
         prepared = prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)
         for epsilon in epsilons:
             for repeat in range(repeats):
-                cell_seed = run_seed(seed, kind, epsilon, repeat)
-                result = finish_release(prepared, epsilon, tau, cell_seed)
+                result = finish_release(prepared, epsilon, tau,
+                                        run_seed(seed, kind, epsilon, repeat))
                 report = weighted_relative_error(plan, result.released)
-                rows.append(SweepRow(kind, epsilon, repeat, cell_seed, dict(report.wre),
-                                     report.overall))
+                rows.append(SweepRow(kind, epsilon, repeat, dict(report.wre), report.overall))
     return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, fitted)
 
 
@@ -334,25 +331,6 @@ def write_sweep_agg_csv(path, result: SweepResult) -> None:
             for epsilon in result.epsilons:
                 mean, std = result.mean_std(kind, epsilon)
                 writer.writerow([kind, epsilon, mean, std])
-
-
-def write_curve_data(path, result: SweepResult) -> None:
-    """Plotter-agnostic XY data: one column per mechanism plus the target line.
-
-    The epsilon axis is meant to be drawn log-scaled; the constant column is
-    the 3% utility target.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# overall weighted relative error vs privacy budget (log-x suggested)\n")
-        fh.write("# columns: epsilon " + " ".join(result.mechanisms) + " target\n")
-        for epsilon in result.epsilons:
-            means = [result.mean_std(kind, epsilon)[0] for kind in result.mechanisms]
-            fh.write(" ".join([repr(epsilon)] + [repr(m) for m in means] + [repr(TARGET_WRE)]))
-            fh.write("\n")
-        fh.write("# reference, production-scale proxy at epsilon=2 "
-                 "(num_trips, distance, duration):\n")
-        for kind, values in REFERENCE_WRE_EPS2.items():
-            fh.write(f"#   {kind}: {values[0]}, {values[1]}, {values[2]}\n")
 
 
 def render_metric_table(result: SweepResult) -> str:

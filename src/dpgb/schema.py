@@ -20,7 +20,6 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
@@ -77,14 +76,13 @@ class Dimensions:
 class WeekDataset:
     """One week of trips as columns, grouped by user.
 
-    ``week_id`` is an opaque label.  User i is ``user_ids[i]`` and holds the
-    records ``offsets[i]:offsets[i + 1]`` of the region, activity, direction,
+    User i is ``user_ids[i]`` and holds the records
+    ``offsets[i]:offsets[i + 1]`` of the region, activity, direction,
     distance_km and duration_s columns; a user may hold none.  User order is
     the canonical reduction order for every aggregation, so runs are
     reproducible.
     """
 
-    week_id: str
     user_ids: tuple[str, ...]
     offsets: np.ndarray
     region: np.ndarray
@@ -95,7 +93,7 @@ class WeekDataset:
 
     def __post_init__(self) -> None:
         if len(set(self.user_ids)) != len(self.user_ids):
-            raise ConfigError(f"duplicate user_id in dataset {self.week_id!r}")
+            raise ConfigError("duplicate user_id in dataset")
         for name, dtype in (("offsets", np.int64), ("region", np.int64),
                             ("activity", np.int64), ("direction", np.int64),
                             ("distance_km", float), ("duration_s", float)):
@@ -216,9 +214,6 @@ class ScaleMatrix:
     def num_activities(self) -> int:
         return int(self.entries.shape[0])
 
-    def is_ones(self) -> bool:
-        return bool(np.all(self.entries == 1.0))
-
 
 @dataclass(frozen=True, eq=False)
 class MechanismConfig:
@@ -259,7 +254,8 @@ class MechanismConfig:
             if not (math.isfinite(c) and c > 0):
                 raise ConfigError(f"clip must be finite and > 0, got {self.clip}")
             object.__setattr__(self, "clip", c)
-        if self.mechanism_kind != "activity_metric_scaling" and not self.scales.is_ones():
+        if (self.mechanism_kind != "activity_metric_scaling"
+                and not np.all(self.scales.entries == 1.0)):
             raise ConfigError(f"{self.mechanism_kind} requires an all-ones scale matrix")
 
 
@@ -283,12 +279,6 @@ def read_kv_file(path) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value.strip()
     return out
-
-
-def write_kv_file(path, mapping: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in mapping.items():
-            fh.write(f"{key} = {value}\n")
 
 
 def _parse_float(raw: str, key: str) -> float:
@@ -318,26 +308,22 @@ def _format_grid(grid: np.ndarray) -> str:
 
 def read_mechanism_config(path) -> MechanismConfig:
     kv = read_kv_file(path)
-    for key in ("mechanism_kind", "epsilon", "scales", "threshold_tau", "rng_seed"):
+    # budget_split reads a clip grid and the other kinds one clip: the key
+    # a kind does not read is unknown, not silently ignored
+    clip_key = "clip_grid" if kv.get("mechanism_kind") == "budget_split" else "clip"
+    mandatory = ("mechanism_kind", "epsilon", "scales", "threshold_tau", "rng_seed", clip_key)
+    for key in mandatory:
         if key not in kv:
             raise ConfigError(f"{path}: missing mandatory key {key!r}")
-    kind = kv["mechanism_kind"]
     scales = ScaleMatrix(_parse_grid(kv["scales"], "scales"))
-    if kind == "budget_split":
-        if "clip_grid" not in kv:
-            raise ConfigError(f"{path}: budget_split requires key 'clip_grid'")
-        clip: float | np.ndarray = _parse_grid(kv["clip_grid"], "clip_grid")
-    else:
-        if "clip" not in kv:
-            raise ConfigError(f"{path}: missing mandatory key 'clip'")
-        clip = _parse_float(kv["clip"], "clip")
-    known = {"mechanism_kind", "epsilon", "scales", "threshold_tau", "rng_seed", "clip", "clip_grid"}
-    unknown = set(kv) - known
+    parse = _parse_grid if clip_key == "clip_grid" else _parse_float
+    clip = parse(kv[clip_key], clip_key)
+    unknown = set(kv) - set(mandatory)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     return MechanismConfig(
         epsilon=_parse_float(kv["epsilon"], "epsilon"),
-        mechanism_kind=kind,
+        mechanism_kind=kv["mechanism_kind"],
         clip=clip,
         scales=scales,
         threshold_tau=_parse_float(kv["threshold_tau"], "threshold_tau"),
@@ -357,7 +343,8 @@ def write_mechanism_config(path, config: MechanismConfig) -> None:
     kv["scales"] = _format_grid(config.scales.entries)
     kv["threshold_tau"] = repr(config.threshold_tau)
     kv["rng_seed"] = str(config.rng_seed)
-    write_kv_file(path, kv)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{key} = {value}\n" for key, value in kv.items()))
 
 
 # records the records writer joins into one string
@@ -389,7 +376,7 @@ _NUMBERS = list(zip(RECORD_CSV_HEADER[1:], (np.int64,) * 3 + (float,) * 2))
 
 def read_records_csv(path) -> WeekDataset:
     """Read trips grouped by user, users in order of first appearance and
-    each user's records in file order; the week label is the file stem.
+    each user's records in file order.
 
     One ``np.loadtxt`` pass parses the file as latin-1, user ids as bytes.
     If a row does not parse or fails the record checks, the file is read
@@ -417,8 +404,7 @@ def read_records_csv(path) -> WeekDataset:
             order = np.argsort(owner, kind="stable")
             columns = [col[order] for col in columns]
             offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=keys.size))))
-        return WeekDataset(Path(path).stem,
-                           tuple(uid.decode("utf-8") for uid in keys[by_first].tolist()),
+        return WeekDataset(tuple(uid.decode("utf-8") for uid in keys[by_first].tolist()),
                            offsets, *columns)
     except ValueError as exc:
         raise _first_bad_row(path, len(RECORD_CSV_HEADER), _check_record_row,
@@ -427,7 +413,7 @@ def read_records_csv(path) -> WeekDataset:
 
 def _check_record_row(row: list[str]) -> None:
     # the row as a one-record dataset, for the same checks
-    WeekDataset("", ("",), [0, 1], [int(row[1])], [int(row[2])], [int(row[3])],
+    WeekDataset(("",), [0, 1], [int(row[1])], [int(row[2])], [int(row[3])],
                 [float(row[4])], [float(row[5])])
 
 

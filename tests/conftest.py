@@ -60,17 +60,17 @@ def random_records(rng, dims, n):
     ]
 
 
-def random_dataset(rng, dims, num_users, max_records=12, week_id="test-week"):
+def random_dataset(rng, dims, num_users, max_records=12):
     users = []
     for i in range(num_users):
         n = int(rng.integers(0, max_records + 1))
         users.append((f"u{i:04d}", tuple(random_records(rng, dims, n))))
-    return make_dataset(week_id, users)
+    return make_dataset(users)
 
 
-def one_user(records, week_id="w"):
+def one_user(records):
     """A one-user dataset holding ``records``."""
-    return make_dataset(week_id, [("u", records)])
+    return make_dataset([("u", records)])
 
 
 def prepare(kind, data, clip, dims, scales=None):

@@ -91,4 +91,4 @@ def reference_generate(spec: GeneratorSpec) -> WeekDataset:
              for uid in user_ids]
     columns = np.array([t for user in trips for t in user], dtype=float).reshape(-1, 5).T
     offsets = np.cumsum([0] + [len(user) for user in trips])
-    return WeekDataset("synthetic-week", user_ids, offsets, *columns)
+    return WeekDataset(user_ids, offsets, *columns)

@@ -41,13 +41,13 @@ class TripRecord(NamedTuple):
     duration_s: float
 
 
-def make_dataset(week_id, users) -> WeekDataset:
+def make_dataset(users) -> WeekDataset:
     """WeekDataset from (user_id, records) pairs, users and records in order."""
     users = [(uid, list(records)) for uid, records in users]
     records = [rec for _, recs in users for rec in recs]
     columns = [[rec[i] for rec in records] for i in range(5)]
     offsets = np.concatenate(([0], np.cumsum([len(recs) for _, recs in users], dtype=np.int64)))
-    return WeekDataset(week_id, tuple(uid for uid, _ in users), offsets, *columns)
+    return WeekDataset(tuple(uid for uid, _ in users), offsets, *columns)
 
 
 def users_of(data: WeekDataset) -> tuple:
@@ -61,7 +61,7 @@ def users_of(data: WeekDataset) -> tuple:
 
 
 def same_dataset(a: WeekDataset, b: WeekDataset) -> bool:
-    return (a.week_id == b.week_id and a.user_ids == b.user_ids
+    return (a.user_ids == b.user_ids
             and all(np.array_equal(getattr(a, name), getattr(b, name))
                     for name in ("offsets", "region", "activity", "direction",
                                  "distance_km", "duration_s")))

@@ -16,6 +16,7 @@ from dpgb.cli import EXIT_OK, main
 from dpgb.dp_core import clip_l1, dense_laplace_noise
 from dpgb.evaluation import (
     DEFAULT_EPSILON_GRID,
+    DEFAULT_MECHANISMS,
     TARGET_WRE,
     ScoringPlan,
     sweep,
@@ -107,11 +108,10 @@ def test_criterion_3_sensitivity(rng):
     dims = Dimensions(num_activities=3, num_regions=5)
     start = time.perf_counter()
     worst = 0.0
-    for trial in range(100):
-        base = random_dataset(rng, dims, int(rng.integers(4, 12)), max_records=8,
-                              week_id=f"pair{trial}")
+    for _ in range(100):
+        base = random_dataset(rng, dims, int(rng.integers(4, 12)), max_records=8)
         extra_records = users_of(random_dataset(rng, dims, 1, max_records=10))[0][1]
-        grown = make_dataset(base.week_id, users_of(base) + (("added-user", extra_records),))
+        grown = make_dataset(users_of(base) + (("added-user", extra_records),))
         clip = float(rng.lognormal(1.0, 1.0))
         clips = np.exp(rng.normal(0.5, 0.8, size=(3, 3)))
         scales = ScaleMatrix(np.exp(rng.normal(0, 1, size=(3, 3))))
@@ -190,7 +190,7 @@ def test_criterion_6_thresholding_tail():
     # probability exp(-3)/2
     regions = 1235  # 9 * 3 * 1235 * 3 = 100,035 true-zero cells
     dims = Dimensions(num_activities=9, num_regions=regions)
-    prep = prepare("joint_clipping", make_dataset("empty", []), 10.0, dims)
+    prep = prepare("joint_clipping", make_dataset([]), 10.0, dims)
     result = finish_release(prep, 2.0, 3.0, 77)
     fraction = np.count_nonzero(result.released) / dims.total_cells
     expected = 0.5 * math.exp(-3.0)
@@ -285,15 +285,21 @@ def test_criterion_11_end_to_end_sweep(desk, tmp_path):
                  "--min-devices", "20", "--num-activities", "9", "--num-regions", "100"])
     elapsed = time.perf_counter() - start
 
-    curve = (out_dir / "curve.dat").read_text()
-    data_rows = [ln for ln in curve.splitlines() if ln and not ln.startswith("#")]
-    has_reference = repr(TARGET_WRE) in curve
-    grid_ok = len(data_rows) == len(DEFAULT_EPSILON_GRID)
+    # the error-vs-budget series: one sweep_agg.csv row per (mechanism, epsilon)
+    agg_rows = (out_dir / "sweep_agg.csv").read_text().splitlines()[1:]
+    per_mechanism = {kind: [row.split(",")[1] for row in agg_rows if row.startswith(kind + ",")]
+                     for kind in DEFAULT_MECHANISMS}
+    grid_ok = len(agg_rows) == 3 * len(DEFAULT_EPSILON_GRID) and all(
+        epsilons == [repr(eps) for eps in DEFAULT_EPSILON_GRID]
+        for epsilons in per_mechanism.values())
+    table = (out_dir / "metric_table.txt").read_text().splitlines()
+    has_reference = f"utility target: {TARGET_WRE}" in table
     sweep_lines = (out_dir / "sweep.csv").read_text().splitlines()
     rows_ok = len(sweep_lines) == 1 + 3 * len(DEFAULT_EPSILON_GRID) * 20 * 3
 
     ok = code == EXIT_OK and elapsed < 300.0 and has_reference and grid_ok and rows_ok
     assert report_line(11, ok,
                        f"CLI sweep 3 mechanisms x {len(DEFAULT_EPSILON_GRID)} budgets x 20 seeds "
-                       f"in {elapsed:.0f}s (< 300s); curve.dat has {len(data_rows)} rows and the "
-                       f"{TARGET_WRE} reference: {has_reference}")
+                       f"in {elapsed:.0f}s (< 300s); sweep_agg.csv has "
+                       f"{len(DEFAULT_EPSILON_GRID)} budgets per mechanism: {grid_ok}, and "
+                       f"metric_table.txt the {TARGET_WRE} target: {has_reference}")

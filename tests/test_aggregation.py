@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dpgb import aggregation, mechanisms
-from dpgb.aggregation import secure_sum, write_ledger
-from dpgb.dp_core import BudgetExceededError, PrivacyLedger, dense_laplace_noise
+from dpgb.aggregation import secure_sum
+from dpgb.dp_core import BudgetExceededError, dense_laplace_noise
 from dpgb.mechanisms import SubRelease, finish_release
 from dpgb.schema import Dimensions, ScaleMatrix, UserCells
 from conftest import prepare, random_dataset, random_histogram, raw_histogram
@@ -99,7 +99,7 @@ class TestServerWork:
         assert np.all(descaled[~kept] <= 0.0)
 
     def test_threshold_suppresses_small_cells(self, small_dims):
-        prepared = prepare("joint_clipping", make_dataset("w", []), 10.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset([]), 10.0, small_dims)
         result = finish_release(prepared, 2.0, 3.0, 23)
         threshold = 3.0 * (10.0 / 2.0)
         released = result.released[result.released != 0.0]
@@ -107,7 +107,7 @@ class TestServerWork:
         assert result.suppressed_cells == small_dims.total_cells - released.size
 
     def test_tau_zero_clamps_negatives_out(self, small_dims):
-        prepared = prepare("joint_clipping", make_dataset("w", []), 10.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset([]), 10.0, small_dims)
         result = finish_release(prepared, 2.0, 0.0, 23)
         noise = dense_laplace_noise(10.0 / 2.0, 23, small_dims.total_cells)
         assert np.any(noise < 0)
@@ -145,7 +145,7 @@ class TestServerWork:
 
     def test_budget_abort(self, small_dims, monkeypatch):
         # two full-budget rows, each covering half the slices, spend 2 epsilon
-        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset([]), 1.0, small_dims)
         overspent = (SubRelease("a", (0, 1, 2), 1.0, 1), SubRelease("b", (3, 4, 5), 1.0, 1))
         monkeypatch.setattr(mechanisms, "calibration_table", lambda config: overspent)
         with pytest.raises(BudgetExceededError):
@@ -160,21 +160,11 @@ class TestServerWork:
         assert a.suppressed_cells == b.suppressed_cells
 
     def test_ledger_snapshot_isolated(self, small_dims):
-        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset([]), 1.0, small_dims)
         a = finish_release(prepared, 1.0, 0.0, 1)
         b = finish_release(prepared, 1.0, 0.0, 2)
         assert a.ledger is not b.ledger  # every release owns its ledger
         assert a.ledger.total() == b.ledger.total() == 1.0
-
-
-def test_write_ledger(tmp_path):
-    ledger = PrivacyLedger(budget=2.0)
-    ledger.charge("noise", 2.0)
-    path = tmp_path / "run.ledger"
-    write_ledger(path, ledger)
-    text = path.read_text()
-    assert "noise,2.0" in text
-    assert "total,2.0" in text
 
 
 @pytest.mark.parametrize("in_place", [False, True])

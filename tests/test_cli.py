@@ -144,6 +144,27 @@ class TestGenerate:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("table, where, what", [
+        ("0,walk,heavy,0.0,0.1,5.0,0.1\n", ":2: ", "could not convert string to float: 'heavy'"),
+        ("0,walk,1.0,0.0,0.1,5.0,0.1\nx,run,0.0,0.0,0.1,5.0,0.1\n", ":3: ",
+         "invalid literal for int()"),
+        ("0,walk,1.0,0.0,0.1\n", ":2: ", "expected 7 fields"),
+        ("0,walk,1.0,0.0,-0.1,5.0,0.1\n", ":2: ", "sigmas must be >= 0"),
+        (None, ": ", "bad profile table header")])
+    def test_a_bad_profile_table_names_its_file_and_line(self, tmp_path, capsys, table, where,
+                                                           what):
+        header = ",".join(datagen.PROFILE_CSV_HEADER) + "\n"
+        text = header + table if table else "activity,name,weight\n0,walk,1.0\n"
+        (tmp_path / "profiles.csv").write_text(text)
+        spec_path = tmp_path / "gen.cfg"
+        spec_path.write_text("num_users = 5\nnum_regions = 3\nseed = 1\n"
+                             "profiles = profiles.csv\n")
+        out = tmp_path / "d.csv"
+        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'profiles.csv'}{where}" in err and what in err
+        assert not out.exists()
+
     def test_desk_scale_generation_under_ten_seconds(self, tmp_path):
         import time
         spec_path = tmp_path / "gen.cfg"
@@ -164,8 +185,9 @@ class TestRelease:
         dims = Dimensions(num_activities=9, num_regions=6)
         hist = read_histogram_csv(out, dims)
         assert np.count_nonzero(hist) > 0
-        ledger = (tmp_path / "released.csv.ledger").read_text()
-        assert "total,2.0" in ledger
+        # one label,epsilon line per charge plus the total, after the adjacency
+        assert (tmp_path / "released.csv.ledger").read_bytes() == (
+            b"# adjacency: (user, week) add/remove\nlaplace_noise,2.0\ntotal,2.0\n")
         manifest = (tmp_path / "released.csv.manifest").read_text()
         assert "ledger_total = 2.0" in manifest
         assert "run = activity_metric_scaling,2.0," in manifest
@@ -245,6 +267,25 @@ class TestRelease:
                          "--out", str(out), "--num-regions", "6"] + flags) == EXIT_CONFIG
             assert f"rng_seed must be >= 0, got {seed}" in capsys.readouterr().err
             assert not list(tmp_path.glob("o.csv*"))
+
+    @pytest.mark.parametrize("kind, extra, other", [
+        ("joint_clipping", "clip_grid = 1,1,1\n", "clip_grid"),
+        ("activity_metric_scaling", "clip_grid = 1,1,1\n", "clip_grid"),
+        ("budget_split", "clip = 1.0\n", "clip")])
+    def test_the_other_mechanisms_clip_key_is_unknown(
+            self, workspace, monkeypatch, capsys, kind, extra, other):
+        # a config never carries a clip it does not read
+        tmp_path, _, data_path, _ = workspace
+        config = make_config(tmp_path, data_path, kind=kind)
+        config.write_text(config.read_text() + extra)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the records before the config was checked")
+        monkeypatch.setattr(cli, "read_records_csv", refuse)
+        assert main(["release", "--data", str(data_path), "--config", str(config),
+                     "--out", str(tmp_path / "o.csv"), "--num-regions", "6"]) == EXIT_CONFIG
+        assert f"unknown keys ['{other}']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o.csv*"))
 
     def test_budget_abort_maps_to_exit_3(self, workspace, monkeypatch):
         tmp_path, _, data_path, _ = workspace
@@ -436,7 +477,6 @@ class TestSweep:
                      "--mechanisms", "joint_clipping"] + DOMAIN) == EXIT_OK
         assert (out_dir / "sweep.csv").exists()
         assert (out_dir / "sweep_agg.csv").exists()
-        assert (out_dir / "curve.dat").exists()
         assert (out_dir / "metric_table.txt").exists()
         fitted_cfg = out_dir / "fitted_joint_clipping.cfg"
         assert fitted_cfg.exists()
@@ -457,6 +497,21 @@ class TestSweep:
             rows = {row["metric"]: float(row["wre"]) for row in csv.DictReader(fh)}
         for name, value in rows.items():
             assert value == pytest.approx(report.wre[name], rel=1e-12)
+
+    def test_sweep_writes_exactly_its_listed_outputs(self, workspace):
+        tmp_path, _, data_path, proxy_path = workspace
+        out_dir = tmp_path / "s"
+        mechanisms = ("budget_split", "activity_metric_scaling")
+        assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
+                     "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
+                     "--mechanisms", ",".join(mechanisms), "--min-devices", "5"]
+                    + DOMAIN) == EXIT_OK
+        outputs = ["sweep.csv", "sweep_agg.csv", "metric_table.txt"] + [
+            f"fitted_{kind}.cfg" for kind in mechanisms]
+        assert sorted(os.listdir(out_dir)) == sorted(outputs + ["manifest"])
+        manifest = (out_dir / "manifest").read_text().splitlines()
+        assert [line for line in manifest if line.startswith("output = ")] == [
+            f"output = {out_dir / name}" for name in outputs]
 
     def test_sweep_requires_proxy(self, workspace, capsys):
         tmp_path, _, data_path, _ = workspace
@@ -541,7 +596,7 @@ class TestSweep:
             assert len(reads) == expected_reads
             outputs[proxy] = {path.name: path.read_bytes() for path in out_dir.iterdir()
                               if path.name != "manifest"}
-        assert len(outputs[proxy_path]) == 7
+        assert len(outputs[proxy_path]) == 6  # three files and three fitted configs
         assert outputs[proxy_path] == outputs[copy_path]
 
     def test_sweep_config_flag_is_a_usage_error(self, workspace, capsys):
@@ -582,7 +637,7 @@ class TestSweep:
             manifests.append((out_dir / "manifest").read_bytes())
         assert manifests[0] == manifests[1] == manifests[2]
 
-    def test_table_and_curve_are_the_aggregates_of_sweep_csv(self, workspace):
+    def test_table_and_agg_are_the_aggregates_of_sweep_csv(self, workspace):
         tmp_path, _, data_path, proxy_path = workspace
         out_dir = tmp_path / "s"
         mechanisms, epsilons, repeats = ("joint_clipping", "activity_metric_scaling"), (1.0, 2.0), 3
@@ -599,19 +654,12 @@ class TestSweep:
         with open(out_dir / "sweep_agg.csv", newline="") as fh:
             agg = {(row["mechanism"], float(row["epsilon"])): row for row in csv.DictReader(fh)}
         assert list(agg) == list(wre)
-        means = {}
         for cell, by_repeat in wre.items():
             assert sorted(by_repeat) == list(range(repeats))
             overall = [float(np.mean([m[name] for name in METRIC_NAMES]))
                        for m in by_repeat.values()]
-            means[cell] = float(np.mean(overall))
-            assert float(agg[cell]["wre_mean"]) == means[cell]
+            assert float(agg[cell]["wre_mean"]) == float(np.mean(overall))
             assert float(agg[cell]["wre_std"]) == float(np.std(overall, ddof=1))
-
-        curve = [line.split() for line in (out_dir / "curve.dat").read_text().splitlines()
-                 if not line.startswith("#")]
-        assert curve == [[repr(eps)] + [repr(means[(kind, eps)]) for kind in mechanisms]
-                         + ["0.03"] for eps in epsilons]
 
         table = (out_dir / "metric_table.txt").read_text().splitlines()
         assert table[0] == ("weighted relative error by metric "
@@ -626,7 +674,7 @@ class TestSweep:
 def test_usage_error_exits_config(tmp_path, capsys):
     assert main(["frobnicate"]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
-    # sweep writes the table and the curve; no command re-renders them
+    # sweep writes the table and its aggregates; no command re-renders them
     assert main(["report", "--sweep", str(tmp_path / "sweep.csv"),
                  "--out", str(tmp_path / "r")]) == EXIT_CONFIG
     assert "invalid choice: 'report'" in capsys.readouterr().err

@@ -101,7 +101,7 @@ def test_invalid_record_abort_then_skip(small_dims):
     with pytest.raises(ValueError):
         clipped([good, bad], ones, 1.0, small_dims)
     with pytest.raises(ValueError):
-        prepare("joint_clipping", make_dataset("w", [("u", (good, bad))]), 1.0, small_dims)
+        prepare("joint_clipping", make_dataset([("u", (good, bad))]), 1.0, small_dims)
     kept = [rec for rec in (good, bad) if rec.region < small_dims.num_regions]
     vector = clipped(kept, ones, 100.0, small_dims)
     assert vector.cells == raw_histogram([good], small_dims).cells
@@ -110,7 +110,7 @@ def test_invalid_record_abort_then_skip(small_dims):
 def test_invalid_clip_and_policy(small_dims):
     # checked before any user is read, also for a dataset with no users
     ones = ScaleMatrix.ones(small_dims.num_activities)
-    empty = make_dataset("w", [])
+    empty = make_dataset([])
     for clip in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigError):
             client_work(empty, ones, clip, small_dims)

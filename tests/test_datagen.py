@@ -96,7 +96,7 @@ class TestGeneratorSpec:
 
 def same_columns(a, b):
     """Every column of two datasets holds the same bytes in the same dtype."""
-    return a.week_id == b.week_id and a.user_ids == b.user_ids and all(
+    return a.user_ids == b.user_ids and all(
         getattr(a, name).dtype == getattr(b, name).dtype
         and getattr(a, name).tobytes() == getattr(b, name).tobytes()
         for name in ("offsets", "region", "activity", "direction", "distance_km", "duration_s"))
@@ -363,16 +363,16 @@ def truth_cells(truth):
 
 class TestGroundTruth:
     def test_single_record(self, small_dims):
-        data = make_dataset("w", [("u0", (TripRecord(1, 0, 2, 3.0, 60.0),))])
+        data = make_dataset([("u0", (TripRecord(1, 0, 2, 3.0, 60.0),))])
         truth = ground_truth(data, small_dims)
         assert truth_cells(truth) == {
             (0, 0, 1, 2): (1.0, 1), (0, 1, 1, 2): (3.0, 1), (0, 2, 1, 2): (60.0, 1)}
 
     def test_duplicated_users_double_everything(self, small_dims):
         records = (TripRecord(1, 0, 2, 3.0, 60.0), TripRecord(0, 1, 0, 1.0, 10.0))
-        one = truth_cells(ground_truth(make_dataset("w", [("u0", records)]), small_dims))
+        one = truth_cells(ground_truth(make_dataset([("u0", records)]), small_dims))
         two = truth_cells(ground_truth(
-            make_dataset("w", [("u0", records), ("u1", records)]), small_dims))
+            make_dataset([("u0", records), ("u1", records)]), small_dims))
         assert two == {cell: (2 * total, 2 * n) for cell, (total, n) in one.items()}
 
     def test_matches_fold_of_user_histograms(self, monkeypatch):
@@ -382,7 +382,7 @@ class TestGroundTruth:
         data = generate(spec)
         users = [(uid, list(recs) + [TripRecord(0, 1, 2, 0.0, 5.0)] * (i % 3 == 0))
                  for i, (uid, recs) in enumerate(users_of(data))]
-        data = make_dataset("w", users)
+        data = make_dataset(users)
         expected, devices = reference_ground_truth(data, spec.dims)
         for block_records in (1 << 15, 1 << 13, 100, 1):
             monkeypatch.setattr(schema, "_BLOCK_RECORDS", block_records)
@@ -392,9 +392,9 @@ class TestGroundTruth:
         assert truth.devices.max() <= data.num_users
 
     def test_empty_dataset(self, small_dims):
-        truth = ground_truth(make_dataset("w", []), small_dims)
+        truth = ground_truth(make_dataset([]), small_dims)
         assert truth.flat.size == truth.totals.size == truth.devices.size == 0
-        truth = ground_truth(make_dataset("w", [("u0", ()), ("u1", ())]), small_dims)
+        truth = ground_truth(make_dataset([("u0", ()), ("u1", ())]), small_dims)
         assert truth.flat.size == 0
 
 

@@ -145,7 +145,7 @@ class TestLaplaceMechanism:
     def test_adjacent_prenoise_sums_differ_at_most_clip(self, small_dims, rng):
         clip = 4.0
         data = random_dataset(rng, small_dims, 6)
-        without = make_dataset("w", users_of(data)[:-1])
+        without = make_dataset(users_of(data)[:-1])
         distance = np.abs(
             prepare("joint_clipping", data, clip, small_dims).pre_noise_dense
             - prepare("joint_clipping", without, clip, small_dims).pre_noise_dense).sum()
@@ -156,7 +156,7 @@ class TestLaplaceMechanism:
     def test_noise_scale_is_clip_over_epsilon(self, small_dims, in_place):
         # eps=2, C=10 must consume exactly the Lap(5) stream, bit for bit;
         # tau = 0 then releases its positive half
-        prepared = prepare("joint_clipping", make_dataset("w", []), 10.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset([]), 10.0, small_dims)
         result = finish_release(prepared, 2.0, 0.0, 1234, in_place=in_place)
         stream = dense_laplace_noise(5.0, 1234, small_dims.total_cells)
         assert np.array_equal(result.released, np.maximum(stream, 0.0))
@@ -165,14 +165,14 @@ class TestLaplaceMechanism:
     @pytest.mark.parametrize("in_place", [False, True])
     def test_every_cell_gets_noise(self, small_dims, in_place):
         # lift every cell far above the noise so that none is clamped
-        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset([]), 1.0, small_dims)
         lifted = replace(prepared, pre_noise_dense=np.full(small_dims.total_cells, 100.0))
         result = finish_release(lifted, 1.0, 0.0, 9, in_place=in_place)
         assert np.count_nonzero(result.released != 100.0) == small_dims.total_cells
         assert np.shares_memory(result.released, lifted.pre_noise_dense) == in_place
 
     def test_ledger_charged_and_abort(self, small_dims, monkeypatch):
-        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset([]), 1.0, small_dims)
         assert finish_release(prepared, 1.0, 0.0, 1).ledger.total() == 1.0
         overspent = (SubRelease("a", (0, 1, 2), 1.0, 1), SubRelease("b", (3, 4, 5), 1.0, 1))
         monkeypatch.setattr(mechanisms, "calibration_table", lambda config: overspent)

@@ -61,7 +61,7 @@ class TestBudgetSplit:
         clips = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
         epsilon, seed = 2.0, 271
         split_count = dims.num_activities * 3
-        result = finish_release(prepare("budget_split", make_dataset("w", []), clips, dims),
+        result = finish_release(prepare("budget_split", make_dataset([]), clips, dims),
                                 epsilon, 0.0, seed)
         unit = dense_laplace_noise(1.0, seed, dims.total_cells)
         b_flat = np.repeat((clips * split_count).reshape(-1), dims.num_regions * 3) / epsilon
@@ -87,7 +87,7 @@ class TestBudgetSplit:
 
     def test_grid_shape_validated(self, small_dims):
         with pytest.raises(ConfigError):
-            prepare("budget_split", make_dataset("w", []), np.ones((1, 3)), small_dims)
+            prepare("budget_split", make_dataset([]), np.ones((1, 3)), small_dims)
 
 
 class TestJointClipping:
@@ -109,7 +109,7 @@ class TestJointClipping:
         # same absolute noise on count cells (~1 per trip) and duration cells
         # (~600 per trip), so relative errors track the magnitude ratio
         records = tuple(TripRecord(0, 0, 0, 5.0, 600.0) for _ in range(1))
-        data = make_dataset("w", [(f"u{i}", records) for i in range(30)])
+        data = make_dataset([(f"u{i}", records) for i in range(30)])
         count_cell, duration_cell = (0, 0, 0, 0), (0, 2, 0, 0)
         count_flat, duration_flat = (small_dims.cell_index(*count_cell),
                                      small_dims.cell_index(*duration_cell))
@@ -168,7 +168,7 @@ class TestAdjacency:
         for _ in range(20):
             data = random_dataset(rng, small_dims, 6)
             extra = random_dataset(rng, small_dims, 7)
-            grown = make_dataset("w", users_of(data) + (("extra", users_of(extra)[6][1]),))
+            grown = make_dataset(users_of(data) + (("extra", users_of(extra)[6][1]),))
 
             for prep in (lambda d: prepare("activity_metric_scaling", d, clip, small_dims, scales),
                          lambda d: prepare("joint_clipping", d, clip, small_dims)):
@@ -186,7 +186,7 @@ class TestFitScales:
     def test_constant_norms(self, small_dims):
         # every user: one trip of activity 0, distance 2, duration 8
         records = (TripRecord(0, 0, 0, 2.0, 8.0),)
-        data = make_dataset("w", [(f"u{i}", records) for i in range(50)])
+        data = make_dataset([(f"u{i}", records) for i in range(50)])
         scales = fit_scales(data, small_dims)
         assert scales.entries[0, 0] == 1.0   # one trip each
         assert scales.entries[0, 1] == 2.0
@@ -194,7 +194,7 @@ class TestFitScales:
 
     def test_unused_activity_defaults_to_one(self, small_dims):
         records = (TripRecord(0, 0, 0, 2.0, 8.0),)
-        data = make_dataset("w", [("u0", records)])
+        data = make_dataset([("u0", records)])
         scales = fit_scales(data, small_dims)
         assert all(scales.entries[1, m] == 1.0 for m in range(3))
 
@@ -204,7 +204,7 @@ class TestFitScales:
         for i in range(10_000):
             d = float(rng.exponential(1.0))
             users.append((f"u{i}", (TripRecord(0, 0, 0, d, 0.0),)))
-        data = make_dataset("w", users)
+        data = make_dataset(users)
         scales = fit_scales(data, dims)
         assert scales.entries[0, 1] == pytest.approx(math.log(20), abs=0.1)
         assert scales.entries[0, 0] == 1.0    # everyone has exactly one trip
@@ -230,7 +230,7 @@ class TestFitScales:
 
     def test_permutation_invariant(self, small_dims, rng):
         data = random_dataset(rng, small_dims, 30)
-        shuffled = make_dataset("w2", reversed(users_of(data)))
+        shuffled = make_dataset(reversed(users_of(data)))
         assert np.array_equal(fit_scales(data, small_dims).entries,
                               fit_scales(shuffled, small_dims).entries)
 
@@ -238,7 +238,7 @@ class TestFitScales:
 class TestFitClip:
     def test_single_user(self, small_dims):
         records = (TripRecord(0, 0, 0, 2.0, 8.0),)
-        data = make_dataset("w", [("u0", records)])
+        data = make_dataset([("u0", records)])
         ones = ScaleMatrix.ones(small_dims.num_activities)
         assert fit_clip(data, ones, small_dims) == 11.0  # 1 + 2 + 8
 
@@ -259,7 +259,7 @@ class TestFitClip:
             count = max(1, int(rng.lognormal(2.0, 1.5)))
             users.append((f"u{i}", tuple(
                 TripRecord(0, a, 0, 0.0, 0.0) for _ in range(count))))
-        data = make_dataset("w", users)
+        data = make_dataset(users)
         raw_norms = [raw_histogram(r, dims).l1_norm() for _, r in users_of(data)]
         assert max(raw_norms) / min(raw_norms) >= 100.0
         scales = fit_scales(data, dims)
@@ -269,7 +269,7 @@ class TestFitClip:
     def test_zero_record_users_count(self, small_dims, monkeypatch):
         # norms 0 (empty), 11, 0 (empty), 3, 0 (empty): the empty users sit
         # at both ends and in the middle, and each counts in the quantile
-        data = make_dataset("w", [
+        data = make_dataset([
             ("e0", ()),
             ("a", (TripRecord(0, 0, 0, 2.0, 8.0),)),
             ("e1", ()),
@@ -288,7 +288,7 @@ class TestFitClip:
 
     def test_empty_dataset_rejected(self, small_dims):
         with pytest.raises(ConfigError):
-            fit_clip(make_dataset("w", []), ScaleMatrix.ones(small_dims.num_activities),
+            fit_clip(make_dataset([]), ScaleMatrix.ones(small_dims.num_activities),
                      small_dims)
 
 
@@ -371,7 +371,7 @@ class TestCalibrationTable:
             return dense_laplace_noise(*args, **kwargs)
         monkeypatch.setattr(aggregation, "dense_laplace_noise", counting)
         clip = np.full((small_dims.num_activities, 3), 2.0) if kind == "budget_split" else 2.0
-        prepared = prepare(kind, make_dataset("w", []), clip, small_dims)
+        prepared = prepare(kind, make_dataset([]), clip, small_dims)
         with pytest.raises(ConfigError, match="threshold_tau must be finite and >= 0"):
             finish_release(prepared, 1.0, tau, 1)
         assert not drawn
@@ -389,7 +389,7 @@ class TestCalibrationTable:
             raise AssertionError("noised or charged before the table was checked")
         monkeypatch.setattr(mechanisms, "noise_descale_threshold", refuse)
         monkeypatch.setattr(mechanisms.PrivacyLedger, "charge", refuse)
-        prepared = prepare("joint_clipping", make_dataset("w", []), 1.0, small_dims)
+        prepared = prepare("joint_clipping", make_dataset([]), 1.0, small_dims)
         table = tuple(SubRelease(f"r{i}", cover, 1.0, len(slices))
                       for i, cover in enumerate(slices))
         monkeypatch.setattr(mechanisms, "calibration_table", lambda config: table)
@@ -403,7 +403,7 @@ class TestCalibrationTable:
         clip = np.exp(rng.normal(0, 1, size=(3, 3))) if kind == "budget_split" else 2.7
         if kind != "activity_metric_scaling":
             scales = None
-        prepared = prepare(kind, make_dataset("w", []), clip, dims, scales)
+        prepared = prepare(kind, make_dataset([]), clip, dims, scales)
         slice_scales = prepared.config.scales.entries.reshape(-1)
         for epsilon in (0.25, 1.0 / 3.0, 2.0, 16.0):
             result = finish_release(prepared, epsilon, 0.0, 8)
@@ -512,7 +512,7 @@ def audit_neighbours(kind):
     distance, duration = (50.0, 5000.0) if kind == "budget_split" else (0.0, 0.0)
     base = random_dataset(np.random.default_rng(7), AUDIT_DIMS, 6)
     worst = tuple(TripRecord(0, 0, 0, distance, duration) for _ in range(1000))
-    grown = make_dataset(base.week_id, users_of(base) + (("added", worst),))
+    grown = make_dataset(users_of(base) + (("added", worst),))
     pre, pre_grown = (mechanisms.prepare_release(config, data, AUDIT_DIMS).pre_noise_dense
                       for data in (base, grown))
     return config, pre, pre_grown

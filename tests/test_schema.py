@@ -126,7 +126,7 @@ class TestTripRecord:
         ]:
             good = TripRecord(1, 1, 1, 1.0, 1.0)
             with pytest.raises(ValueError) as excinfo:
-                make_dataset("w", [("a", [good]), ("b", [good, bad])])
+                make_dataset([("a", [good]), ("b", [good, bad])])
             assert str(excinfo.value) == message
 
     def test_validate_bounds(self, small_dims):
@@ -143,17 +143,17 @@ class TestTripRecord:
 class TestWeekDataset:
     def test_duplicate_user_rejected(self):
         with pytest.raises(ConfigError):
-            make_dataset("w", [("u1", ()), ("u1", ())])
+            make_dataset([("u1", ()), ("u1", ())])
 
     def test_zero_record_users_allowed(self):
-        data = make_dataset("w", [("u1", ())])
+        data = make_dataset([("u1", ())])
         assert data.num_users == 1 and data.num_records == 0
 
     def test_columns_must_match_the_offsets(self):
         with pytest.raises(ValueError):
-            WeekDataset("w", ("a", "b"), [0, 2, 1], [0], [0], [0], [1.0], [1.0])
+            WeekDataset(("a", "b"), [0, 2, 1], [0], [0], [0], [1.0], [1.0])
         with pytest.raises(ValueError):
-            WeekDataset("w", ("a",), [0, 1], [0, 0], [0], [0], [1.0], [1.0])
+            WeekDataset(("a",), [0, 1], [0, 0], [0], [0], [1.0], [1.0])
 
 
 class TestUserHistogram:
@@ -191,7 +191,7 @@ class TestUserHistogram:
         monkeypatch.setattr(schema, "_BLOCK_RECORDS", 10)
         users = [(uid, list(recs) + [TripRecord(0, 1, 2, 0.0, 0.0)] * (i % 2))
                  for i, (uid, recs) in enumerate(users_of(random_dataset(rng, small_dims, 60)))]
-        data = make_dataset("w", users)
+        data = make_dataset(users)
         scales = ScaleMatrix(np.exp(rng.normal(0, 2, size=(small_dims.num_activities, 3))))
         blocks = list(user_cells(data, small_dims, scales))
         assert len(blocks) > 10
@@ -268,7 +268,7 @@ class TestScaleMatrix:
             assert value == 1.0 / entries[a, m]
 
     def test_ones(self):
-        assert ScaleMatrix.ones(5).is_ones()
+        assert np.array_equal(ScaleMatrix.ones(5).entries, np.ones((5, 3)))
 
 
 class TestMechanismConfig:
@@ -291,6 +291,9 @@ class TestMechanismConfig:
         not_ones = ScaleMatrix(np.full((2, 3), 2.0))
         with pytest.raises(ConfigError):
             MechanismConfig(1.0, "joint_clipping", 1.0, not_ones, 0.0, 1)
+        one_off = ScaleMatrix(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.5]]))
+        with pytest.raises(ConfigError, match="requires an all-ones scale matrix"):
+            MechanismConfig(1.0, "budget_split", np.ones((2, 3)), one_off, 0.0, 1)
         MechanismConfig(1.0, "budget_split", np.ones((2, 3)), ones, 0.0, 1)
         MechanismConfig(1.0, "activity_metric_scaling", 1.0, not_ones, 0.0, 1)
 
@@ -298,8 +301,8 @@ class TestMechanismConfig:
 class TestFileFormats:
     def test_records_roundtrip_bytes(self, tmp_path, small_dims, rng):
         users = [(f"u{i}", tuple(random_records(rng, small_dims, 3))) for i in range(5)]
-        data = make_dataset("w1", users)
-        p1, p2 = tmp_path / "w1.csv", tmp_path / "b.csv"  # the label is the file stem
+        data = make_dataset(users)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(p1, data)
         back = read_records_csv(p1)
         assert same_dataset(back, data)
@@ -499,7 +502,7 @@ class TestFileFormats:
         monkeypatch.setattr(schema, "_WRITE_CHUNK_RECORDS", chunk_records)
         values = iter([5e-324, 1e16, 1e-5, 0.1 + 0.2, 0.0, 1e300, 7.0, 2.5, 123456.789, 1.0,
                        3.0, 4.0, 9.75, 0.5, 6.0, 8.0])
-        data = make_dataset("w", [
+        data = make_dataset([
             (uid, [TripRecord(i % 5, i % 3, i % 3, next(values), next(values))
                    for i in range(n)]) for uid, n in users])
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -516,9 +519,9 @@ class TestFileFormats:
                  for uid, n in (("a,b", 3), ("", 2), ("none", 0), ('q"', 9), ("z", 1))]
         users.append(("edge", (TripRecord(0, 1, 2, 5e-324, 1e16), TripRecord(3, 0, 1, 1e-5, 0.0))))
         path = tmp_path / "w.csv"
-        write_records_csv(path, make_dataset("w", users))
+        write_records_csv(path, make_dataset(users))
         assert same_dataset(read_records_csv(path),
-                            make_dataset("w", [user for user in users if user[1]]))
+                            make_dataset([user for user in users if user[1]]))
 
     def test_histogram_roundtrip(self, tmp_path, small_dims, rng):
         hist = random_histogram(rng, small_dims)
