@@ -20,6 +20,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
@@ -378,27 +379,25 @@ def read_records_csv(path) -> WeekDataset:
     """Read trips grouped by user, users in order of first appearance and
     each user's records in file order.
 
-    One ``np.loadtxt`` pass parses the file as latin-1, user ids as bytes.
-    If a row does not parse or fails the record checks, the file is read
-    again with ``csv`` to name the first bad line and what is wrong with it.
+    ``_record_columns`` parses the file as latin-1, user ids as bytes.  If a
+    row does not parse or fails the record checks, the file is read again
+    with ``csv`` to name the first bad line and what is wrong with it.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         header = next(csv.reader(fh), None)
     if header != RECORD_CSV_HEADER:
         raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
     try:
-        _check_bytes(path)
         width, full = 16, True
         while full:  # an id that fills the column may be cut: parse again, wider
-            table = ids = None  # the narrower table goes before the wider one comes
-            table = _loadtxt(path, [("user_id", f"S{width}"), *_NUMBERS], "latin-1", skiprows=1)
-            ids = table["user_id"]  # users are runs of equal ids: find their first rows
+            ids = columns = None  # the narrower table goes before the wider one comes
+            ids, *columns = _record_columns(path, width)  # a user is a run of equal ids
             starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))[:ids.size]
             full, width = np.any(np.char.str_len(ids[starts]) == width), 4 * width
         keys, first, inverse = np.unique(ids[starts], return_index=True, return_inverse=True)
         by_first = np.argsort(first)  # the users in order of first appearance
-        columns = [table[name] for name in RECORD_CSV_HEADER[1:]]
         offsets = np.append(starts, ids.size)
+        ids = None  # no id column outlives the grouping
         if keys.size < starts.size:  # a user in more than one run: group its runs, stably
             owner = np.repeat(np.argsort(by_first)[inverse], np.diff(offsets))
             order = np.argsort(owner, kind="stable")
@@ -409,6 +408,39 @@ def read_records_csv(path) -> WeekDataset:
     except ValueError as exc:
         raise _first_bad_row(path, len(RECORD_CSV_HEADER), _check_record_row,
                              f"{path}: {exc}") from None
+
+
+def _record_columns(path, width: int) -> list[np.ndarray]:
+    """The id column, ``width`` bytes wide, and the number columns of a
+    records file, read by ``_read_in_halves`` or else whole, in blocks."""
+    dtype = np.dtype([("user_id", f"S{width}"), *_NUMBERS])
+    columns = []
+
+    def fill(at: int, rows: np.ndarray, done: int) -> None:
+        for col, name in zip(columns, dtype.names):
+            col[at + done:at + done + rows.size] = rows[name]
+
+    def blocks(head_lines: int, tail_lines: int):
+        columns.extend(_shared(head_lines + tail_lines, dtype[i]) for i in range(len(dtype)))
+        return partial(fill, 0), partial(fill, head_lines)
+
+    rows = _read_in_halves(path, RECORD_CSV_HEADER, dtype, blocks)
+    if rows is None:
+        _check_bytes(path)
+        pieces = {name: [] for name in dtype.names}
+
+        def keep(rows: np.ndarray, done: int) -> None:
+            for name in dtype.names:
+                pieces[name].append(rows[name].copy())
+
+        with open(path, encoding="latin-1") as fh:  # as np.loadtxt opens a path
+            fh.readline()
+            _read_blocks(fh, dtype, keep, "latin-1")
+        return [np.concatenate(pieces.pop(name)) for name in dtype.names]
+    head, head_lines, tail = rows
+    for col in columns if head < head_lines else ():  # blank lines: move the tail down
+        col[head:head + tail] = col[head_lines:head_lines + tail]
+    return [col[:head + tail] for col in columns]
 
 
 def _check_record_row(row: list[str]) -> None:
@@ -586,7 +618,7 @@ def _write_rows(fh, dense: np.ndarray, regions: list[str], lo: int, hi: int) -> 
                               in zip(r.tolist(), d.tolist(), values[flat].tolist())]).encode())
 
 
-# rows per np.loadtxt block of the histogram reader
+# rows per np.loadtxt block of every block-wise read
 _READ_BLOCK_ROWS = 1 << 15
 
 # one byte wider than the longest metric token, so a longer token reads as a
@@ -595,9 +627,6 @@ _HISTOGRAM_DTYPE = np.dtype([("activity", np.int64),
                              ("metric", f"S{max(map(len, METRIC_NAMES)) + 1}"),
                              ("region", np.int64), ("direction", np.int64), ("value", float)])
 
-# the header lines a file read in two halves may start with
-_HEADER_LINES = tuple(f"{','.join(HISTOGRAM_CSV_HEADER)}{end}".encode() for end in ("\r\n", "\n"))
-
 
 def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
     """Dense vector in flat cell order; absent and zero-valued cells read 0.
@@ -605,13 +634,15 @@ def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
     A second row for a cell is an error, also when the first one held 0, and
     so is a NUL byte anywhere in the file, which a parsed token would drop.
     The rows are parsed by ``np.loadtxt`` in blocks and checked as arrays,
-    in two processes when the file is large and starts with the plain
-    header (see ``_read_halves``).  If a half or a block does not parse or
-    fails a check, the whole file is read here with the same block loop,
-    then again with ``csv`` to name the first bad line.
+    in two processes when ``_read_in_halves`` can.  If that fails, or a cell
+    has a row in each half (fewer cells seen than rows parsed), the whole
+    file is read here with the same block loop, then again with ``csv`` to
+    name the first bad line.
     """
-    dense = _read_halves(path, dims)
-    if dense is not None:
+    dense, seen = _shared(dims.total_cells, float), _shared(dims.total_cells, bool)
+    block = partial(_histogram_rows, dims, dense, seen)
+    rows = _read_in_halves(path, HISTOGRAM_CSV_HEADER, _HISTOGRAM_DTYPE, lambda *_: (block, block))
+    if rows is not None and rows[0] + rows[2] == np.count_nonzero(seen):
         return dense
     dense = np.zeros(dims.total_cells)
     seen = np.zeros(dims.total_cells, dtype=bool)
@@ -621,7 +652,8 @@ def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
             raise ConfigError(f"{path}: bad header {header!r}, expected {HISTOGRAM_CSV_HEADER}")
         try:
             _check_bytes(path)
-            if _read_rows(fh, dims, dense, seen) != np.count_nonzero(seen):
+            block = partial(_histogram_rows, dims, dense, seen)
+            if _read_blocks(fh, _HISTOGRAM_DTYPE, block) != np.count_nonzero(seen):
                 raise ValueError("a cell has a second row")
             return dense
         except ValueError as exc:
@@ -629,19 +661,23 @@ def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
                                  f"{path}: {exc}") from None
 
 
-def _read_halves(path, dims: Dimensions) -> np.ndarray | None:
-    """The dense vector of a file read as two halves, split at the first line
-    end after its middle byte; None when it must be read whole.
+def _shared(size: int, dtype) -> np.ndarray:
+    """``size`` zeros in anonymous memory that a forked child shares."""
+    return np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)), dtype, count=size)
 
-    A forked child reads the second half into the dense vector and seen
-    mask in shared memory while this process reads the first.  None when
-    the rows after the header are under ``_FORK_BYTES`` or there is no
-    ``os.fork``, the file does not start with the plain header, a half
-    fails, the split may lie in a quoted field (an odd number of quote bytes
-    before it) or a cell has two rows (fewer cells seen than rows parsed).
+
+def _read_in_halves(path, header: list[str], dtype: np.dtype, blocks):
+    """Parse the rows of a file in two halves with ``_read_part``, the second
+    in a forked child; ``blocks(head_lines, tail_lines)`` gives the block
+    callbacks of the halves, which leave the child's rows in shared memory.
+    The rows of the first half, its lines and the rows of the second, or
+    None to read the file whole: the rows after the header are under
+    ``_FORK_BYTES``, there is no ``os.fork``, the first line is not
+    ``header``, a half fails, or the file holds a quote byte (a quoted field
+    may span the split, or hold a ``\\r`` the whole-file parse reads as ``\\n``).
     """
     with open(path, "rb") as fh:
-        if fh.readline() not in _HEADER_LINES:
+        if fh.readline() not in [f"{','.join(header)}{end}".encode() for end in ("\r\n", "\n")]:
             return None
         start, stop = fh.tell(), os.fstat(fh.fileno()).st_size
         if stop - start < _FORK_BYTES or not hasattr(os, "fork"):
@@ -649,63 +685,61 @@ def _read_halves(path, dims: Dimensions) -> np.ndarray | None:
         fh.seek((start + stop) // 2)
         fh.readline()
         split = fh.tell()
-    dense = np.frombuffer(mmap.mmap(-1, 8 * dims.total_cells), dtype=float)
-    marks = mmap.mmap(-1, 8 + dims.total_cells)
-    tail_rows = np.frombuffer(marks, dtype=np.int64, count=1)
-    seen = np.frombuffer(marks, dtype=bool, offset=8)
-
-    def second_half():
-        tail_rows[0] = _read_part(path, dims, split, stop, dense, seen)[0]
-
+    tail_rows = _shared(1, np.int64)
     try:
+        (head_quotes, head_lines), (tail_quotes, tail_lines) = (
+            _check_bytes(path, start, split), _check_bytes(path, split, stop))
+        if head_quotes or tail_quotes:
+            return None
+        head_block, tail_block = blocks(head_lines, tail_lines)
+
+        def second_half():
+            tail_rows[0] = _read_part(path, split, tail_lines, dtype, tail_block)
+
         with _second_half(second_half):
-            head_rows, quotes = _read_part(path, dims, start, split, dense, seen)
+            head_rows = _read_part(path, start, head_lines, dtype, head_block)
     except (ValueError, OSError):
         return None
-    if quotes % 2 or head_rows + int(tail_rows[0]) != np.count_nonzero(seen):
-        return None
-    return dense
+    return head_rows, head_lines, int(tail_rows[0])
 
 
-def _read_part(path, dims: Dimensions, start: int, stop: int, dense: np.ndarray,
-               seen: np.ndarray) -> tuple[int, int]:
-    """Check bytes ``start:stop`` of a file, which start a row, and parse
-    their rows into ``dense`` and ``seen``; the numbers of rows and of quote
-    bytes.
-
-    The lines end at ``\\n`` only, so each may end in ``\\r\\n``, while a
-    lone ``\\r`` inside a line fails the parse; the file is then read whole,
-    with ``\\r`` ending lines too.
-    """
-    quotes, lines = _check_bytes(path, start, stop)
+def _read_part(path, start: int, lines: int, dtype: np.dtype, block) -> int:
+    """The number of rows of the ``lines`` lines, ended by ``\\n`` (a lone
+    ``\\r`` fails), from byte ``start`` of a file, parsed by ``_read_blocks``."""
     with open(path, "rb") as fh:
         fh.seek(start)
-        with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape",
-                              newline="\n") as text:
-            return _read_rows(itertools.islice(text, lines), dims, dense, seen), quotes
+        with io.TextIOWrapper(fh, "latin-1", newline="\n") as text:
+            return _read_blocks(itertools.islice(text, lines), dtype, block, "latin-1")
 
 
-def _read_rows(lines, dims: Dimensions, dense: np.ndarray, seen: np.ndarray) -> int:
-    """Parse the histogram rows of the text lines ``lines`` in blocks, set
-    their values in ``dense`` and their cells in ``seen``; the number of
-    rows.  ValueError if a block does not parse or a row names no cell."""
-    num_rows = 0
+def _read_blocks(lines, dtype: np.dtype, block, encoding: str = "utf-8") -> int:
+    """Parse the CSV rows of the text lines ``lines`` with ``np.loadtxt``,
+    ``_READ_BLOCK_ROWS`` at a time, passing each block and the number of
+    rows before it to ``block``; the number of rows."""
+    done = 0
     while True:
-        rows = _loadtxt(lines, _HISTOGRAM_DTYPE, max_rows=_READ_BLOCK_ROWS)
-        a, r, d = rows["activity"], rows["region"], rows["direction"]
-        m = np.full(rows.size, -1)
-        for index, name in enumerate(METRIC_NAMES):
-            m[rows["metric"] == name.encode()] = index
-        if not np.all((m >= 0) & (a >= 0) & (a < dims.num_activities)
-                      & (r >= 0) & (r < dims.num_regions) & (d >= 0) & (d < 3)):
-            raise ValueError("a row names no cell of the domain")
-        flat = ((a * 3 + m) * dims.num_regions + r) * 3 + d
-        seen[flat] = True
-        num_rows += flat.size
-        nonzero = rows["value"] != 0.0
-        dense[flat[nonzero]] = rows["value"][nonzero]
+        rows = _loadtxt(lines, dtype, encoding, max_rows=_READ_BLOCK_ROWS)
+        block(rows, done)
+        done += rows.size
         if rows.size < _READ_BLOCK_ROWS:
-            return num_rows
+            return done
+
+
+def _histogram_rows(dims: Dimensions, dense: np.ndarray, seen: np.ndarray, rows: np.ndarray,
+                    done: int) -> None:
+    """Set the values of a block of histogram rows in ``dense`` and their
+    cells in ``seen``; ValueError if a row names no cell."""
+    a, r, d = rows["activity"], rows["region"], rows["direction"]
+    m = np.full(rows.size, -1)
+    for index, name in enumerate(METRIC_NAMES):
+        m[rows["metric"] == name.encode()] = index
+    if not np.all((m >= 0) & (a >= 0) & (a < dims.num_activities)
+                  & (r >= 0) & (r < dims.num_regions) & (d >= 0) & (d < 3)):
+        raise ValueError("a row names no cell of the domain")
+    flat = ((a * 3 + m) * dims.num_regions + r) * 3 + d
+    seen[flat] = True
+    nonzero = rows["value"] != 0.0
+    dense[flat[nonzero]] = rows["value"][nonzero]
 
 
 def _histogram_row_check(dims: Dimensions):

@@ -21,8 +21,8 @@ def small_dims():
 
 @pytest.fixture(params=["inline", "forked"])
 def second_half(request, monkeypatch):
-    """How a histogram file or a generated records file is done: with the
-    size constants at their defaults, so a small file is written and read in
+    """How a histogram or records file is written and read: with the size
+    constants at their defaults, so a small file is written and read in
     this process, or with them forced to 0, so a forked child does the
     second half of every file."""
     if request.param == "forked":

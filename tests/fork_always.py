@@ -6,8 +6,8 @@ Loaded only on request, with ``tests`` on the import path::
 
 It sets the row and byte sizes from which ``dpgb.schema`` does the second
 half of a file in a forked child to 0, so every histogram or records file
-written, and every histogram file read, however small, takes the forked
-path.  Tests that set the sizes themselves still do.
+written or read, however small, takes the forked path.  Tests that set the
+sizes themselves still do.
 """
 
 from dpgb import schema

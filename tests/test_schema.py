@@ -299,6 +299,7 @@ class TestMechanismConfig:
 
 
 class TestFileFormats:
+    @pytest.mark.usefixtures("second_half")
     def test_records_roundtrip_bytes(self, tmp_path, small_dims, rng):
         users = [(f"u{i}", tuple(random_records(rng, small_dims, 3))) for i in range(5)]
         data = make_dataset(users)
@@ -309,12 +310,14 @@ class TestFileFormats:
         write_records_csv(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.usefixtures("second_half")
     def test_records_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("nope\n")
         with pytest.raises(ConfigError):
             read_records_csv(p)
 
+    @pytest.mark.usefixtures("second_half")
     def test_records_bad_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("user_id,region,activity,direction,distance_km,duration_s\nu1,0,0,0,-3,1\n")
@@ -350,6 +353,7 @@ class TestFileFormats:
         # within one line, a negative index is reported before a bad distance
         ("\nu1,0,-1,0,nan,2.0\n", 3, NEGATIVE_ACTIVITY),
     ])
+    @pytest.mark.usefixtures("second_half")
     def test_records_reader_errors_keep_messages_and_line_numbers(
             self, tmp_path, body, lineno, message):
         path = tmp_path / "records.csv"
@@ -358,6 +362,7 @@ class TestFileFormats:
             read_records_csv(path)
         assert str(excinfo.value) == f"{path}:{lineno}: {message}"
 
+    @pytest.mark.usefixtures("second_half")
     def test_records_reader_takes_plain_numbers_only(self, tmp_path):
         # spellings Python's int() accepts but the C parser does not, and
         # indices past int64, are rejected rather than read
@@ -384,6 +389,7 @@ class TestFileFormats:
         ("user_id,region\n", ["user_id", "region"]),
         ("", None),
     ])
+    @pytest.mark.usefixtures("second_half")
     def test_records_reader_bad_header(self, tmp_path, text, header):
         path = tmp_path / "records.csv"
         path.write_text(text)
@@ -392,6 +398,7 @@ class TestFileFormats:
         assert str(excinfo.value) == (
             f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
 
+    @pytest.mark.usefixtures("second_half")
     def test_user_ids_and_record_order_survive_a_round_trip(self, tmp_path):
         # ids of 1 and 40 characters, with a comma, a double quote and
         # non-ASCII letters; "a,b" and 'say "hi"' are interleaved in the file
@@ -429,6 +436,7 @@ class TestFileFormats:
         assert '"a,b",' in text and '"say ""hi""",' in text and '"é,""q""",' in text
         assert f"\r\n{long_id},1,0,2,0.0,0.0\r\n" in text
 
+    @pytest.mark.usefixtures("second_half")
     def test_user_ids_keep_their_bytes(self, tmp_path):
         # ids outside latin-1; of 15, 16, 17, 40 and 70 UTF-8 bytes (the
         # bytes column starts 16 wide); sharing their first 16 or 39 bytes;
@@ -447,6 +455,7 @@ class TestFileFormats:
         assert user_records(data) == [(uid, [row[1:] for row in rows if row[0] == uid])
                                       for uid in order]
 
+    @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("first, second", [("a\0", "a"), ("\0", ""), ("a\0b", "ab")])
     def test_records_reader_rejects_nul_in_user_ids(self, tmp_path, first, second):
         # a fixed-width bytes column cannot tell "a\0" from "a": never merge them
@@ -463,6 +472,7 @@ class TestFileFormats:
         # a latin-1 no-break space, which the parse would take as whitespace
         (b"u2,0,0,0,1.0\xa0,2.0", "byte 0xa0 in position 12: invalid start byte"),
     ])
+    @pytest.mark.usefixtures("second_half")
     def test_records_reader_names_the_line_of_bytes_that_are_not_utf8(
             self, tmp_path, lines_before, row, message):
         path = tmp_path / "records.csv"
@@ -473,13 +483,17 @@ class TestFileFormats:
         assert str(excinfo.value) == (
             f"{path}:{lines_before + 2}: 'utf-8' codec can't decode {message}")
 
-    def test_reading_records_holds_no_object_per_row(self, tmp_path):
+    def test_reading_records_holds_no_object_per_row(self, tmp_path, monkeypatch, second_half):
         # the reader's peak is the parsed table (the returned columns, ids
         # and a parse buffer), not one Python string per row
         data = generate(default_spec(num_users=7000, num_regions=100, seed=1))
         path = tmp_path / "records.csv"
         write_records_csv(path, data)
         del data
+        if second_half == "inline":
+            # the file is 5.5 MB: read it whole, where tracemalloc sees the
+            # columns, and not in halves into shared memory that it does not
+            monkeypatch.setattr(schema, "_FORK_BYTES", 1 << 62)
         tracemalloc.start()
         try:
             back = read_records_csv(path)
@@ -510,6 +524,7 @@ class TestFileFormats:
         csv_writer_records(want, data)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 14])
     def test_records_writer_round_trip(self, tmp_path, rng, monkeypatch, small_dims,
                                        chunk_records):
@@ -560,6 +575,153 @@ class TestFileFormats:
         path.write_text("mechanism_kind = joint_clipping\nepsilon = 1.0\n")
         with pytest.raises(ConfigError):
             read_mechanism_config(path)
+
+
+COLUMNS = ("offsets", "region", "activity", "direction", "distance_km", "duration_s")
+
+
+def bit_identical(a, b):
+    return a.user_ids == b.user_ids and all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in COLUMNS)
+
+
+def head_lines(path):
+    """The lines after the header that a two-half read gives the first half:
+    up to the first line end after the middle byte of the rows."""
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    return data[start:data.index(b"\n", (start + len(data)) // 2) + 1].count(b"\n")
+
+
+def read_whole_and_in_halves(path, monkeypatch):
+    """A records file read whole, then in two halves, and what each
+    ``_read_in_halves`` call gave: the rows of the first half, its lines
+    and the rows of the second, or None where the file was read whole."""
+    monkeypatch.setattr(schema, "_FORK_BYTES", 1 << 62)
+    whole = read_records_csv(path)
+    monkeypatch.setattr(schema, "_FORK_BYTES", 0)
+    parts = []
+    read_in_halves = schema._read_in_halves
+
+    def spy(*args):
+        parts.append(read_in_halves(*args))
+        return parts[-1]
+    monkeypatch.setattr(schema, "_read_in_halves", spy)
+    return whole, read_records_csv(path), parts
+
+
+class TestRecordsInHalves:
+    """A records file read in two halves reads as the whole file does."""
+
+    def test_a_user_whose_rows_straddle_the_split(self, tmp_path, monkeypatch):
+        rows = ([f"u0,{i},1,2,{i}.5,{10 * i}.0\r\n" for i in range(3)]
+                + [f"a,{i % 4},0,1,{i}.25,{i}.0\r\n" for i in range(40)]
+                + [f"u1,{i},2,0,{i}.75,1e-5\r\n" for i in range(3)])
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(RECORD_CSV_HEADER) + "\r\n" + "".join(rows), newline="")
+        head = head_lines(path)
+        assert rows[head - 1].startswith("a,") and rows[head].startswith("a,")
+        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
+        assert parts == [(head, head, len(rows) - head)]
+        assert bit_identical(halves, whole)
+        assert whole.user_ids == ("u0", "a", "u1") and whole.offsets.tolist() == [0, 3, 43, 46]
+
+    def test_a_user_with_runs_on_both_sides_of_the_split(self, tmp_path, monkeypatch):
+        runs = [("a", 4), ("b", 30), ("a", 3), ("c", 2), ("b", 1)]
+        rows = [f"{uid},{i},{i % 3},{i % 3},{i}.5,{i}.0\n"
+                for uid, n in runs for i in range(n)]
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(RECORD_CSV_HEADER) + "\n" + "".join(rows))
+        head = head_lines(path)
+        assert 4 < head < 34  # the split lies in b's first run
+        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
+        assert parts == [(head, head, len(rows) - head)]
+        assert bit_identical(halves, whole)
+        assert whole.user_ids == ("a", "b", "c") and whole.offsets.tolist() == [0, 7, 38, 40]
+
+    @pytest.mark.parametrize("blank_head, blank_tail", [(1, 0), (5, 2), (0, 3)])
+    def test_blank_lines_around_the_split(self, tmp_path, monkeypatch, blank_head, blank_tail):
+        rows = [f"u{i // 4},{i},0,1,{i}.5,{i}.0\r\n" for i in range(40)]
+        body = ["\r\n", "\n"] * blank_head + rows[:30] + ["\n"] * blank_tail + rows[30:]
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(RECORD_CSV_HEADER) + "\r\n" + "".join(body), newline="")
+        head = head_lines(path) - 2 * blank_head  # rows in the first half
+        assert 0 < head < 30
+        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
+        assert parts == [(head, head_lines(path), 40 - head)]
+        assert bit_identical(halves, whole) and whole.num_records == 40
+
+    @pytest.mark.parametrize("rows_before", [0, 1, 5, 12])  # moves the split
+    @pytest.mark.parametrize("lone_cr", [False, True])
+    def test_line_ends_of_every_kind(self, tmp_path, monkeypatch, rows_before, lone_cr):
+        # CRLF and LF line ends; with lone_cr, a CR ends two of the lines,
+        # which fails a half's parse, so the file is read whole
+        end = "\r" if lone_cr else "\n"
+        body = ("".join(f"v{i},{i},0,0,1.0,2.0\r\n" for i in range(rows_before))
+                + "a,0,0,0,1.5,2.5\r\nx,1,1,1,2.5,3.5\nb,2,2,2,3.5,4.5\r\n"
+                + f"p,0,1,2,4.5,5.5\na,1,0,0,5.5,6.5{end}c,2,1,0,6.5,7.5{end}"
+                + "d,0,2,1,7.5,8.5\r\n")
+        path = tmp_path / "r.csv"
+        path.write_bytes((",".join(RECORD_CSV_HEADER) + "\n" + body).encode())
+        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
+        assert bit_identical(halves, whole)
+        assert whole.user_ids[-6:] == ("a", "x", "b", "p", "c", "d")
+        head = head_lines(path)
+        assert parts == ([None] if lone_cr else [(head, head, rows_before + 7 - head)])
+
+    @pytest.mark.parametrize("body, uids", [
+        # a CR or a CRLF inside a quoted id reads as LF in the whole file
+        ('a,0,0,0,1.5,2.5\r\n"x\ry",1,1,1,2.5,3.5\r\n"p\r\nq",0,1,2,4.5,5.5\r\n'
+         + "".join(f"b,{i},0,0,1.0,2.0\r\n" for i in range(8)), ("a", "x\ny", "p\nq", "b")),
+        # the split follows the line end inside the quoted id
+        ('"' + "x" * 200 + '\ny",0,0,0,1.0,2.0\nu,1,1,1,1.0,1.0\n', ("x" * 200 + "\ny", "u")),
+    ], ids=["cr_in_quotes", "split_in_quotes"])
+    def test_a_quote_reads_the_file_whole(self, tmp_path, monkeypatch, body, uids):
+        def refuse(*args):
+            raise AssertionError("a half was parsed")
+        monkeypatch.setattr(schema, "_read_part", refuse)
+        path = tmp_path / "r.csv"
+        path.write_bytes((",".join(RECORD_CSV_HEADER) + "\n" + body).encode())
+        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
+        assert set(parts) == {None} and bit_identical(halves, whole)
+        assert whole.user_ids == uids
+
+    def test_a_header_ended_by_a_lone_cr_reads_the_file_whole(self, tmp_path, monkeypatch):
+        # the header row ends at the CR, but the first line runs on to the LF
+        path = tmp_path / "r.csv"
+        path.write_bytes((",".join(RECORD_CSV_HEADER)
+                          + "\ru,0,0,0,1.0,2.0\nv,1,1,1,2.0,3.0\n").encode())
+        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
+        assert parts == [None] and bit_identical(halves, whole)
+        assert whole.user_ids == ("u", "v")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_failing_child_leaves_the_read_to_this_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(schema, "_FORK_BYTES", 0)
+        parent, read_part = os.getpid(), schema._read_part
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise OSError("the child fails")
+            return read_part(*args)
+        monkeypatch.setattr(schema, "_read_part", fail_in_child)
+        data = generate(default_spec(num_users=200, num_regions=10, seed=3))
+        path = tmp_path / "r.csv"
+        write_records_csv(path, data)
+        assert bit_identical(read_records_csv(path), data)
+
+    @pytest.mark.usefixtures("second_half")
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_read_columns_are_contiguous(self, tmp_path, interleaved):
+        # a view into a parsed table would step over a whole row, id included
+        uids = ["a", "b", "a"] if interleaved else ["a", "b", "c"]
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(RECORD_CSV_HEADER) + "\n"
+                        + "".join(f"{uid},{i},0,0,1.0,2.0\n" for i, uid in enumerate(uids)))
+        data = read_records_csv(path)
+        for name in COLUMNS:
+            assert getattr(data, name).strides == (8,)
 
 
 class TestDenseHistogramFiles:
