@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -66,12 +65,14 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(path, command: str, argv, inputs: dict, outputs, extra: dict) -> None:
+def _write_manifest(path, command: str, argv, inputs: dict, outputs, extra: dict,
+                    digests: dict | None = None) -> None:
+    """``digests`` holds the sha256 of any input already hashed, by name."""
     lines = [f"command = {command}", f"version = dpgb {__version__}",
              f"argv = {' '.join(argv)}"]
     for name, in_path in inputs.items():
         lines.append(f"input_{name} = {in_path}")
-        lines.append(f"input_{name}_sha256 = {_sha256(in_path)}")
+        lines.append(f"input_{name}_sha256 = {(digests or {}).get(name) or _sha256(in_path)}")
     for out_path in outputs:
         lines.append(f"output = {out_path}")
     for key, value in extra.items():
@@ -168,13 +169,15 @@ def cmd_sweep(args, argv) -> int:
                          args.min_devices)
     dims = Dimensions(args.num_activities, args.num_regions)
 
+    # each input is hashed once; --data is hashed and read before --proxy is
+    # opened, so an error in --data is the one reported
+    digests = {"data": _sha256(args.data)}
     data = read_records_csv(args.data)
-    # fitting on the scored file itself is unsafe: the manifest says so
-    unsafe_fit = os.path.samefile(args.data, args.proxy)
-    if unsafe_fit:
-        proxy = data  # one file, parsed once
-    else:
-        proxy = read_records_csv(args.proxy)
+    digests["proxy"] = _sha256(args.proxy)
+    # fitting on the scored records themselves is unsafe, from the same
+    # path or from a copy: the manifest says so
+    unsafe_fit = digests["proxy"] == digests["data"]
+    proxy = data if unsafe_fit else read_records_csv(args.proxy)  # equal bytes, parsed once
 
     result = sweep(data, proxy, args.epsilons, args.mechanisms, args.repeats, args.seed, dims,
                    min_devices=args.min_devices, tau=args.tau)
@@ -203,7 +206,7 @@ def cmd_sweep(args, argv) -> int:
          "threshold_tau": repr(args.tau),
          "epsilons": ",".join(repr(e) for e in result.epsilons),
          "mechanisms": ",".join(result.mechanisms),
-         "unsafe_fit": unsafe_fit})
+         "unsafe_fit": unsafe_fit}, digests)
     print(render_metric_table(result), end="")
     print(f"wrote sweep outputs to {out_dir}")
     return EXIT_OK

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .schema import (
     MechanismConfig,
     ScaleMatrix,
     WeekDataset,
+    _second_half,
+    _shared,
 )
 
 DEFAULT_MIN_DEVICES = 20   # desk-scale stand-in for the production floor of 2000 devices
@@ -118,11 +121,15 @@ class EvalReport:
 
     @property
     def overall(self) -> float:
-        return float(np.mean([self.wre[name] for name in METRIC_NAMES]))
+        return _overall(self.wre)
 
     @property
     def has_eligible_cells(self) -> bool:
         return any(self.eligible[name] > 0 for name in METRIC_NAMES)
+
+
+def _overall(wre: dict[str, float]) -> float:
+    return float(np.mean([wre[name] for name in METRIC_NAMES]))
 
 
 def _running_total(values: np.ndarray) -> float:
@@ -259,22 +266,64 @@ def sweep(
 
     Passing the evaluation dataset itself as ``proxy`` is the caller's
     explicit unsafe-fit decision.  Sweep cells use independently derived
-    seeds, so the order they run in cannot change any number.  The lists
-    and settings are checked before any fitting starts.
+    seeds, so neither the order they run in nor the process can change any
+    number.  The lists and settings are checked before any fitting starts.
+
+    The sweep runs on two cores.  A forked child fits the scales and
+    activity_metric_scaling's clip while this process fits the joint clip
+    and builds the scoring plan; then a second child releases and scores
+    the mechanisms ``mechanisms[1::2]`` while this process does the others.
+    The children pass their numbers back in shared memory.  Without
+    ``os.fork``, or if anything fails in either process, the whole sweep
+    runs again in this process, so an error is the one-process sweep's.
     """
     epsilons, mechanisms = check_sweep_settings(epsilons, mechanisms, repeats, seed, tau,
                                                 min_devices)
-    fitted = fit_hyperparameters(proxy, dims)
-    plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
+    # the WRE of each metric at each (mechanism, epsilon, repeat), written by both processes
+    wre = _shared(len(mechanisms) * len(epsilons) * repeats * 3, float).reshape(
+        len(mechanisms), len(epsilons), repeats, 3)
+
+    def score(fitted: FittedHyperparameters, plan: ScoringPlan, picks) -> None:
+        for i in picks:
+            kind = mechanisms[i]
+            prepared = prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)
+            for j, epsilon in enumerate(epsilons):
+                for repeat in range(repeats):
+                    result = finish_release(prepared, epsilon, tau,
+                                            run_seed(seed, kind, epsilon, repeat))
+                    report = weighted_relative_error(plan, result.released)
+                    wre[i, j, repeat] = [report.wre[name] for name in METRIC_NAMES]
+
+    def in_two_processes() -> FittedHyperparameters:
+        ones = ScaleMatrix.ones(dims.num_activities)
+        fit = _shared(ones.entries.size + 1, float)  # the scales, then their clip
+
+        def fit_scaled() -> None:
+            scales = fit_scales(proxy, dims)
+            fit[:-1] = scales.entries.reshape(-1)
+            fit[-1] = fit_clip(proxy, scales, dims)
+
+        with _second_half(fit_scaled):
+            joint_clip = fit_clip(proxy, ones, dims)
+            plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
+        fitted = FittedHyperparameters(ScaleMatrix(fit[:-1].reshape(-1, 3)), float(fit[-1]),
+                                       joint_clip)
+        with _second_half(partial(score, fitted, plan, range(1, len(mechanisms), 2))):
+            score(fitted, plan, range(0, len(mechanisms), 2))
+        return fitted
+
+    try:
+        fitted = in_two_processes()
+    except Exception:  # no os.fork, or either process failed
+        fitted = fit_hyperparameters(proxy, dims)
+        score(fitted, ScoringPlan.build(ground_truth(data, dims), min_devices),
+              range(len(mechanisms)))
     rows = []
-    for kind in mechanisms:
-        prepared = prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)
-        for epsilon in epsilons:
+    for i, kind in enumerate(mechanisms):
+        for j, epsilon in enumerate(epsilons):
             for repeat in range(repeats):
-                result = finish_release(prepared, epsilon, tau,
-                                        run_seed(seed, kind, epsilon, repeat))
-                report = weighted_relative_error(plan, result.released)
-                rows.append(SweepRow(kind, epsilon, repeat, dict(report.wre), report.overall))
+                values = dict(zip(METRIC_NAMES, wre[i, j, repeat].tolist()))
+                rows.append(SweepRow(kind, epsilon, repeat, values, _overall(values)))
     return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, fitted)
 
 

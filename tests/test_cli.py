@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpgb import cli, datagen, schema
+from dpgb import cli, datagen, evaluation, schema
 from dpgb.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_IO, EXIT_OK, _sha256, main
 from dpgb.datagen import generate, ground_truth, read_generator_spec
 from dpgb.dp_core import dense_laplace_noise
@@ -18,6 +18,7 @@ from dpgb.evaluation import ScoringPlan, run_seed
 from dpgb.mechanisms import finish_release, fit_clip, fit_scales, prepare_release
 from dpgb.schema import (
     METRIC_NAMES,
+    ConfigError,
     Dimensions,
     MechanismConfig,
     ScaleMatrix,
@@ -529,11 +530,12 @@ class TestSweep:
                      "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
                      "--mechanisms", "joint_clipping", "--min-devices", "5"] + DOMAIN) == EXIT_OK
 
-    def test_manifest_says_whether_the_fit_used_the_scored_file(self, workspace):
-        tmp_path, _, data_path, _ = workspace
+    def test_manifest_says_whether_the_fit_used_the_scored_records(self, workspace):
+        # the same path or a byte-identical copy: the fit saw the scored records
+        tmp_path, _, data_path, proxy_path = workspace
         copy_path = tmp_path / "data_copy.csv"
         copy_path.write_bytes(data_path.read_bytes())
-        for proxy, unsafe in ((data_path, True), (copy_path, False)):
+        for proxy, unsafe in ((data_path, True), (copy_path, True), (proxy_path, False)):
             out_dir = tmp_path / f"s_{proxy.stem}"
             assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy),
                          "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
@@ -575,29 +577,40 @@ class TestSweep:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_sweep_parses_a_proxy_that_is_the_data_once(self, workspace, monkeypatch):
-        tmp_path, _, _, proxy_path = workspace
-        copy_path = tmp_path / "proxy_copy.csv"
-        copy_path.write_bytes(proxy_path.read_bytes())
-        reads = []
+    def test_sweep_parses_a_proxy_with_the_datas_bytes_once(self, workspace, monkeypatch):
+        # the same path or a copy: one parse, one hash per input, and every
+        # output and manifest line but the proxy's path the same
+        tmp_path, _, data_path, _ = workspace
+        copy_path = tmp_path / "data_copy.csv"
+        copy_path.write_bytes(data_path.read_bytes())
+        reads, hashes = [], []
 
-        def counted(path, *args, **kwargs):
-            reads.append(path)
-            return read_records_csv(path, *args, **kwargs)
+        def counted(calls, function):
+            def call(path, *args, **kwargs):
+                calls.append(path)
+                return function(path, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(cli, "read_records_csv", counted)
+        monkeypatch.setattr(cli, "read_records_csv", counted(reads, read_records_csv))
+        monkeypatch.setattr(cli, "_sha256", counted(hashes, _sha256))
         outputs = {}
-        for proxy, expected_reads in ((proxy_path, 1), (copy_path, 2)):
-            out_dir = tmp_path / f"s_{proxy.stem}"
+        for proxy in (data_path, copy_path):
+            out_dir = tmp_path / "s"
             reads.clear()
-            assert main(["sweep", "--data", str(proxy_path), "--proxy", str(proxy),
+            hashes.clear()
+            assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy),
                          "--out", str(out_dir), "--epsilons", "1.0,2.0", "--repeats", "2",
                          "--min-devices", "5"] + DOMAIN) == EXIT_OK
-            assert len(reads) == expected_reads
-            outputs[proxy] = {path.name: path.read_bytes() for path in out_dir.iterdir()
-                              if path.name != "manifest"}
-        assert len(outputs[proxy_path]) == 6  # three files and three fitted configs
-        assert outputs[proxy_path] == outputs[copy_path]
+            assert reads == [str(data_path)]
+            assert hashes == [str(data_path), str(proxy)]
+            outputs[proxy] = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+            manifest = outputs[proxy].pop("manifest").decode().splitlines()
+            assert "unsafe_fit = True" in manifest
+            assert f"input_proxy = {proxy}" in manifest
+            outputs[proxy]["manifest"] = [line for line in manifest if not line.startswith(
+                ("argv = ", "input_proxy = "))]
+        assert len(outputs[data_path]) == 7  # three files, three fitted configs, the manifest
+        assert outputs[data_path] == outputs[copy_path]
 
     def test_sweep_config_flag_is_a_usage_error(self, workspace, capsys):
         # the settings are flags only; there is no key-value settings file
@@ -622,20 +635,57 @@ class TestSweep:
         assert not out_dir.exists()
 
 
-    def test_manifest_does_not_depend_on_the_machine(self, workspace, monkeypatch):
+    def test_outputs_do_not_depend_on_the_second_process(self, workspace, monkeypatch):
+        # forked or in this process alone, every output and the manifest
+        # are the same bytes
         tmp_path, _, data_path, proxy_path = workspace
-        manifests = []
-        for cpus, env in ((1, None), (64, None), (64, "3")):
-            monkeypatch.setattr("os.cpu_count", lambda: cpus)
-            if env is not None:
-                monkeypatch.setenv("DPGB_THREADS", env)
-            out_dir = tmp_path / "s"
+        out_dir = tmp_path / "s"
+        outputs = []
+        for fork in (True, False):
+            if not fork:
+                monkeypatch.delattr(os, "fork", raising=False)
             assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
-                         "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
-                         "--mechanisms", "joint_clipping", "--min-devices", "5"]
-                        + DOMAIN) == EXIT_OK
-            manifests.append((out_dir / "manifest").read_bytes())
-        assert manifests[0] == manifests[1] == manifests[2]
+                         "--out", str(out_dir), "--epsilons", "1.0,2.0", "--repeats", "2",
+                         "--min-devices", "5"] + DOMAIN) == EXIT_OK
+            outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+        assert len(outputs[0]) == 7  # three files, three fitted configs and the manifest
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fails", ["fit_scales", "prepare_release"])
+    def test_an_error_in_the_second_process_is_the_one_process_sweeps(
+            self, workspace, monkeypatch, capsys, fails):
+        # fit_scales runs only in the first child, and budget_split, the
+        # second of the three mechanisms, is prepared only in the second
+        tmp_path, _, data_path, proxy_path = workspace
+        original = getattr(evaluation, fails)
+
+        def refuse(*args):
+            if fails == "fit_scales" or args[0].mechanism_kind == "budget_split":
+                raise ConfigError(f"{fails} refused")
+            return original(*args)
+        monkeypatch.setattr(evaluation, fails, refuse)
+        out_dir = tmp_path / "s"
+        capsys.readouterr()
+        assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
+                     "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
+                     "--min-devices", "5"] + DOMAIN) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {fails} refused\n"
+        assert not (out_dir / "sweep.csv").exists()
+
+    def test_out_of_domain_records_in_both_inputs_name_the_proxys(self, workspace, capsys):
+        # the fit reads the proxy before the truth reads the data
+        tmp_path, _, data_path, proxy_path = workspace
+        for path, region in ((data_path, 8), (proxy_path, 7)):
+            path.write_bytes(path.read_bytes() + f"extra_user,{region},0,0,1.5,300.0\r\n".encode())
+        out_dir = tmp_path / "s"
+        capsys.readouterr()
+        assert main(["sweep", "--data", str(data_path), "--proxy", str(proxy_path),
+                     "--out", str(out_dir), "--epsilons", "2.0", "--repeats", "1",
+                     "--min-devices", "5"] + DOMAIN) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("error: record (region=7, activity=0, direction=0) out of bounds for "
+                       "Dimensions(num_activities=9, num_regions=6)\n")
+        assert not out_dir.exists()
 
     def test_table_and_agg_are_the_aggregates_of_sweep_csv(self, workspace):
         tmp_path, _, data_path, proxy_path = workspace

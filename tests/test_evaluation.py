@@ -1,10 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from dpgb import evaluation
 from dpgb.datagen import ground_truth
 from dpgb.evaluation import (
+    DEFAULT_MECHANISMS,
     REFERENCE_WRE_EPS2,
     TARGET_WRE,
     ScoringPlan,
@@ -185,6 +188,51 @@ class TestSweep:
             assert row.wre == direct.wre
             assert row.overall == direct.overall
         assert result.rows[0].wre != result.rows[1].wre
+
+    def test_rows_and_fit_do_not_depend_on_the_second_process(self, monkeypatch):
+        data, proxy = desk_pair(num_users=150)
+        dims = Dimensions(num_activities=9, num_regions=8)
+        cells = (data, proxy, [1.0, 2.0], DEFAULT_MECHANISMS, 2, 5, dims)
+        forked = sweep(*cells, min_devices=5)
+        monkeypatch.delattr(os, "fork", raising=False)
+        alone = sweep(*cells, min_devices=5)
+        assert len(forked.rows) == 3 * 2 * 2
+        assert repr(forked.rows) == repr(alone.rows)  # NaN where no cell is eligible
+        fitted = fit_hyperparameters(proxy, dims)
+        for result in (forked, alone):
+            assert np.array_equal(result.fitted.scales.entries, fitted.scales.entries)
+            assert (result.fitted.ams_clip, result.fitted.joint_clip) == (
+                fitted.ams_clip, fitted.joint_clip)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_children_fit_the_scales_and_run_every_other_mechanism(self, monkeypatch):
+        # what a child calls is not recorded here
+        data, proxy = desk_pair(num_users=150)
+        calls = []
+        for name in ("fit_scales", "prepare_release"):
+            def spy(*args, name=name, original=getattr(evaluation, name)):
+                calls.append(name if name == "fit_scales" else args[0].mechanism_kind)
+                return original(*args)
+            monkeypatch.setattr(evaluation, name, spy)
+        sweep(data, proxy, [2.0], DEFAULT_MECHANISMS, 1, 5,
+              Dimensions(num_activities=9, num_regions=8), min_devices=5)
+        assert calls == list(DEFAULT_MECHANISMS[0::2])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("fails", ["fit_scales", "prepare_release"])
+    def test_a_failing_child_leaves_the_sweep_to_this_process(self, monkeypatch, fails):
+        data, proxy = desk_pair(num_users=150)
+        cells = (data, proxy, [1.0, 2.0], DEFAULT_MECHANISMS, 2, 5,
+                 Dimensions(num_activities=9, num_regions=8))
+        expected = sweep(*cells, min_devices=5)
+        parent, original = os.getpid(), getattr(evaluation, fails)
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return original(*args)
+        monkeypatch.setattr(evaluation, fails, fail_in_child)
+        assert repr(sweep(*cells, min_devices=5).rows) == repr(expected.rows)
 
     def test_more_budget_never_hurts_much(self):
         data, proxy = desk_pair(num_users=600)
