@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .datagen import GroundTruth, ground_truth
 from .dp_core import derive_seed
-from .mechanisms import finish_release, fit_clip, fit_scales, prepare_release
+from .mechanisms import PreparedRelease, finish_release, fit_clip, fit_scales, prepare_release
 from .schema import (
     ConfigError,
     Dimensions,
@@ -121,15 +120,11 @@ class EvalReport:
 
     @property
     def overall(self) -> float:
-        return _overall(self.wre)
+        return float(np.mean([self.wre[name] for name in METRIC_NAMES]))
 
     @property
     def has_eligible_cells(self) -> bool:
         return any(self.eligible[name] > 0 for name in METRIC_NAMES)
-
-
-def _overall(wre: dict[str, float]) -> float:
-    return float(np.mean([wre[name] for name in METRIC_NAMES]))
 
 
 def _running_total(values: np.ndarray) -> float:
@@ -270,60 +265,66 @@ def sweep(
     number.  The lists and settings are checked before any fitting starts.
 
     The sweep runs on two cores.  A forked child fits the scales and
-    activity_metric_scaling's clip while this process fits the joint clip
-    and builds the scoring plan; then a second child releases and scores
-    the mechanisms ``mechanisms[1::2]`` while this process does the others.
-    The children pass their numbers back in shared memory.  Without
-    ``os.fork``, or if anything fails in either process, the whole sweep
-    runs again in this process, so an error is the one-process sweep's.
+    activity_metric_scaling's clip, then sums the pre-noise aggregate of
+    every listed mechanism but joint_clipping, while this process fits the
+    joint clip, builds the scoring plan, and prepares, releases and scores
+    joint_clipping.  The child passes its numbers back in shared memory;
+    this process then releases and scores the child's mechanisms, so every
+    cell is released and scored here.  Without ``os.fork``, or if anything
+    fails in either process, the whole sweep runs again in this process,
+    so an error is the one-process sweep's.
     """
     epsilons, mechanisms = check_sweep_settings(epsilons, mechanisms, repeats, seed, tau,
                                                 min_devices)
-    # the WRE of each metric at each (mechanism, epsilon, repeat), written by both processes
-    wre = _shared(len(mechanisms) * len(epsilons) * repeats * 3, float).reshape(
-        len(mechanisms), len(epsilons), repeats, 3)
 
-    def score(fitted: FittedHyperparameters, plan: ScoringPlan, picks) -> None:
-        for i in picks:
-            kind = mechanisms[i]
-            prepared = prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)
-            for j, epsilon in enumerate(epsilons):
-                for repeat in range(repeats):
-                    result = finish_release(prepared, epsilon, tau,
-                                            run_seed(seed, kind, epsilon, repeat))
-                    report = weighted_relative_error(plan, result.released)
-                    wre[i, j, repeat] = [report.wre[name] for name in METRIC_NAMES]
+    def prepare(fitted: FittedHyperparameters, kind: str) -> PreparedRelease:
+        return prepare_release(fitted.config_for(kind, epsilons[0], tau, seed), data, dims)
 
-    def in_two_processes() -> FittedHyperparameters:
+    def release_and_score(plan: ScoringPlan, prepared: PreparedRelease) -> list[SweepRow]:
+        kind, rows = prepared.config.mechanism_kind, []
+        for epsilon in epsilons:
+            for repeat in range(repeats):
+                result = finish_release(prepared, epsilon, tau,
+                                        run_seed(seed, kind, epsilon, repeat))
+                report = weighted_relative_error(plan, result.released)
+                rows.append(SweepRow(kind, epsilon, repeat, dict(report.wre), report.overall))
+        return rows
+
+    def in_two_processes() -> tuple[FittedHyperparameters, list[SweepRow]]:
         ones = ScaleMatrix.ones(dims.num_activities)
         fit = _shared(ones.entries.size + 1, float)  # the scales, then their clip
+        # the child's pre-noise aggregates: every mechanism the joint clip is not for
+        sums = {kind: _shared(dims.total_cells, float)
+                for kind in mechanisms if kind != "joint_clipping"}
 
-        def fit_scaled() -> None:
+        def fit_and_sum() -> None:
             scales = fit_scales(proxy, dims)
             fit[:-1] = scales.entries.reshape(-1)
             fit[-1] = fit_clip(proxy, scales, dims)
+            half = FittedHyperparameters(scales, float(fit[-1]), math.nan)  # NaN: not its clip
+            for kind, total in sums.items():
+                total[:] = prepare(half, kind).pre_noise_dense
 
-        with _second_half(fit_scaled):
+        with _second_half(fit_and_sum):
             joint_clip = fit_clip(proxy, ones, dims)
             plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
+            half = FittedHyperparameters(ones, math.nan, joint_clip)  # NaN: the child's clip
+            rows = {kind: release_and_score(plan, prepare(half, kind))
+                    for kind in mechanisms if kind not in sums}
         fitted = FittedHyperparameters(ScaleMatrix(fit[:-1].reshape(-1, 3)), float(fit[-1]),
                                        joint_clip)
-        with _second_half(partial(score, fitted, plan, range(1, len(mechanisms), 2))):
-            score(fitted, plan, range(0, len(mechanisms), 2))
-        return fitted
+        for kind, total in sums.items():
+            rows[kind] = release_and_score(plan, PreparedRelease(
+                fitted.config_for(kind, epsilons[0], tau, seed), dims, total))
+        return fitted, [row for kind in mechanisms for row in rows[kind]]
 
     try:
-        fitted = in_two_processes()
+        fitted, rows = in_two_processes()
     except Exception:  # no os.fork, or either process failed
         fitted = fit_hyperparameters(proxy, dims)
-        score(fitted, ScoringPlan.build(ground_truth(data, dims), min_devices),
-              range(len(mechanisms)))
-    rows = []
-    for i, kind in enumerate(mechanisms):
-        for j, epsilon in enumerate(epsilons):
-            for repeat in range(repeats):
-                values = dict(zip(METRIC_NAMES, wre[i, j, repeat].tolist()))
-                rows.append(SweepRow(kind, epsilon, repeat, values, _overall(values)))
+        plan = ScoringPlan.build(ground_truth(data, dims), min_devices)
+        rows = [row for kind in mechanisms
+                for row in release_and_score(plan, prepare(fitted, kind))]
     return SweepResult(tuple(rows), mechanisms, epsilons, repeats, min_devices, fitted)
 
 

@@ -654,8 +654,8 @@ class TestSweep:
     @pytest.mark.parametrize("fails", ["fit_scales", "prepare_release"])
     def test_an_error_in_the_second_process_is_the_one_process_sweeps(
             self, workspace, monkeypatch, capsys, fails):
-        # fit_scales runs only in the first child, and budget_split, the
-        # second of the three mechanisms, is prepared only in the second
+        # fit_scales runs only in the child, and so does budget_split's
+        # prepare_release
         tmp_path, _, data_path, proxy_path = workspace
         original = getattr(evaluation, fails)
 

@@ -205,18 +205,21 @@ class TestSweep:
                 fitted.ams_clip, fitted.joint_clip)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_children_fit_the_scales_and_run_every_other_mechanism(self, monkeypatch):
-        # what a child calls is not recorded here
+    def test_the_child_fits_and_sums_this_process_releases_every_cell(self, monkeypatch):
+        # what the child calls is not recorded here: it fits the scales and
+        # sums every mechanism but joint_clipping
         data, proxy = desk_pair(num_users=150)
         calls = []
-        for name in ("fit_scales", "prepare_release"):
+        for name in ("fit_scales", "prepare_release", "finish_release",
+                     "weighted_relative_error"):
             def spy(*args, name=name, original=getattr(evaluation, name)):
-                calls.append(name if name == "fit_scales" else args[0].mechanism_kind)
+                calls.append(args[0].mechanism_kind if name == "prepare_release" else name)
                 return original(*args)
             monkeypatch.setattr(evaluation, name, spy)
-        sweep(data, proxy, [2.0], DEFAULT_MECHANISMS, 1, 5,
+        sweep(data, proxy, [1.0, 2.0], DEFAULT_MECHANISMS, 2, 5,
               Dimensions(num_activities=9, num_regions=8), min_devices=5)
-        assert calls == list(DEFAULT_MECHANISMS[0::2])
+        assert calls[0] == "joint_clipping"
+        assert calls[1:] == ["finish_release", "weighted_relative_error"] * (3 * 2 * 2)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("fails", ["fit_scales", "prepare_release"])
