@@ -407,41 +407,42 @@ def ground_truth(data: WeekDataset, dims: Dimensions) -> GroundTruth:
     """Exact unclipped totals plus per-cell contributing-device counts.
 
     The cells reached so far are kept sorted, each with its total, device
-    count and first position, behind a sentinel past the domain.  Blocks of
-    users are batched until a batch holds at least as many rows as there
-    are cells reached; each batch inserts the cells it reaches first and
-    adds its rows in user order.  So each merge costs about as much as its
-    batch, the whole pass grows with the rows and not with blocks times
-    cells reached, and nothing domain-sized is allocated.
+    count and the (user, first) of the row that first reached it, behind a
+    sentinel past the domain.  Blocks of users are batched until a batch
+    holds at least as many rows as there are cells reached; each batch
+    inserts the cells it reaches first and adds its rows by user and then
+    cell, so each cell's addends come in user order.  So each merge costs
+    about as much as its batch, the whole pass grows with the rows and not
+    with blocks times cells reached, and nothing domain-sized is allocated.
     """
     reached = np.array([dims.total_cells])
-    first, totals, devices = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64)
-    position = 0
-    batch = []  # per block: its cells and values, users in order, each in first-addend order
+    totals, devices = np.zeros(1), np.zeros(1, dtype=np.int64)
+    first_user, first = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    batch = []  # per block: its rows' users, cells, values and firsts, by user and then cell
     blocks = user_cells(data, dims, ScaleMatrix.ones(dims.num_activities))
     for rows in itertools.chain(blocks, [None]):
         if rows is not None:
-            order = np.argsort(rows.first, kind="stable")
-            batch.append((rows.cell[order], rows.value[order]))
-            if sum(cells.size for cells, _ in batch) < reached.size - 1:
+            batch.append((rows.user, rows.cell, rows.value, rows.first))
+            if sum(cells.size for _, cells, _, _ in batch) < reached.size - 1:
                 continue
         elif not batch:
             break
-        cells, values = (np.concatenate(column) for column in zip(*batch))
+        users, cells, values, firsts = (np.concatenate(column) for column in zip(*batch))
         batch = []
         slot = np.searchsorted(reached, cells)
         fresh = np.flatnonzero(reached[slot] != cells)
-        new_cells, at = np.unique(cells[fresh], return_index=True)
+        new_cells, at = np.unique(cells[fresh], return_index=True)  # at: its first user's row
         place = np.searchsorted(reached, new_cells)
         reached = np.insert(reached, place, new_cells)
-        first = np.insert(first, place, position + fresh[at])
         totals = np.insert(totals, place, 0.0)
         devices = np.insert(devices, place, 0)
+        first_user = np.insert(first_user, place, users[fresh[at]])
+        first = np.insert(first, place, firsts[fresh[at]])
         slot += np.searchsorted(new_cells, cells)  # the slots after the insert
-        np.add.at(totals, slot, values)
+        np.add.at(totals, slot, values)  # each cell's rows come in user order
         np.add.at(devices, slot, 1)
-        position += cells.size
-    return GroundTruth(dims, reached[:-1], totals[:-1], devices[:-1], np.argsort(first[:-1]))
+    return GroundTruth(dims, reached[:-1], totals[:-1], devices[:-1],
+                       np.lexsort((first[:-1], first_user[:-1])))
 
 
 # --- generator spec file -----------------------------------------------------

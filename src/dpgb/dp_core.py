@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -108,17 +107,32 @@ def clip_l1(values: np.ndarray, starts: np.ndarray, clip) -> np.ndarray:
 
     ``clip`` is one bound for every run or one per run.  A run over its
     bound is multiplied by bound / norm; one within it (including an empty
-    run) keeps its values bit for bit.
+    run) keeps its values bit for bit.  Norms are exactly rounded
+    ``math.fsum``s, but only where they decide: a plain sum of n
+    non-negative terms, in any order, is within (n - 1)u / (1 - (n - 1)u),
+    u = 2**-53, of the exact norm, relative to it, so a run whose plain sum
+    is clear of its bound by that margin is within it.
     """
     bounds = np.asarray(clip, dtype=float)
     if not np.all(bounds > 0):
         raise ConfigError(f"clip bound must be > 0, got {clip}")
-    bounds = np.broadcast_to(bounds, (len(starts) - 1,))
-    norms = l1_norms(values, starts)
-    factors = np.ones(norms.size)
+    starts = np.asarray(starts)
+    bounds = np.broadcast_to(bounds, (starts.size - 1,))
+    lengths = np.diff(starts)
+    runs = np.flatnonzero(lengths)  # reduceat sums only non-empty runs
+    terms = lengths[runs] - 1.0
+    margin = terms * 2.0 ** -53 / (1.0 - terms * 2.0 ** -53)
+    plain = np.add.reduceat(np.abs(values), starts[runs])
+    near = np.zeros(lengths.size, dtype=bool)
+    # twice the margin also covers the rounding of this test
+    near[runs] = plain * (1.0 + 2.0 * margin) >= bounds[runs]
+    norms = np.zeros(lengths.size)  # 0 stands for the norm of a run clear of its bound
+    norms[near] = l1_norms(values[np.repeat(near, lengths)],
+                           np.append(0, np.cumsum(lengths[near])))
     over = norms > bounds
+    factors = np.ones(lengths.size)
     factors[over] = bounds[over] / norms[over]
-    return values * np.repeat(factors, np.diff(starts))
+    return values * np.repeat(factors, lengths)
 
 
 def dense_laplace_noise(scale_b, seed, shape) -> np.ndarray:
@@ -139,13 +153,15 @@ def exact_quantile(values, q: float) -> float:
     """Lower empirical quantile, no interpolation.
 
     Returns the smallest element x such that at least ceil(q * n) elements
-    are <= x.  The rank is computed with exact rational arithmetic so the
-    result of e.g. q=0.95, n=100 does not depend on the rounding of q * n.
+    are <= x.  The rank is computed in exact integer arithmetic from q's
+    ratio, so the result of e.g. q=0.95, n=100 does not depend on the
+    rounding of q * n.
     """
     ordered = np.sort(np.asarray(values, dtype=float))
     if not ordered.size:
         raise ValueError("exact_quantile needs a non-empty input")
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0, 1), got {q}")
-    rank = math.ceil(Fraction(q) * ordered.size)
+    numerator, denominator = float(q).as_integer_ratio()
+    rank = -(-numerator * ordered.size // denominator)
     return float(ordered[max(rank, 1) - 1])

@@ -164,7 +164,7 @@ def fit_scales(data: WeekDataset, dims: Dimensions) -> ScaleMatrix:
         norms.append(np.bincount(inverse, weights=np.abs(rows.value[order])))
     slices, norms = np.concatenate(slices), np.concatenate(norms)
     entries = np.ones(num_slices)
-    for s in np.unique(slices).tolist():
+    for s in np.flatnonzero(np.bincount(slices, minlength=num_slices)).tolist():
         entries[s] = exact_quantile(norms[slices == s], FIT_QUANTILE)
     return ScaleMatrix(entries.reshape(-1, 3))
 

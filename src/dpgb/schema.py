@@ -166,9 +166,10 @@ def user_cells(data: WeekDataset, dims: Dimensions, scales: ScaleMatrix) -> Iter
 def _user_cell_blocks(data: WeekDataset, dims: Dimensions, entries: np.ndarray):
     offsets = data.offsets
     slice_cells = dims.num_regions * 3
-    metric_shift = np.arange(3) * slice_cells
+    metric = np.arange(3)[:, None]
     marks = np.searchsorted(offsets, np.arange(0, offsets[-1], _BLOCK_RECORDS), side="right") - 1
-    edges = np.unique(np.concatenate(([0], marks, [data.num_users]))).tolist()
+    edges = np.concatenate(([0], marks, [data.num_users]))  # non-decreasing
+    edges = edges[np.diff(edges, prepend=-1) > 0].tolist()
     for u0, u1 in zip(edges, edges[1:]):
         lo, hi = int(offsets[u0]), int(offsets[u1])
         a, r, d = data.activity[lo:hi], data.region[lo:hi], data.direction[lo:hi]
@@ -177,19 +178,31 @@ def _user_cell_blocks(data: WeekDataset, dims: Dimensions, entries: np.ndarray):
             i = out[0]
             raise ValueError(f"record (region={r[i]}, activity={a[i]}, direction={d[i]}) "
                              f"out of bounds for {dims}")
-        # three addends per record, record-major: num_trips, distance, duration
-        cells = ((a * 3 * slice_cells + r * 3 + d)[:, None] + metric_shift).reshape(-1)
-        magnitudes = np.stack(
-            (np.ones(hi - lo), data.distance_km[lo:hi], data.duration_s[lo:hi]), axis=1)
-        addends = (magnitudes / entries[a]).reshape(-1)
-        owner = np.repeat(np.arange(u1 - u0), 3 * np.diff(offsets[u0:u1 + 1]))
+        # a record's three addends go to one (activity, region, direction)
+        # of each metric's slice, so records are grouped, not addends
+        owner = np.repeat(np.arange(u1 - u0), np.diff(offsets[u0:u1 + 1]))
         keys, first, inverse = np.unique(
-            owner * dims.total_cells + cells, return_index=True, return_inverse=True)
-        sums = np.bincount(inverse, weights=addends)  # adds in record order
-        keep = sums != 0.0
-        keys = keys[keep]
-        user = keys // dims.total_cells + u0
-        yield UserCells(user, keys % dims.total_cells, sums[keep], first[keep],
+            (owner * dims.num_activities + a) * slice_cells + r * 3 + d,
+            return_index=True, return_inverse=True)
+        columns = (np.ones(hi - lo), data.distance_km[lo:hi], data.duration_s[lo:hi])
+        sums = [np.bincount(inverse, weights=column / entries[a, m])  # adds in record order
+                for m, column in enumerate(columns)]
+        # rows by (user, cell): per (user, activity), its metric-0, -1 and -2
+        # rows, so key i of a group with head h and size n has its metric-m
+        # row at 3h + mn + (i - h)
+        group = keys // slice_cells
+        heads = np.flatnonzero(np.diff(group, prepend=-1))
+        sizes = np.diff(heads, append=keys.size)
+        at = (np.arange(keys.size) + np.repeat(2 * heads, sizes)
+              + metric * np.repeat(sizes, sizes)).reshape(-1)
+        cell, first_addend, value = np.empty_like(at), np.empty_like(at), np.empty(at.size)
+        cell[at] = ((3 * (group % dims.num_activities) + metric) * slice_cells
+                    + keys % slice_cells).reshape(-1)
+        value[at] = np.concatenate(sums)
+        first_addend[at] = (3 * first + metric).reshape(-1)
+        keep = value != 0.0
+        user = np.repeat(group[heads] // dims.num_activities + u0, 3 * sizes)[keep]
+        yield UserCells(user, cell[keep], value[keep], first_addend[keep],
                         np.searchsorted(user, np.arange(u0, u1 + 1)))
 
 

@@ -4,6 +4,8 @@ import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -932,3 +934,31 @@ def test_header_only_records(workspace, capsys):
                  "--repeats", "1"] + DOMAIN) == EXIT_CONFIG
     assert "fit_clip needs a non-empty dataset" in capsys.readouterr().err
     assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
+def test_commands_import_neither_numpy_ma_nor_fractions(tmp_path):
+    """generate, sweep, release and eval, run in one fresh interpreter,
+    leave ``numpy.ma`` (pulled in by a plain ``np.unique``) and ``fractions``
+    (which pulls in ``decimal``) unimported."""
+    (tmp_path / "gen.cfg").write_text(GEN_CFG)
+    script = f"""
+import sys
+from dpgb.cli import main
+domain = {DOMAIN!r}
+for argv in (["generate", "--spec", "gen.cfg", "--out", "data.csv"],
+             ["sweep", "--data", "data.csv", "--proxy", "data.csv", "--out", "s",
+              "--epsilons", "2.0", "--repeats", "1", "--min-devices", "5"] + domain,
+             ["release", "--data", "data.csv", "--config", "s/fitted_budget_split.cfg",
+              "--out", "released.csv", "--num-regions", "6"],
+             ["eval", "--data", "data.csv", "--released", "released.csv", "--out", "eval",
+              "--min-devices", "5"] + domain):
+    assert main(argv) == 0, argv
+print(sorted(name for name in ("numpy.ma", "fractions") if name in sys.modules))
+"""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,40 @@ class TestClipL1:
         expected = [list(reference_clip_l1(v, float(c)).cells.values())
                     for v, c in zip(vectors, bounds)]
         assert clipped.tolist() == [x for v in expected for x in v]
+
+    def test_near_bound_runs_match_the_dict_reference_bit_for_bit(self, small_dims):
+        """Runs whose plain sums are not their fsum, clipped at their exact
+        norm, one ulp either side of it and at their plain sums, summed in
+        several orders: only the exact norm decides whether and by how much
+        a run is scaled."""
+        from sparse_reference import clip_l1 as reference_clip_l1
+        # the last two fall two ulps or more short of their fsum, summed left to right
+        inexact = [[0.1] * 10, [1.0] + [2.0 ** -53] * 8, [1e16, 1.0, 1.0], [-0.1] * 7,
+                   [1.0, 1.0] + [2.0 ** -53] * 6, [1.0, 1.0] + [2.0 ** -53] * 1000]
+        runs_ = inexact + [run[::-1] for run in inexact] + [[], [0.7], []]
+        candidates = []
+        for run in runs_:
+            magnitudes = np.abs(np.array(run))
+            exact = math.fsum(magnitudes) or 1.0
+            plain = {float(total) for total in (
+                sum(magnitudes), sum(magnitudes[::-1]), np.add.reduce(magnitudes),
+                *np.add.reduceat(magnitudes, [0]))} if run else set()
+            assert len(run) < 2 or plain - {exact}
+            candidates.append(sorted({exact, float(np.nextafter(exact, 0.0)),
+                                      float(np.nextafter(exact, math.inf)), *plain}))
+        values = np.array([x for run in runs_ for x in run])
+        starts = np.cumsum([0] + [len(run) for run in runs_])
+
+        def expected(bounds):
+            return [x for run, c in zip(runs_, bounds) for x in reference_clip_l1(
+                SparseHistogram(small_dims, {(0, 0, 0, i): v for i, v in enumerate(run)}),
+                c).cells.values()]
+
+        for bound in sorted({c for row in candidates for c in row}):
+            assert clip_l1(values, starts, bound).tolist() == expected([bound] * len(runs_))
+        for k in range(max(map(len, candidates))):
+            bounds = [row[min(k, len(row) - 1)] for row in candidates]
+            assert clip_l1(values, starts, np.array(bounds)).tolist() == expected(bounds)
 
 
 class TestLaplaceSampling:
@@ -253,3 +288,10 @@ class TestExactQuantile:
         # smallest x with at least ceil(q*n) values <= x
         assert exact_quantile([1, 1, 1, 5], 0.5) == 1
         assert exact_quantile([1, 1, 1, 5], 0.9) == 5
+
+    def test_rank_is_the_exact_ceiling(self):
+        # the element of rank ceil(q * n), q * n taken exactly, not rounded
+        for q in (0.95, 0.9, 0.1, 1 / 3, 0.5,
+                  float(np.nextafter(0.95, 1.0)), float(np.nextafter(0.95, -1.0))):
+            for n in range(1, 1001):
+                assert exact_quantile(np.arange(1, n + 1), q) == math.ceil(Fraction(q) * n)

@@ -191,6 +191,11 @@ class TestUserHistogram:
         monkeypatch.setattr(schema, "_BLOCK_RECORDS", 10)
         users = [(uid, list(recs) + [TripRecord(0, 1, 2, 0.0, 0.0)] * (i % 2))
                  for i, (uid, recs) in enumerate(users_of(random_dataset(rng, small_dims, 60)))]
+        users[7:7] = [  # two records in one cell; a zero record inside an activity's cells
+            ("twice", [TripRecord(1, 0, 1, 1.0, 10.0), TripRecord(2, 1, 0, 3.0, 5.0),
+                       TripRecord(1, 0, 1, 2.0, 20.0)]),
+            ("zero", [TripRecord(3, 1, 2, 2.5, 90.0), TripRecord(2, 1, 1, 0.0, 0.0),
+                      TripRecord(0, 1, 0, 1.5, 60.0)])]
         data = make_dataset(users)
         scales = ScaleMatrix(np.exp(rng.normal(0, 2, size=(small_dims.num_activities, 3))))
         blocks = list(user_cells(data, small_dims, scales))
@@ -204,12 +209,22 @@ class TestUserHistogram:
             rows = [(int(block.first[k]), cell_tuple(small_dims, int(block.cell[k])))
                     for block in blocks for k in np.flatnonzero(block.user == i)]
             assert [cell for _, cell in sorted(rows)] == list(expected.cells)
-        # blocks hold whole users in order; starts delimit each user's rows
+        # blocks hold whole users in order; starts delimit each user's rows,
+        # which rise by (user, cell); a row's first is 3 x (block-local index
+        # of the user's first record in the cell) + metric
         first_user = 0
         for block in blocks:
             users_in_block = block.starts.size - 1
             owners = np.repeat(np.arange(users_in_block), np.diff(block.starts))
             assert np.array_equal(block.user, first_user + owners)
+            assert np.all(np.diff(block.user * small_dims.total_cells + block.cell) > 0)
+            for user, cell, first in zip(*(column.tolist() for column in (
+                    block.user, block.cell, block.first))):
+                a, m, r, d = cell_tuple(small_dims, cell)
+                record = next(k for k, rec in enumerate(users[user][1])
+                              if (rec.activity, rec.region, rec.direction) == (a, r, d))
+                record += int(data.offsets[user] - data.offsets[first_user])
+                assert first == 3 * record + m
             first_user += users_in_block
         assert first_user == data.num_users
 
