@@ -37,6 +37,7 @@ from .mechanisms import finish_release, manifest_line, prepare_release
 from .schema import (
     ConfigError,
     Dimensions,
+    _float_texts,
     read_histogram_csv,
     read_mechanism_config,
     read_records_csv,
@@ -148,12 +149,14 @@ def cmd_eval(args, argv) -> int:
         fh.write("metric,activity,region,direction,true,released,rel_error,weight,devices\r\n")
         for m, name in enumerate(METRIC_NAMES):
             flat = plan.flat[m]
-            columns = (flat // (regions * 9), flat // 3 % regions, flat % 3,
-                       plan.truth[m], report.estimates[m], report.errors[m],
-                       plan.weights[m], plan.devices[m])
+            columns = [col.tolist() for col in (flat // (regions * 9), flat // 3 % regions,
+                                                 flat % 3)]
+            columns += [_float_texts(col) for col in (plan.truth[m], report.estimates[m],
+                                                       report.errors[m], plan.weights[m])]
+            columns.append(plan.devices[m].tolist())
             fh.write("".join(
-                f"{name},{a},{r},{d},{t!r},{e!r},{err!r},{w!r},{n}\r\n"
-                for a, r, d, t, e, err, w, n in zip(*(col.tolist() for col in columns))))
+                f"{name},{a},{r},{d},{t},{e},{err},{w},{n}\r\n"
+                for a, r, d, t, e, err, w, n in zip(*columns)))
 
     _write_manifest(
         out_dir / "manifest", "eval", argv,

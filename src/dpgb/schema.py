@@ -365,13 +365,32 @@ def write_mechanism_config(path, config: MechanismConfig) -> None:
 _WRITE_CHUNK_RECORDS = 1 << 14
 
 
+def _float_texts(values) -> list[str]:
+    """``repr(float(v))`` of each value of a 1-D float array.
+
+    orjson spells the same shortest round-trip digits as ``repr``, in C, for
+    every magnitude in [1e-4, 1e16); it spells zeros, smaller and larger
+    magnitudes and non-finite values otherwise (``0.000025``, ``1e16``,
+    ``null``), so those are spelt by ``repr``.
+    """
+    import orjson  # here, not at the top: sweep formats no bulk floats and never loads it
+    values = np.ascontiguousarray(values, dtype=float)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    texts = text.split(",") if values.size else []
+    magnitude = np.abs(values)
+    others = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)))
+    for i, value in zip(others.tolist(), values[others].tolist()):
+        texts[i] = repr(value)
+    return texts
+
+
 def write_record_rows(fh, data: WeekDataset) -> None:
     """Write one row per record of ``data``, users in order, to the binary
     file ``fh``; after the header line, the bytes ``csv.writer`` gives.
 
     Each user id is quoted by ``csv`` once, as the first of several fields,
-    and the rows are joined from f-strings with ``repr`` floats and CRLF
-    endings, a chunk of records at a time.
+    and the rows are joined from f-strings with ``repr`` floats (spelt by
+    :func:`_float_texts`) and CRLF endings, a chunk of records at a time.
     """
     lines: list[str] = []  # one write per row
     csv.writer(SimpleNamespace(write=lines.append)).writerows((uid, "") for uid in data.user_ids)
@@ -380,8 +399,10 @@ def write_record_rows(fh, data: WeekDataset) -> None:
     columns = (owners, data.region, data.activity, data.direction,
                data.distance_km, data.duration_s)
     for lo in range(0, data.num_records, _WRITE_CHUNK_RECORDS):
-        chunk = (col[lo:lo + _WRITE_CHUNK_RECORDS].tolist() for col in columns)
-        fh.write("".join([f"{tokens[u]}{r},{a},{d},{x!r},{y!r}\r\n"
+        hi = lo + _WRITE_CHUNK_RECORDS
+        chunk = ([col[lo:hi].tolist() for col in columns[:4]]
+                 + [_float_texts(col[lo:hi]) for col in columns[4:]])
+        fh.write("".join([f"{tokens[u]}{r},{a},{d},{x},{y}\r\n"
                           for u, r, a, d, x, y in zip(*chunk)]).encode())
 
 
@@ -627,8 +648,8 @@ def _write_rows(fh, dense: np.ndarray, regions: list[str], lo: int, hi: int) -> 
         for c in range(max(lo - s * n, 0), end, _WRITE_CHUNK_CELLS):
             flat = np.flatnonzero(values[c:min(c + _WRITE_CHUNK_CELLS, end)]) + c
             r, d = np.divmod(flat, 3)
-            fh.write("".join([f"{prefix}{regions[i]}{_DIRECTIONS[j]}{v!r}\r\n" for i, j, v
-                              in zip(r.tolist(), d.tolist(), values[flat].tolist())]).encode())
+            fh.write("".join([f"{prefix}{regions[i]}{_DIRECTIONS[j]}{v}\r\n" for i, j, v
+                              in zip(r.tolist(), d.tolist(), _float_texts(values[flat]))]).encode())
 
 
 # rows per np.loadtxt block of every block-wise read

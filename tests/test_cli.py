@@ -955,10 +955,32 @@ for argv in (["generate", "--spec", "gen.cfg", "--out", "data.csv"],
     assert main(argv) == 0, argv
 print(sorted(name for name in ("numpy.ma", "fractions") if name in sys.modules))
 """
+    assert _last_line_in_a_fresh_interpreter(tmp_path, script) == "[]"
+
+
+def test_sweep_does_not_import_orjson(tmp_path):
+    """A sweep-only run in a fresh interpreter leaves ``orjson`` unimported:
+    sweep formats no bulk floats, and the writers that do import it on use."""
+    (tmp_path / "gen.cfg").write_text(GEN_CFG)
+    assert main(["generate", "--spec", str(tmp_path / "gen.cfg"),
+                 "--out", str(tmp_path / "data.csv")]) == EXIT_OK
+    script = f"""
+import sys
+from dpgb.cli import main
+assert main(["sweep", "--data", "data.csv", "--proxy", "data.csv", "--out", "s",
+             "--epsilons", "2.0", "--repeats", "1", "--min-devices", "5"] + {DOMAIN!r}) == 0
+print("orjson" in sys.modules)
+"""
+    assert _last_line_in_a_fresh_interpreter(tmp_path, script) == "False"
+
+
+def _last_line_in_a_fresh_interpreter(cwd, script: str) -> str:
+    """The last line ``script`` prints, run by a new interpreter in ``cwd``
+    with this checkout's ``dpgb`` first on its path."""
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]

@@ -37,6 +37,10 @@ from sparse_reference import (
 
 RECORD_CSV_HEADER = ["user_id", "region", "activity", "direction", "distance_km", "duration_s"]
 NEGATIVE_ACTIVITY = "negative index in record (region=0, activity=-1, direction=0)"
+# the ends of the magnitudes that _float_texts leaves to orjson, each with its
+# two neighbours
+FORMAT_BOUNDS = [float(v) for x in (1e-4, 1e16)
+                 for v in (np.nextafter(x, 0.0), x, np.nextafter(x, math.inf))]
 
 
 def csv_writer_histogram(path, dense, dims):
@@ -522,7 +526,8 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 14])
     @pytest.mark.parametrize("users", [
-        [("a,b", 2), ('say "hi"', 0), ("", 3), ("x", 1), ("line\r\nbreak", 2), ("é", 0)],
+        [("a,b", 2), ('say "hi"', 0), ("", 3), ("x", 1), ("line\r\nbreak", 2), ("é", 0),
+         ("bounds", 3)],
         [("u0", 0), ("u1", 0)],
         [],
     ], ids=["quoted_ids", "no_records", "no_users"])
@@ -530,7 +535,7 @@ class TestFileFormats:
                                                    users):
         monkeypatch.setattr(schema, "_WRITE_CHUNK_RECORDS", chunk_records)
         values = iter([5e-324, 1e16, 1e-5, 0.1 + 0.2, 0.0, 1e300, 7.0, 2.5, 123456.789, 1.0,
-                       3.0, 4.0, 9.75, 0.5, 6.0, 8.0])
+                       3.0, 4.0, 9.75, 0.5, 6.0, 8.0, *FORMAT_BOUNDS])
         data = make_dataset([
             (uid, [TripRecord(i % 5, i % 3, i % 3, next(values), next(values))
                    for i in range(n)]) for uid, n in users])
@@ -739,6 +744,30 @@ class TestRecordsInHalves:
             assert getattr(data, name).strides == (8,)
 
 
+class TestFloatTexts:
+    """``_float_texts`` spells every float64 as ``repr`` does."""
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 2.0**53, 2.0**53 + 2,
+         0.1, 1 / 3, 1e300, np.finfo(float).max, -np.finfo(float).max],
+        FORMAT_BOUNDS + [-v for v in FORMAT_BOUNDS],
+        [],
+        np.arange(20.0)[::2],  # a strided view, which orjson takes only made contiguous
+    ], ids=["edge_values", "format_bounds", "empty", "strided"])
+    def test_equals_repr(self, values):
+        x = np.asarray(values, dtype=float)
+        assert schema._float_texts(values) == list(map(repr, x.tolist()))
+
+    def test_equals_repr_at_random(self):
+        # random bit patterns fall mostly outside [1e-4, 1e16), so add values
+        # of both signs spread log-uniformly over it and a decade either side
+        rng = np.random.default_rng(12345)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(float)
+        spread = rng.choice([-1.0, 1.0], size=100_000) * 10.0 ** rng.uniform(-5, 17, 100_000)
+        for x in (bits, spread):
+            assert schema._float_texts(x) == list(map(repr, x.tolist()))
+
+
 class TestDenseHistogramFiles:
     """The release file boundary: a dense vector in cell_index order."""
 
@@ -782,7 +811,8 @@ class TestDenseHistogramFiles:
         # one region: three cells per slice
         (Dimensions(num_activities=3, num_regions=1), {0: 1.0, 4: 7.25, 26: 3.0}),
         (Dimensions(num_activities=2, num_regions=4),
-         {0: 5e-324, 5: 1e16, 17: 1e-5, 30: math.nan, 31: math.inf, 40: -1.5, 71: 1e300}),
+         {0: 5e-324, 5: 1e16, 17: 1e-5, 30: math.nan, 31: math.inf, 40: -1.5, 71: 1e300,
+          **dict(enumerate(FORMAT_BOUNDS + [-v for v in FORMAT_BOUNDS], start=41))}),
         (Dimensions(num_activities=2, num_regions=4), {}),
     ], ids=["last_slice_only", "one_region", "edge_values", "empty"])
     @pytest.mark.usefixtures("second_half")
