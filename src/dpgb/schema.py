@@ -9,8 +9,6 @@ kilometers, total duration in seconds.
 from __future__ import annotations
 
 import codecs
-import csv
-import io
 import itertools
 import math
 import mmap
@@ -21,7 +19,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -388,13 +385,17 @@ def write_record_rows(fh, data: WeekDataset) -> None:
     """Write one row per record of ``data``, users in order, to the binary
     file ``fh``; after the header line, the bytes ``csv.writer`` gives.
 
-    Each user id is quoted by ``csv`` once, as the first of several fields,
-    and the rows are joined from f-strings with ``repr`` floats (spelt by
-    :func:`_float_texts`) and CRLF endings, a chunk of records at a time.
+    A user id is written bare, so ValueError, before any byte is written,
+    on an id holding a comma, a quote, a CR, a LF or a NUL, which no
+    records file may hold.  The rows are joined from f-strings with
+    ``repr`` floats (spelt by :func:`_float_texts`) and CRLF endings, a
+    chunk of records at a time.
     """
-    lines: list[str] = []  # one write per row
-    csv.writer(SimpleNamespace(write=lines.append)).writerows((uid, "") for uid in data.user_ids)
-    tokens = [line[:-2] for line in lines]  # "uid," without the "\r\n"
+    banned = frozenset(',"\r\n\0')
+    for uid in data.user_ids:
+        if not banned.isdisjoint(uid):
+            raise ValueError(f"user id {uid!r} holds one of , \" CR LF NUL")
+    tokens = [f"{uid}," for uid in data.user_ids]
     owners = np.repeat(np.arange(data.num_users), np.diff(data.offsets))
     columns = (owners, data.region, data.activity, data.direction,
                data.distance_km, data.duration_s)
@@ -415,17 +416,14 @@ def read_records_csv(path) -> WeekDataset:
 
     ``_record_columns`` parses the file as latin-1, user ids as bytes.  If a
     row does not parse or fails the record checks, the file is read again
-    with ``csv`` to name the first bad line and what is wrong with it.
+    line by line to name the first bad line and what is wrong with it.
     """
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        header = next(csv.reader(fh), None)
-    if header != RECORD_CSV_HEADER:
-        raise ConfigError(f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
+    start = _header_end(path, RECORD_CSV_HEADER)
     try:
         width, full = 16, True
         while full:  # an id that fills the column may be cut: parse again, wider
             ids = columns = None  # the narrower table goes before the wider one comes
-            ids, *columns = _record_columns(path, width)  # a user is a run of equal ids
+            ids, *columns = _record_columns(path, start, width)  # a user is a run of equal ids
             starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))[:ids.size]
             full, width = np.any(np.char.str_len(ids[starts]) == width), 4 * width
         keys, first, inverse = np.unique(ids[starts], return_index=True, return_inverse=True)
@@ -444,9 +442,9 @@ def read_records_csv(path) -> WeekDataset:
                              f"{path}: {exc}") from None
 
 
-def _record_columns(path, width: int) -> list[np.ndarray]:
-    """The id column, ``width`` bytes wide, and the number columns of a
-    records file, read by ``_read_in_halves`` or else whole, in blocks."""
+def _record_columns(path, start: int, width: int) -> list[np.ndarray]:
+    """The id column, ``width`` bytes wide, and the number columns of the
+    rows of a records file from byte ``start``, read by ``_read_in_halves``."""
     dtype = np.dtype([("user_id", f"S{width}"), *_NUMBERS])
     columns = []
 
@@ -458,20 +456,7 @@ def _record_columns(path, width: int) -> list[np.ndarray]:
         columns.extend(_shared(head_lines + tail_lines, dtype[i]) for i in range(len(dtype)))
         return partial(fill, 0), partial(fill, head_lines)
 
-    rows = _read_in_halves(path, RECORD_CSV_HEADER, dtype, blocks)
-    if rows is None:
-        _check_bytes(path)
-        pieces = {name: [] for name in dtype.names}
-
-        def keep(rows: np.ndarray, done: int) -> None:
-            for name in dtype.names:
-                pieces[name].append(rows[name].copy())
-
-        with open(path, encoding="latin-1") as fh:  # as np.loadtxt opens a path
-            fh.readline()
-            _read_blocks(fh, dtype, keep, "latin-1")
-        return [np.concatenate(pieces.pop(name)) for name in dtype.names]
-    head, head_lines, tail = rows
+    head, head_lines, tail = _read_in_halves(path, start, dtype, blocks)
     for col in columns if head < head_lines else ():  # blank lines: move the tail down
         col[head:head + tail] = col[head_lines:head_lines + tail]
     return [col[:head + tail] for col in columns]
@@ -483,58 +468,67 @@ def _check_record_row(row: list[str]) -> None:
                 [float(row[4])], [float(row[5])])
 
 
-def _check_bytes(path, start: int = 0, stop: int | None = None) -> tuple[int, int]:
-    """The numbers of quote bytes and of lines in bytes ``start:stop`` of a
-    file, a line ended by ``\\n`` or the end; ValueError on a NUL byte
-    there, which a parsed bytes token would drop, or on bytes that are not
-    UTF-8."""
+def _header_end(path, header: list[str]) -> int:
+    """The offset of the byte after the first line of a file; ConfigError
+    naming its fields unless it is ``header`` ended by LF, CRLF or the end."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    if line in [f"{','.join(header)}{end}".encode() for end in ("\r\n", "\n", "")]:
+        return len(line)
+    text = line.decode("utf-8", "surrogateescape").removesuffix("\n").removesuffix("\r")
+    fields = text.split(",") if text else [] if line else None
+    raise ConfigError(f"{path}: bad header {fields!r}, expected {header}")
+
+
+def _check_bytes(path, start: int, stop: int) -> int:
+    """The number of lines in bytes ``start:stop`` of a file, a line ended
+    by ``\\n`` or the end; ValueError there on a NUL byte, which a parsed
+    bytes token would drop, on a quote byte, on a ``\\r`` that is not
+    followed by ``\\n`` (at the end too), or on bytes that are not UTF-8."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    quotes = lines = 0
-    last = b""
+    lines, last = 0, b""
     with open(path, "rb") as fh:
         fh.seek(start)
-        left = math.inf if stop is None else stop - start
+        left = stop - start
         while left > 0 and (chunk := fh.read(min(left, 1 << 16))):
             left -= len(chunk)
-            if b"\0" in chunk:
-                raise ValueError("NUL byte")
+            for byte, name in ((b"\0", "NUL byte"), (b'"', "quote byte")):
+                if byte in chunk:
+                    raise ValueError(name)
             decoder.decode(chunk)
-            if b'"' in chunk:
-                quotes += chunk.count(b'"')
-            lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
+            # a "\r" that ended the last read is checked with this one
+            ends = np.frombuffer(last + chunk if last == b"\r" else chunk, dtype=np.uint8)
+            lf = ends == ord("\n")
+            if np.any((ends[:-1] == ord("\r")) > lf[1:]):
+                raise ValueError("CR not followed by LF")
+            lines += int(np.count_nonzero(lf))
             last = chunk[-1:]
     decoder.decode(b"", final=True)
-    return quotes, lines + (last not in b"\n")
-
-
-def _loadtxt(source, dtype: np.dtype, encoding: str = "utf-8", **kwargs) -> np.ndarray:
-    """``np.loadtxt`` of comma-separated rows with csv quoting, as an array
-    of at least one dimension."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")  # blank rows
-        # older numpy only warns, then truncates, when an int reads as a float
-        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
-                                DeprecationWarning)
-        return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                          ndmin=1, encoding=encoding, **kwargs)
+    if last == b"\r":
+        raise ValueError("CR not followed by LF")
+    return lines + (last not in b"\n")
 
 
 def _first_bad_row(path, num_fields: int, check, fallback: str) -> ConfigError:
     """The error naming the first bad row of a CSV file as
-    ``path:lineno: message``, lines counted as csv rows and blank rows
-    skipped; ``fallback`` when every row is UTF-8 with no NUL byte, has
-    ``num_fields`` fields and passes ``check``, which raises on a bad row
-    with Python's own int() and float()."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+    ``path:lineno: message``, lines ended by ``\\n`` and blank lines
+    skipped; ``fallback`` when every row is UTF-8 with no NUL byte, no quote
+    byte and no ``\\r`` but the one before its ``\\n``, has ``num_fields``
+    fields and passes ``check``, which raises on a bad row with Python's own
+    int() and float()."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            line = line[:-1].removesuffix(b"\r") if line.endswith(b"\n") else line
+            if not line:
                 continue
             try:
-                if "\0" in ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8"):
-                    raise ValueError("NUL byte")
+                text = line.decode("utf-8")
+                for char, name in (("\0", "NUL byte"), ('"', "quote byte"),
+                                   ("\r", "CR not followed by LF")):
+                    if char in text:
+                        raise ValueError(name)
+                row = text.split(",")
                 if len(row) != num_fields:
                     raise ValueError(f"expected {num_fields} fields, got {len(row)}")
                 check(row)
@@ -556,9 +550,14 @@ _FORK_BYTES = 1 << 22
 
 
 @contextmanager
-def _second_half(work):
-    """Run ``work()`` in a forked child while the body of the ``with`` runs.
-    OSError when the child exits with an error."""
+def _second_half(work, fork: bool = True):
+    """Run ``work()`` in a forked child while the body of the ``with`` runs,
+    or, when not ``fork``, in this process after the body.
+    ChildProcessError, an OSError, when the child exits with an error."""
+    if not fork:
+        yield
+        work()
+        return
     pid = os.fork()
     if pid == 0:  # the child: run work() and exit, never return
         code = 1
@@ -572,8 +571,8 @@ def _second_half(work):
     finally:
         _, status = os.waitpid(pid, 0)
     if status:
-        raise OSError(f"the child process for the second half exited with status "
-                      f"{os.waitstatus_to_exitcode(status)}")
+        raise ChildProcessError(f"the child process for the second half exited with status "
+                                f"{os.waitstatus_to_exitcode(status)}")
 
 
 def write_in_halves(path, header: list[str], head, tail, rows: float) -> None:
@@ -666,33 +665,23 @@ def read_histogram_csv(path, dims: Dimensions) -> np.ndarray:
     """Dense vector in flat cell order; absent and zero-valued cells read 0.
 
     A second row for a cell is an error, also when the first one held 0, and
-    so is a NUL byte anywhere in the file, which a parsed token would drop.
-    The rows are parsed by ``np.loadtxt`` in blocks and checked as arrays,
-    in two processes when ``_read_in_halves`` can.  If that fails, or a cell
-    has a row in each half (fewer cells seen than rows parsed), the whole
-    file is read here with the same block loop, then again with ``csv`` to
-    name the first bad line.
+    so is a NUL byte anywhere in the file, which a parsed token would drop, a
+    quote byte or a lone CR.  The rows are parsed by ``np.loadtxt`` in
+    blocks and checked as arrays, in two halves by ``_read_in_halves``.  If
+    that fails, or a cell has a row in each half (fewer cells seen than rows
+    parsed), the file is read again line by line to name the first bad line.
     """
+    start = _header_end(path, HISTOGRAM_CSV_HEADER)
     dense, seen = _shared(dims.total_cells, float), _shared(dims.total_cells, bool)
     block = partial(_histogram_rows, dims, dense, seen)
-    rows = _read_in_halves(path, HISTOGRAM_CSV_HEADER, _HISTOGRAM_DTYPE, lambda *_: (block, block))
-    if rows is not None and rows[0] + rows[2] == np.count_nonzero(seen):
+    try:
+        head, _, tail = _read_in_halves(path, start, _HISTOGRAM_DTYPE, lambda *_: (block, block))
+        if head + tail != np.count_nonzero(seen):
+            raise ValueError("a cell has a second row")
         return dense
-    dense = np.zeros(dims.total_cells)
-    seen = np.zeros(dims.total_cells, dtype=bool)
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        header = next(csv.reader(fh), None)
-        if header != HISTOGRAM_CSV_HEADER:
-            raise ConfigError(f"{path}: bad header {header!r}, expected {HISTOGRAM_CSV_HEADER}")
-        try:
-            _check_bytes(path)
-            block = partial(_histogram_rows, dims, dense, seen)
-            if _read_blocks(fh, _HISTOGRAM_DTYPE, block) != np.count_nonzero(seen):
-                raise ValueError("a cell has a second row")
-            return dense
-        except ValueError as exc:
-            raise _first_bad_row(path, len(HISTOGRAM_CSV_HEADER), _histogram_row_check(dims),
-                                 f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise _first_bad_row(path, len(HISTOGRAM_CSV_HEADER), _histogram_row_check(dims),
+                             f"{path}: {exc}") from None
 
 
 def _shared(size: int, dtype) -> np.ndarray:
@@ -700,63 +689,57 @@ def _shared(size: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)), dtype, count=size)
 
 
-def _read_in_halves(path, header: list[str], dtype: np.dtype, blocks):
-    """Parse the rows of a file in two halves with ``_read_part``, the second
-    in a forked child; ``blocks(head_lines, tail_lines)`` gives the block
-    callbacks of the halves, which leave the child's rows in shared memory.
-    The rows of the first half, its lines and the rows of the second, or
-    None to read the file whole: the rows after the header are under
-    ``_FORK_BYTES``, there is no ``os.fork``, the first line is not
-    ``header``, a half fails, or the file holds a quote byte (a quoted field
-    may span the split, or hold a ``\\r`` the whole-file parse reads as ``\\n``).
+def _read_in_halves(path, start: int, dtype: np.dtype, blocks):
+    """Parse the rows of a file from byte ``start`` with ``_read_part``, in
+    two halves split at the first line end after their middle byte, once
+    ``_check_bytes`` passes both; ``blocks(head_lines, tail_lines)`` gives
+    the halves' block callbacks.  When the rows are ``_FORK_BYTES`` or more
+    and there is ``os.fork``, a forked child parses the second half into
+    shared memory while this process parses the first, and this process
+    parses it again if the child fails; otherwise it follows the first
+    here.  The rows of the first half, its lines and the rows of the second.
     """
     with open(path, "rb") as fh:
-        if fh.readline() not in [f"{','.join(header)}{end}".encode() for end in ("\r\n", "\n")]:
-            return None
-        start, stop = fh.tell(), os.fstat(fh.fileno()).st_size
-        if stop - start < _FORK_BYTES or not hasattr(os, "fork"):
-            return None
+        stop = os.fstat(fh.fileno()).st_size
         fh.seek((start + stop) // 2)
         fh.readline()
         split = fh.tell()
+    head_lines, tail_lines = _check_bytes(path, start, split), _check_bytes(path, split, stop)
+    head_block, tail_block = blocks(head_lines, tail_lines)
     tail_rows = _shared(1, np.int64)
+
+    def second_half():
+        tail_rows[0] = _read_part(path, split, tail_lines, dtype, tail_block)
+
     try:
-        (head_quotes, head_lines), (tail_quotes, tail_lines) = (
-            _check_bytes(path, start, split), _check_bytes(path, split, stop))
-        if head_quotes or tail_quotes:
-            return None
-        head_block, tail_block = blocks(head_lines, tail_lines)
-
-        def second_half():
-            tail_rows[0] = _read_part(path, split, tail_lines, dtype, tail_block)
-
-        with _second_half(second_half):
+        with _second_half(second_half, stop - start >= _FORK_BYTES and hasattr(os, "fork")):
             head_rows = _read_part(path, start, head_lines, dtype, head_block)
-    except (ValueError, OSError):
-        return None
+    except ChildProcessError:
+        second_half()
     return head_rows, head_lines, int(tail_rows[0])
 
 
 def _read_part(path, start: int, lines: int, dtype: np.dtype, block) -> int:
-    """The number of rows of the ``lines`` lines, ended by ``\\n`` (a lone
-    ``\\r`` fails), from byte ``start`` of a file, parsed by ``_read_blocks``."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        with io.TextIOWrapper(fh, "latin-1", newline="\n") as text:
-            return _read_blocks(itertools.islice(text, lines), dtype, block, "latin-1")
-
-
-def _read_blocks(lines, dtype: np.dtype, block, encoding: str = "utf-8") -> int:
-    """Parse the CSV rows of the text lines ``lines`` with ``np.loadtxt``,
+    """Parse the ``lines`` lines, ended by ``\\n``, from byte ``start`` of a
+    file as latin-1 comma-separated rows with ``np.loadtxt``,
     ``_READ_BLOCK_ROWS`` at a time, passing each block and the number of
     rows before it to ``block``; the number of rows."""
     done = 0
-    while True:
-        rows = _loadtxt(lines, dtype, encoding, max_rows=_READ_BLOCK_ROWS)
-        block(rows, done)
-        done += rows.size
-        if rows.size < _READ_BLOCK_ROWS:
-            return done
+    with open(path, encoding="latin-1", newline="\n") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")  # blank rows
+        # older numpy only warns, then truncates, when an int reads as a float
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
+        fh.seek(start)  # a byte offset, as latin-1 decodes each byte alone
+        text = itertools.islice(fh, lines)
+        while True:
+            rows = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                              max_rows=_READ_BLOCK_ROWS)
+            block(rows, done)
+            done += rows.size
+            if rows.size < _READ_BLOCK_ROWS:
+                return done
 
 
 def _histogram_rows(dims: Dimensions, dense: np.ndarray, seen: np.ndarray, rows: np.ndarray,

@@ -317,6 +317,30 @@ class TestRelease:
         assert "skipped" not in err
         assert not out.exists()
 
+    def test_a_quoted_user_id_fails_every_command_at_its_line(self, workspace, capsys):
+        # invalid input fails the same way under every mechanism and command,
+        # and no command leaves an output file
+        tmp_path, _, data_path, proxy_path = workspace
+        configs = [make_config(tmp_path, data_path, kind=kind) for kind in schema.MECHANISM_KINDS]
+        lines = data_path.read_bytes().split(b"\r\n")
+        # the third record's id, quoted as csv.writer quotes an id with a comma
+        lines[3] = b'"a,b"' + lines[3][lines[3].index(b","):]
+        bad = tmp_path / "quoted.csv"
+        bad.write_bytes(b"\r\n".join(lines))
+        runs = [["release", "--data", str(bad), "--config", str(cfg), "--out",
+                 str(tmp_path / "o.csv"), "--num-regions", "6"] for cfg in configs]
+        runs.append(["eval", "--data", str(bad), "--released", str(data_path),
+                     "--out", str(tmp_path / "eval")] + DOMAIN)
+        runs += [["sweep", "--data", str(data), "--proxy", str(proxy), "--out",
+                  str(tmp_path / "sweep"), "--epsilons", "2.0", "--repeats", "1"] + DOMAIN
+                 for data, proxy in ((bad, proxy_path), (data_path, bad))]
+        files = sorted(os.listdir(tmp_path))
+        for argv in runs:
+            capsys.readouterr()
+            assert main(argv) == EXIT_CONFIG, argv
+            assert capsys.readouterr().err == f"error: {bad}:4: quote byte\n"
+        assert sorted(os.listdir(tmp_path)) == files
+
     def test_release_needs_num_regions(self, workspace, capsys):
         # the release domain never comes from the private records
         tmp_path, _, data_path, _ = workspace

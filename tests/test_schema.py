@@ -417,21 +417,30 @@ class TestFileFormats:
         assert str(excinfo.value) == (
             f"{path}: bad header {header!r}, expected {RECORD_CSV_HEADER}")
 
+    @pytest.mark.parametrize("end", ["", "\n", "\r\n"])
+    def test_a_file_of_its_header_alone_holds_no_rows(self, tmp_path, small_dims, end):
+        # the last line may go without a line end, the header too
+        path = tmp_path / "empty.csv"
+        path.write_bytes((",".join(RECORD_CSV_HEADER) + end).encode())
+        assert read_records_csv(path).num_users == 0
+        path.write_bytes(("activity,metric,region,direction,value" + end).encode())
+        assert not read_histogram_csv(path, small_dims).any()
+
     @pytest.mark.usefixtures("second_half")
     def test_user_ids_and_record_order_survive_a_round_trip(self, tmp_path):
-        # ids of 1 and 40 characters, with a comma, a double quote and
-        # non-ASCII letters; "a,b" and 'say "hi"' are interleaved in the file
+        # ids of 1 and 40 characters, with a space, an apostrophe and
+        # non-ASCII letters; "a b" and "say 'hi'" are interleaved in the file
         long_id = "v" * 40
         rows = [
             ("x", 0, 0, 0, 1.5, 10.0),
-            ("a,b", 1, 1, 2, 2.5, 20.0),
-            ('say "hi"', 2, 0, 1, 3.5, 30.0),
-            ("a,b", 3, 1, 0, 0.1 + 0.2, 40.0),
-            ('say "hi"', 0, 1, 1, 1e300, 5e-324),
+            ("a b", 1, 1, 2, 2.5, 20.0),
+            ("say 'hi'", 2, 0, 1, 3.5, 30.0),
+            ("a b", 3, 1, 0, 0.1 + 0.2, 40.0),
+            ("say 'hi'", 0, 1, 1, 1e300, 5e-324),
             (long_id, 1, 0, 2, 0.0, 0.0),
             ("Zoë", 2, 1, 0, 7.0, 70.0),
-            ("a,b", 0, 0, 0, 8.0, 80.0),
-            ('é,"q"', 1, 1, 1, 9.0, 90.0),
+            ("a b", 0, 0, 0, 8.0, 80.0),
+            ("é;'q'", 1, 1, 1, 9.0, 90.0),
         ]
         src = tmp_path / "interleaved.csv"
         with open(src, "w", newline="", encoding="utf-8") as fh:
@@ -439,7 +448,7 @@ class TestFileFormats:
             writer.writerow(RECORD_CSV_HEADER)
             writer.writerows(rows)
         data = read_records_csv(src)
-        order = ["x", "a,b", 'say "hi"', long_id, "Zoë", 'é,"q"']
+        order = ["x", "a b", "say 'hi'", long_id, "Zoë", "é;'q'"]
         assert data.num_users == len(order) and data.num_records == len(rows)
         users = [(uid, [tuple(rec) for rec in records]) for uid, records in user_records(data)]
         assert users == [(uid, [row[1:] for row in rows if row[0] == uid]) for uid in order]
@@ -452,17 +461,29 @@ class TestFileFormats:
         write_records_csv(second, again)
         assert first.read_bytes() == second.read_bytes()
         text = first.read_bytes().decode("utf-8")
-        assert '"a,b",' in text and '"say ""hi""",' in text and '"é,""q""",' in text
+        assert "\r\na b,1,1,2,2.5,20.0\r\n" in text and "\r\né;'q',1,1,1,9.0,90.0\r\n" in text
         assert f"\r\n{long_id},1,0,2,0.0,0.0\r\n" in text
+
+        # ids with a comma or a double quote, which csv.writer quotes: the
+        # first quoted row is named, and no such id is written
+        quoted = [("a,b" if uid == "a b" else 'say "hi"' if uid == "say 'hi'" else uid, *rest)
+                  for uid, *rest in rows]
+        with open(src, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([RECORD_CSV_HEADER, *quoted])
+        with pytest.raises(ConfigError) as excinfo:
+            read_records_csv(src)
+        assert str(excinfo.value) == f"{src}:3: quote byte"
+        with pytest.raises(ValueError):
+            write_records_csv(first, make_dataset([("a,b", ())]))
 
     @pytest.mark.usefixtures("second_half")
     def test_user_ids_keep_their_bytes(self, tmp_path):
         # ids outside latin-1; of 15, 16, 17, 40 and 70 UTF-8 bytes (the
         # bytes column starts 16 wide); sharing their first 16 or 39 bytes;
-        # empty; with a comma, a quote, a line break or spaces
+        # empty; with spaces
         ids = ["€uro", "中文", "😀", "a" * 15, "b" * 16, "c" * 17, "d" * 40, "z" * 70,
                "p" * 16 + "x", "p" * 16 + "y", "d" * 39 + "e", "é" * 8, "é" * 7 + "e",
-               "", "a,b", 'q"', "line\nbreak", " pad "]
+               "", " pad "]
         picks = [0, 1, 0, 2, 3, 1] + list(range(len(ids))) + [5, 4, 3, 12, 0]  # interleaved
         rows = [(ids[k], i % 4, i % 2, i % 3, 0.5 * i, 10.0 + i) for i, k in enumerate(picks)]
         path = tmp_path / "ids.csv"
@@ -473,6 +494,13 @@ class TestFileFormats:
         assert data.user_ids == tuple(order) and len(order) == len(ids)
         assert user_records(data) == [(uid, [row[1:] for row in rows if row[0] == uid])
                                       for uid in order]
+        # an id with a comma, a quote or a line break, as csv.writer quotes it
+        for uid in ("a,b", 'q"', "line\nbreak"):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([RECORD_CSV_HEADER, *rows, (uid, 0, 0, 0, 1.0, 2.0)])
+            with pytest.raises(ConfigError) as excinfo:
+                read_records_csv(path)
+            assert str(excinfo.value) == f"{path}:{len(rows) + 2}: quote byte"
 
     @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("first, second", [("a\0", "a"), ("\0", ""), ("a\0b", "ab")])
@@ -510,9 +538,10 @@ class TestFileFormats:
         write_records_csv(path, data)
         del data
         if second_half == "inline":
-            # the file is 5.5 MB: read it whole, where tracemalloc sees the
-            # columns, and not in halves into shared memory that it does not
+            # the file is 5.5 MB: read both halves in this process into heap
+            # columns, which tracemalloc sees, and not into shared memory
             monkeypatch.setattr(schema, "_FORK_BYTES", 1 << 62)
+            monkeypatch.setattr(schema, "_shared", lambda size, dtype: np.zeros(size, dtype))
         tracemalloc.start()
         try:
             back = read_records_csv(path)
@@ -526,11 +555,11 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 14])
     @pytest.mark.parametrize("users", [
-        [("a,b", 2), ('say "hi"', 0), ("", 3), ("x", 1), ("line\r\nbreak", 2), ("é", 0),
+        [("a b", 2), ("say 'hi'", 0), ("", 3), ("x", 1), (" pad ", 2), ("é", 0), ("€uro", 0),
          ("bounds", 3)],
         [("u0", 0), ("u1", 0)],
         [],
-    ], ids=["quoted_ids", "no_records", "no_users"])
+    ], ids=["odd_ids", "no_records", "no_users"])
     def test_records_writer_bytes_equal_csv_writer(self, tmp_path, monkeypatch, chunk_records,
                                                    users):
         monkeypatch.setattr(schema, "_WRITE_CHUNK_RECORDS", chunk_records)
@@ -544,6 +573,24 @@ class TestFileFormats:
         csv_writer_records(want, data)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\0"])
+    def test_records_writer_rejects_ids_outside_the_grammar(self, tmp_path, char):
+        # the rows raise before they write a byte, and a file written in
+        # halves is removed
+        data = make_dataset([("u0", [TripRecord(0, 0, 0, 1.0, 2.0)]),
+                             (f"a{char}b", [TripRecord(1, 1, 1, 1.5, 2.5)])])
+        path = tmp_path / "r.csv"
+        with pytest.raises(ValueError) as excinfo:
+            write_records_csv(path, data)
+        assert str(excinfo.value) == f"user id {'a' + char + 'b'!r} holds one of , \" CR LF NUL"
+        assert path.read_bytes() == (",".join(RECORD_CSV_HEADER) + "\r\n").encode()
+
+        def rows(fh):
+            schema.write_record_rows(fh, data)
+        with pytest.raises(ValueError):
+            schema.write_in_halves(path, RECORD_CSV_HEADER, rows, rows, 0)
+        assert os.listdir(tmp_path) == ["r.csv"]
+
     @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 14])
     def test_records_writer_round_trip(self, tmp_path, rng, monkeypatch, small_dims,
@@ -551,7 +598,7 @@ class TestFileFormats:
         # users without records are not in the file, so they do not come back
         monkeypatch.setattr(schema, "_WRITE_CHUNK_RECORDS", chunk_records)
         users = [(uid, tuple(random_records(rng, small_dims, n)))
-                 for uid, n in (("a,b", 3), ("", 2), ("none", 0), ('q"', 9), ("z", 1))]
+                 for uid, n in (("a b", 3), ("", 2), ("none", 0), ("q'", 9), ("z", 1))]
         users.append(("edge", (TripRecord(0, 1, 2, 5e-324, 1e16), TripRecord(3, 0, 1, 1e-5, 0.0))))
         path = tmp_path / "w.csv"
         write_records_csv(path, make_dataset(users))
@@ -614,13 +661,11 @@ def head_lines(path):
     return data[start:data.index(b"\n", (start + len(data)) // 2) + 1].count(b"\n")
 
 
-def read_whole_and_in_halves(path, monkeypatch):
-    """A records file read whole, then in two halves, and what each
-    ``_read_in_halves`` call gave: the rows of the first half, its lines
-    and the rows of the second, or None where the file was read whole."""
-    monkeypatch.setattr(schema, "_FORK_BYTES", 1 << 62)
-    whole = read_records_csv(path)
-    monkeypatch.setattr(schema, "_FORK_BYTES", 0)
+def read_in_one_process_and_forked(path, monkeypatch):
+    """A records file read with both halves in this process, then with the
+    second in a forked child (where there is ``os.fork``), and what each
+    ``_read_in_halves`` call gave: the rows of the first half, its lines and
+    the rows of the second."""
     parts = []
     read_in_halves = schema._read_in_halves
 
@@ -628,11 +673,28 @@ def read_whole_and_in_halves(path, monkeypatch):
         parts.append(read_in_halves(*args))
         return parts[-1]
     monkeypatch.setattr(schema, "_read_in_halves", spy)
-    return whole, read_records_csv(path), parts
+    monkeypatch.setattr(schema, "_FORK_BYTES", 1 << 62)
+    inline = read_records_csv(path)
+    monkeypatch.setattr(schema, "_FORK_BYTES", 0)
+    return inline, read_records_csv(path), parts
+
+
+def errors_in_one_process_and_forked(monkeypatch, read, *args):
+    """The messages of the ConfigErrors that ``read(*args)`` raises with
+    both halves of the file read in this process, then with the second
+    in a forked child."""
+    messages = []
+    for fork_bytes in (1 << 62, 0):
+        monkeypatch.setattr(schema, "_FORK_BYTES", fork_bytes)
+        with pytest.raises(ConfigError) as excinfo:
+            read(*args)
+        messages.append(str(excinfo.value))
+    return messages
 
 
 class TestRecordsInHalves:
-    """A records file read in two halves reads as the whole file does."""
+    """A records file whose second half is read by a forked child reads as
+    it does with both halves read in this process."""
 
     def test_a_user_whose_rows_straddle_the_split(self, tmp_path, monkeypatch):
         rows = ([f"u0,{i},1,2,{i}.5,{10 * i}.0\r\n" for i in range(3)]
@@ -642,8 +704,8 @@ class TestRecordsInHalves:
         path.write_text(",".join(RECORD_CSV_HEADER) + "\r\n" + "".join(rows), newline="")
         head = head_lines(path)
         assert rows[head - 1].startswith("a,") and rows[head].startswith("a,")
-        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
-        assert parts == [(head, head, len(rows) - head)]
+        whole, halves, parts = read_in_one_process_and_forked(path, monkeypatch)
+        assert parts == [(head, head, len(rows) - head)] * 2
         assert bit_identical(halves, whole)
         assert whole.user_ids == ("u0", "a", "u1") and whole.offsets.tolist() == [0, 3, 43, 46]
 
@@ -655,8 +717,8 @@ class TestRecordsInHalves:
         path.write_text(",".join(RECORD_CSV_HEADER) + "\n" + "".join(rows))
         head = head_lines(path)
         assert 4 < head < 34  # the split lies in b's first run
-        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
-        assert parts == [(head, head, len(rows) - head)]
+        whole, halves, parts = read_in_one_process_and_forked(path, monkeypatch)
+        assert parts == [(head, head, len(rows) - head)] * 2
         assert bit_identical(halves, whole)
         assert whole.user_ids == ("a", "b", "c") and whole.offsets.tolist() == [0, 7, 38, 40]
 
@@ -668,15 +730,15 @@ class TestRecordsInHalves:
         path.write_text(",".join(RECORD_CSV_HEADER) + "\r\n" + "".join(body), newline="")
         head = head_lines(path) - 2 * blank_head  # rows in the first half
         assert 0 < head < 30
-        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
-        assert parts == [(head, head_lines(path), 40 - head)]
+        whole, halves, parts = read_in_one_process_and_forked(path, monkeypatch)
+        assert parts == [(head, head_lines(path), 40 - head)] * 2
         assert bit_identical(halves, whole) and whole.num_records == 40
 
     @pytest.mark.parametrize("rows_before", [0, 1, 5, 12])  # moves the split
     @pytest.mark.parametrize("lone_cr", [False, True])
     def test_line_ends_of_every_kind(self, tmp_path, monkeypatch, rows_before, lone_cr):
         # CRLF and LF line ends; with lone_cr, a CR ends two of the lines,
-        # which fails a half's parse, so the file is read whole
+        # and the first of them is named
         end = "\r" if lone_cr else "\n"
         body = ("".join(f"v{i},{i},0,0,1.0,2.0\r\n" for i in range(rows_before))
                 + "a,0,0,0,1.5,2.5\r\nx,1,1,1,2.5,3.5\nb,2,2,2,3.5,4.5\r\n"
@@ -684,37 +746,50 @@ class TestRecordsInHalves:
                 + "d,0,2,1,7.5,8.5\r\n")
         path = tmp_path / "r.csv"
         path.write_bytes((",".join(RECORD_CSV_HEADER) + "\n" + body).encode())
-        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
+        if lone_cr:
+            assert errors_in_one_process_and_forked(monkeypatch, read_records_csv, path) == [
+                f"{path}:{rows_before + 6}: CR not followed by LF"] * 2
+            return
+        whole, halves, parts = read_in_one_process_and_forked(path, monkeypatch)
         assert bit_identical(halves, whole)
         assert whole.user_ids[-6:] == ("a", "x", "b", "p", "c", "d")
         head = head_lines(path)
-        assert parts == ([None] if lone_cr else [(head, head, rows_before + 7 - head)])
+        assert parts == [(head, head, rows_before + 7 - head)] * 2
 
-    @pytest.mark.parametrize("body, uids", [
-        # a CR or a CRLF inside a quoted id reads as LF in the whole file
+    @pytest.mark.parametrize("body, lineno", [
+        # a CR or a CRLF inside a quoted id
         ('a,0,0,0,1.5,2.5\r\n"x\ry",1,1,1,2.5,3.5\r\n"p\r\nq",0,1,2,4.5,5.5\r\n'
-         + "".join(f"b,{i},0,0,1.0,2.0\r\n" for i in range(8)), ("a", "x\ny", "p\nq", "b")),
-        # the split follows the line end inside the quoted id
-        ('"' + "x" * 200 + '\ny",0,0,0,1.0,2.0\nu,1,1,1,1.0,1.0\n', ("x" * 200 + "\ny", "u")),
+         + "".join(f"b,{i},0,0,1.0,2.0\r\n" for i in range(8)), 3),
+        # a line end inside a quoted id, where the split falls
+        ('"' + "x" * 200 + '\ny",0,0,0,1.0,2.0\nu,1,1,1,1.0,1.0\n', 2),
     ], ids=["cr_in_quotes", "split_in_quotes"])
-    def test_a_quote_reads_the_file_whole(self, tmp_path, monkeypatch, body, uids):
+    def test_a_quote_is_an_error_naming_its_line(self, tmp_path, monkeypatch, body, lineno):
+        # the byte check finds it before any half is parsed
         def refuse(*args):
             raise AssertionError("a half was parsed")
         monkeypatch.setattr(schema, "_read_part", refuse)
         path = tmp_path / "r.csv"
         path.write_bytes((",".join(RECORD_CSV_HEADER) + "\n" + body).encode())
-        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
-        assert set(parts) == {None} and bit_identical(halves, whole)
-        assert whole.user_ids == uids
+        assert errors_in_one_process_and_forked(monkeypatch, read_records_csv, path) == [
+            f"{path}:{lineno}: quote byte"] * 2
 
-    def test_a_header_ended_by_a_lone_cr_reads_the_file_whole(self, tmp_path, monkeypatch):
+    def test_a_header_ended_by_a_lone_cr_is_a_bad_header(self, tmp_path, monkeypatch):
         # the header row ends at the CR, but the first line runs on to the LF
         path = tmp_path / "r.csv"
         path.write_bytes((",".join(RECORD_CSV_HEADER)
                           + "\ru,0,0,0,1.0,2.0\nv,1,1,1,2.0,3.0\n").encode())
-        whole, halves, parts = read_whole_and_in_halves(path, monkeypatch)
-        assert parts == [None] and bit_identical(halves, whole)
-        assert whole.user_ids == ("u", "v")
+        fields = RECORD_CSV_HEADER[:-1] + ["duration_s\ru", "0", "0", "0", "1.0", "2.0"]
+        assert errors_in_one_process_and_forked(monkeypatch, read_records_csv, path) == [
+            f"{path}: bad header {fields!r}, expected {RECORD_CSV_HEADER}"] * 2
+
+    @pytest.mark.parametrize("rows_before", [0, 3])
+    def test_a_lone_cr_ending_the_last_line_is_named(self, tmp_path, monkeypatch, rows_before):
+        path = tmp_path / "r.csv"
+        path.write_bytes((",".join(RECORD_CSV_HEADER) + "\r\n"
+                          + "".join(f"v{i},{i},0,0,1.0,2.0\r\n" for i in range(rows_before))
+                          + "u,0,0,0,1.0,2.0\r").encode())
+        assert errors_in_one_process_and_forked(monkeypatch, read_records_csv, path) == [
+            f"{path}:{rows_before + 2}: CR not followed by LF"] * 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_failing_child_leaves_the_read_to_this_process(self, tmp_path, monkeypatch):
@@ -851,9 +926,13 @@ class TestDenseHistogramFiles:
             write_histogram_csv(path, dense, dims)
             assert read_histogram_csv(path, dims).tobytes() == dense.tobytes()
 
-    def test_reading_a_small_file_holds_one_dense_vector(self, tmp_path, rng):
+    def test_reading_a_small_file_holds_one_dense_vector(self, tmp_path, rng, monkeypatch):
         # the dense vector (32.4 MB at 9 x 50,000 regions), its seen mask
-        # and one block of rows; not one Python object per cell
+        # and one block of rows; not one Python object per cell.  Both halves
+        # are read in this process, into heap arrays, which tracemalloc sees,
+        # and not into shared memory
+        monkeypatch.setattr(schema, "_FORK_BYTES", 1 << 62)
+        monkeypatch.setattr(schema, "_shared", lambda size, dtype: np.zeros(size, dtype))
         dims = Dimensions(num_activities=9, num_regions=50_000)
         dense = np.zeros(dims.total_cells)
         dense[rng.choice(dims.total_cells, size=100, replace=False)] = 1.5
@@ -968,30 +1047,23 @@ class TestDenseHistogramFiles:
             read_histogram_csv(path, dims)
         assert str(excinfo.value) == f"{path}:{len(rows) + 2}: duplicate cell (1, 1, 0, 0)"
 
-    @pytest.mark.usefixtures("second_half")
-    @pytest.mark.parametrize("second, expected", [
-        # the quoted field ends in the second half: the file holds two cells
-        (' "\n0,num_trips,0,1,2.5\n', {0: 1.5, 1: 2.5}),
+    @pytest.mark.parametrize("second", [
+        # the quoted field ends in the second half
+        ' "\n0,num_trips,0,1,2.5\n',
         # read alone, the first half ends in an open quote and the second
-        # starts a good row; read whole, the quoted field runs into that row
-        ('0,num_trips,0,1,"2.5"\n', "could not convert string to float: "
-                                    "'1.5" + " " * 40 + "\\n0,num_trips,0,1,2.5\"'"),
+        # starts a good row
+        '0,num_trips,0,1,"2.5"\n',
     ], ids=["good", "bad"])
-    def test_a_split_inside_a_quoted_field_reads_the_file_whole(
-            self, tmp_path, small_dims, second, expected):
+    def test_a_quoted_field_is_an_error_naming_its_line(
+            self, tmp_path, monkeypatch, small_dims, second):
         header = "activity,metric,region,direction,value\n"
         first = '0,num_trips,0,0,"1.5' + " " * 40 + "\n"
         path = tmp_path / "h.csv"
         path.write_text(header + first + second)
         # the split follows the first line end after the middle byte
         assert len(header) + len(first) > (len(header) + path.stat().st_size) // 2
-        if isinstance(expected, dict):
-            back = read_histogram_csv(path, small_dims)
-            assert {flat: back[flat] for flat in np.flatnonzero(back).tolist()} == expected
-        else:
-            with pytest.raises(ConfigError) as excinfo:
-                read_histogram_csv(path, small_dims)
-            assert str(excinfo.value) == f"{path}:2: {expected}"
+        assert errors_in_one_process_and_forked(
+            monkeypatch, read_histogram_csv, path, small_dims) == [f"{path}:2: quote byte"] * 2
 
     @pytest.mark.usefixtures("second_half")
     def test_a_failed_write_leaves_the_file_at_path_as_it_was(self, tmp_path, monkeypatch):
@@ -1022,32 +1094,60 @@ class TestDenseHistogramFiles:
         write_histogram_csv(path, dense, dims)
         assert read_histogram_csv(path, dims).tobytes() == dense.tobytes()
 
-    @pytest.mark.usefixtures("second_half")
     @pytest.mark.parametrize("rows_before", [0, 1, 5])  # moves the split
-    def test_line_ends_of_every_kind(self, tmp_path, small_dims, rows_before):
+    def test_line_ends_of_every_kind(self, tmp_path, monkeypatch, small_dims, rows_before):
+        # LF and CRLF line ends, blank lines of both kinds, no line end at the
+        # end; then a lone CR in three places, each named by its line
         path = tmp_path / "h.csv"
-        path.write_bytes(b"activity,metric,region,direction,value\n"
-                         + b"".join(b"1,distance,%d,%d,9.0\n" % divmod(i, 3)
-                                    for i in range(rows_before))
-                         + b"0,num_trips,0,0,1.5\r0,num_trips,0,1,2.5\r\n\r\n"
-                           b"0,num_trips,0,2,3.5\n\n\r1,duration,3,2,4.5\r\n0,distance,1,1,5.5")
-        back = read_histogram_csv(path, small_dims)
+        before = b"".join(b"1,distance,%d,%d,9.0\n" % divmod(i, 3) for i in range(rows_before))
+        body = (b"0,num_trips,0,0,1.5\r\n0,num_trips,0,1,2.5\r\n\r\n"
+                b"0,num_trips,0,2,3.5\n\n1,duration,3,2,4.5\r\n0,distance,1,1,5.5")
+        path.write_bytes(b"activity,metric,region,direction,value\n" + before + body)
         expected = {0: 1.5, 1: 2.5, 2: 3.5, 16: 5.5, 71: 4.5}
         expected.update({small_dims.cell_index(1, 1, *divmod(i, 3)): 9.0
                          for i in range(rows_before)})
-        assert {flat: back[flat] for flat in np.flatnonzero(back).tolist()} == expected
+        for fork_bytes in (1 << 62, 0):
+            monkeypatch.setattr(schema, "_FORK_BYTES", fork_bytes)
+            back = read_histogram_csv(path, small_dims)
+            assert {flat: back[flat] for flat in np.flatnonzero(back).tolist()} == expected
+        for lone_cr, lineno in [(body.replace(b"1.5\r\n", b"1.5\r"), 2),
+                                (body.replace(b"\n\n1,", b"\n\n\r1,"), 7),
+                                (body + b"\r", 8)]:
+            path.write_bytes(b"activity,metric,region,direction,value\n" + before + lone_cr)
+            assert errors_in_one_process_and_forked(
+                monkeypatch, read_histogram_csv, path, small_dims) == [
+                    f"{path}:{rows_before + lineno}: CR not followed by LF"] * 2
 
 
-def test_byte_check_counts_lines_and_quotes(tmp_path, rng):
-    # lines end at "\n" or at the end of the range, also across the 64 KiB reads
-    data = rng.choice(np.frombuffer(b'a,\r\n"', dtype=np.uint8), size=200_000,
-                      p=[0.5, 0.2, 0.1, 0.15, 0.05]).tobytes()
+def test_byte_check_counts_lines_and_rejects_quotes_and_lone_crs(tmp_path, rng):
+    # lines end at "\n" or at the end of the range, also across the 64 KiB
+    # reads, and a CRLF may straddle two reads
+    tokens = np.array([b"a", b",", b"\n", b"\r\n"], dtype=object)
+    data = b"".join(tokens[rng.choice(4, size=180_000, p=[0.5, 0.2, 0.15, 0.15])])
+    assert len(data) > 200_000
     path = tmp_path / "t.csv"
     path.write_bytes(data)
-    for start, stop in [(0, None), (0, len(data)), (1, 65_537), (65_535, 65_537),
-                        (7, 7), (100, 199_999), (65_536, 131_073)]:
+    straddle = data.index(b"\r\n", 65_535) - 65_535  # its first read ends in that CR
+    for start, stop in [(0, len(data)), (1, 65_537), (65_535, 65_537), (7, 7), (100, 199_999),
+                        (65_536, 131_073), (straddle, len(data))]:
         part = tmp_path / "part.csv"
         part.write_bytes(data[start:stop])
+        if data[start:stop].endswith(b"\r"):
+            with pytest.raises(ValueError, match="^CR not followed by LF$"):
+                schema._check_bytes(path, start, stop)
+            continue
         with open(part, newline="\n", encoding="utf-8") as fh:
             lines = sum(1 for _ in fh)
-        assert schema._check_bytes(path, start, stop) == (data[start:stop].count(b'"'), lines)
+        assert schema._check_bytes(path, start, stop) == lines
+    # a quote anywhere; a CR before anything but a LF, also where a read
+    # ends, and at the end
+    cr = straddle + 65_535
+    for bad, start, message in [
+            (b'"' + data, 0, "quote byte"),
+            (data[:65_536] + b'"' + data[65_536:], 0, "quote byte"),
+            (data + b'"', 0, "quote byte"),
+            (data[:cr + 1] + b"a" + data[cr + 2:], straddle, "CR not followed by LF"),
+            (data + b"\r", straddle, "CR not followed by LF")]:
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            schema._check_bytes(path, start, len(bad))
