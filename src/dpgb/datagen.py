@@ -263,12 +263,80 @@ def _draws_per_user(spec: GeneratorSpec) -> int:
     return 3 + spec.dims.num_activities + 5 * trips
 
 
+def _hash(value: np.ndarray, step: tuple[int, int]) -> np.ndarray:
+    """One SeedSequence hash of uint32 words, with that call's constants;
+    uint32 arrays wrap, as the C does."""
+    value = (value ^ step[0]) * step[1]
+    return value ^ value >> 16
+
+
+def _hash_steps(constant: int, multiplier: int, calls: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) constants of successive SeedSequence hash calls."""
+    steps = []
+    for _ in range(calls):
+        steps.append((constant, constant * multiplier & _MASK32))
+        constant = steps[-1][1]
+    return steps
+
+
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# SeedSequence's constants (numpy.random.bit_generator, after O'Neill's
+# seed_seq_fe): 16 hash calls fill and mix the pool, 8 hash the state out
+_HASH_POOL = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_HASH_STATE = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seeds(seeds: list[int]):
+    """The (state, inc) that ``np.random.PCG64(seed)`` starts from, for
+    each seed in [0, 2**64) in turn; OverflowError before the first on any
+    other seed.
+
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words (one below 2**32,
+    two above; the pool's other words hash 0, as for no word) into a pool of
+    four, mixes it and hashes it out into ``generate_state(4, np.uint64)``:
+    the high and low words of PCG64's 128-bit seed ``s`` and stream ``q``.
+    That runs in uint32 arithmetic for all seeds at once; PCG64's two LCG
+    steps from ``s`` and ``q`` then run on Python ints, one seed at a time
+    (NumPy NEP 19; O'Neill 2014).
+    """
+    low, high = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T
+    zero = np.zeros_like(low)
+    pool = [_hash(word, step) for word, step in zip((low, high, zero, zero), _HASH_POOL)]
+    for (src, dst), step in zip(itertools.permutations(range(4), 2), _HASH_POOL[4:]):
+        mixed = pool[dst] * _MIX_L - _hash(pool[src], step) * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+    state = [_hash(pool[i % 4], step) for i, step in enumerate(_HASH_STATE)]
+    # each seed's s and q as one little-endian 256-bit int, s below
+    table = np.stack([state[i] for i in (2, 3, 0, 1, 6, 7, 4, 5)], axis=1).astype("<u4").tobytes()
+    for at in range(0, len(table), 32):
+        sq = int.from_bytes(table[at:at + 32], "little")
+        inc = (sq >> 128 << 1 | 1) & _MASK128
+        yield ((inc + (sq & _MASK128)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _uniforms(seeds: list[int], width: int) -> np.ndarray:
+    """Row i: the first ``width`` uniforms of ``np.random.default_rng(seeds[i])``,
+    drawn by one Generator pointed at each seed's PCG64 state in turn."""
+    u = np.empty((len(seeds), width))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for row, (state, inc) in zip(u, _pcg64_seeds(seeds)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.random(out=row)
+    return u
+
+
 def _draw_users(spec: GeneratorSpec, seeds: list[int], width: int, region_cdf: np.ndarray,
                 tables: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, ...]:
     """The trips of the users with these seeds as (user, region, activity,
     direction, distance, duration) columns, by user and then in draw order.
 
-    Each user's stream is drawn as ``width`` uniforms at once, and every
+    Each user's stream, the one ``np.random.default_rng(seed)`` gives, is
+    drawn as ``width`` uniforms at once by :func:`_uniforms`, which seeds
+    the block's users together and keeps one Generator for all, and every
     step below reads the next uniforms of all users together, in the order
     a user's draws consume them: home region, outlier flag, the outlier
     activity if flagged, then per activity a count followed by that many
@@ -276,9 +344,7 @@ def _draw_users(spec: GeneratorSpec, seeds: list[int], width: int, region_cdf: n
     five for an away trip, whose region takes one more.  A user who may
     need more than ``width`` is drawn again from the start, twice as wide.
     """
-    u = np.empty((len(seeds), width))
-    for row, seed in zip(u, seeds):
-        np.random.default_rng(seed).random(out=row)
+    u = _uniforms(seeds, width)
     num_activities = spec.dims.num_activities
     home = _regions(region_cdf, u[:, 0])
     outlier = u[:, 1] < spec.outlier_fraction

@@ -387,9 +387,12 @@ def write_record_rows(fh, data: WeekDataset) -> None:
 
     A user id is written bare, so ValueError, before any byte is written,
     on an id holding a comma, a quote, a CR, a LF or a NUL, which no
-    records file may hold.  The rows are joined from f-strings with
-    ``repr`` floats (spelt by :func:`_float_texts`) and CRLF endings, a
-    chunk of records at a time.
+    records file may hold.  The rows are joined from f-strings, a chunk of
+    records at a time, with CRLF endings: ``id,`` from a string per user,
+    ``region,``, ``activity,`` and ``direction,`` from string tables over
+    each column's distinct values, looked up by ``np.searchsorted``, so no
+    row formats an int, and the floats as ``repr`` spells them (by
+    :func:`_float_texts`).
     """
     banned = frozenset(',"\r\n\0')
     for uid in data.user_ids:
@@ -397,13 +400,17 @@ def write_record_rows(fh, data: WeekDataset) -> None:
             raise ValueError(f"user id {uid!r} holds one of , \" CR LF NUL")
     tokens = [f"{uid}," for uid in data.user_ids]
     owners = np.repeat(np.arange(data.num_users), np.diff(data.offsets))
-    columns = (owners, data.region, data.activity, data.direction,
-               data.distance_km, data.duration_s)
+    columns = (data.region, data.activity, data.direction)
+    # each column's distinct values, found by sorting: np.unique's hash
+    # table raised the peak RSS of generate by 1.3 MB at 5 x 10^4 users
+    values = [v[np.diff(v, prepend=-1) != 0] for v in map(np.sort, columns)]  # all >= 0
+    regions, activities, directions = ([f"{v}," for v in vals.tolist()] for vals in values)
     for lo in range(0, data.num_records, _WRITE_CHUNK_RECORDS):
         hi = lo + _WRITE_CHUNK_RECORDS
-        chunk = ([col[lo:hi].tolist() for col in columns[:4]]
-                 + [_float_texts(col[lo:hi]) for col in columns[4:]])
-        fh.write("".join([f"{tokens[u]}{r},{a},{d},{x},{y}\r\n"
+        chunk = ([owners[lo:hi].tolist()]
+                 + [np.searchsorted(vals, col[lo:hi]).tolist() for vals, col in zip(values, columns)]
+                 + [_float_texts(col[lo:hi]) for col in (data.distance_km, data.duration_s)])
+        fh.write("".join([f"{tokens[u]}{regions[r]}{activities[a]}{directions[d]}{x},{y}\r\n"
                           for u, r, a, d, x, y in zip(*chunk)]).encode())
 
 

@@ -20,6 +20,7 @@ from dpgb.datagen import (
     _poisson_table,
 )
 from dpgb import datagen
+from dpgb.dp_core import derive_seed
 from dpgb.schema import ConfigError, Dimensions
 from conftest import default_spec, proxy_pair
 from generator_reference import poisson_inverse, reference_generate
@@ -153,6 +154,25 @@ class TestReferenceGenerator:
         monkeypatch.setattr(datagen, "_draw_users", spy)
         generate(edge_spec("overflowing user"))
         assert widths == [(2000, 27), (2, 54)]  # two users drawn again, twice as wide
+
+    def test_ported_seeding_equals_numpy(self):
+        # the SeedSequence mixing and PCG64 seeding that _uniforms runs for
+        # a block of users, against numpy's own, for user seeds and seeds at
+        # the edges of one and two 32-bit words
+        seeds = [derive_seed(3, f"u{i:06d}") for i in range(10_000)]
+        seeds += [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        for seed, got in zip(seeds, datagen._pcg64_seeds(seeds), strict=True):
+            want = np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+            assert got == (want["state"], want["inc"]), seed
+        for seed, row in zip(seeds, datagen._uniforms(seeds, 30), strict=True):
+            assert row.tobytes() == np.random.default_rng(seed).random(30).tobytes(), seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**96])
+    def test_a_seed_outside_64_bits_raises(self, seed):
+        # numpy rejects -1 and seeds 2**64 and up from three or more words;
+        # the port raises on both rather than draw another stream
+        with pytest.raises(OverflowError):
+            datagen._uniforms([5, seed], 4)
 
     @pytest.mark.parametrize("width, block_draws", [(12, 1 << 20), (13, 40), (40, 1)])
     def test_narrow_buffers_and_small_blocks(self, monkeypatch, width, block_draws):
@@ -302,7 +322,8 @@ class TestPoissonInverse:
     @pytest.mark.parametrize("num_users, num_regions, digest", [
         (10_000, 50_000, "590d32ba62f7202f7863dd3d0e09eafb6681ebd4db07de59263a8985b02df0cb"),
         (20_000, 100, "15d26c8a5ca7c72f5e98b70e3e9252bc13947612007dccb29dac9d345ce28fd4"),
-    ], ids=["production", "desk-20k"])
+        (50_000, 100, "06983f64b935a6eebabc941e8277c81c3ca025248c5905a1b9440b505af1bd31"),
+    ], ids=["production", "desk-20k", "fleet"])
     @pytest.mark.usefixtures("second_half")
     def test_dataset_bytes_unchanged_at_more_shapes(self, tmp_path, num_users, num_regions,
                                                     digest):
